@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/degenerate input.
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import os
 import sys
 import time
@@ -27,12 +27,13 @@ from .measures import MeasureConfig
 from .spectral import WelchSpec, welch_psd
 from .synthesis import (
     BENCHMARK_AMI,
+    BENCHMARK_CLEAN_POWER,
     BENCHMARK_DURATION,
     BENCHMARK_FS,
     BENCHMARK_NOISE_POWER,
     BENCHMARK_PAIRS,
     SynthesisSpec,
-    clean_power_unit,
+    clean_scale_for,
     synth_pac,
 )
 
@@ -40,8 +41,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-BENCHMARK_CLEAN_POWER = 630.0
 
 
 class _UsageError(Exception):
@@ -113,7 +112,7 @@ def _parse_pairs(text: str):
 
 def _parse_grid(text: str) -> GridSpec:
     try:
-        return io._parse_grid(text)
+        return io.parse_grid(text)
     except InvalidInputError as e:
         raise _UsageError(str(e))
 
@@ -134,22 +133,11 @@ def _measure_config(args) -> MeasureConfig:
 
 def _emit_manifest(args, command, parameters, inputs, outputs, seeds, started):
     """Write the sidecar manifest, or print it instead under --dry-run."""
-    duration = None if started is None else time.perf_counter() - started
     if args.dry_run:
-        import json
-
-        doc = {
-            "schema": 1,
-            "command": command,
-            "parameters": parameters,
-            "seeds": seeds,
-            "inputs": [str(p) for p in inputs],
-            "outputs": [str(p) for p in outputs],
-            "version": __version__,
-            "duration_s": None,
-        }
+        doc = io.manifest_doc(command, parameters, inputs, outputs, seeds, None, __version__)
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
+    duration = time.perf_counter() - started
     _write(
         io.write_manifest,
         outputs[0],
@@ -184,7 +172,7 @@ def cmd_synth(args) -> int:
         fs = 1000.0 if args.fs is None else args.fs
         noise = 0.0 if args.noise_power is None else args.noise_power
         clean = args.clean_power
-    scale = 1.0 if clean is None else math.sqrt(clean / clean_power_unit(ami))
+    scale = clean_scale_for(clean, ami)
     try:
         spec = SynthesisSpec(
             m=m, n=n, ami=ami, duration=dur, fs=fs,
@@ -216,13 +204,8 @@ def cmd_pac(args) -> int:
     meta_out = Path(str(out) + ".meta.json")
     parameters = {
         "method": args.method,
-        "grid": io._grid_str(grid),
-        "mca_bw": cfg.mca_bw,
-        "morlet_cycles": cfg.morlet_cycles,
-        "kld_bins": cfg.kld_bins,
-        "edge_trim": cfg.edge_trim,
-        "welch_window": cfg.welch.window_len,
-        "welch_overlap": cfg.welch.overlap,
+        "grid": io.grid_str(grid),
+        **cfg.as_dict(),
         "jobs": jobs,
         "cache": not args.no_cache,
     }
@@ -239,16 +222,9 @@ def cmd_pac(args) -> int:
     meta = {
         "schema": 1,
         "method": args.method,
-        "grid": io._grid_str(grid),
+        "grid": io.grid_str(grid),
         "argmax": None if peak is None else {"m": peak[0], "n": peak[1], "value": peak[2]},
-        "config": {
-            "mca_bw": cfg.mca_bw,
-            "morlet_cycles": cfg.morlet_cycles,
-            "kld_bins": cfg.kld_bins,
-            "edge_trim": cfg.edge_trim,
-            "welch_window": cfg.welch.window_len,
-            "welch_overlap": cfg.welch.overlap,
-        },
+        "config": cfg.as_dict(),
     }
     _write(io.write_json, meta_out, meta)
     _emit_manifest(args, "pac", parameters, [inp], [out, meta_out], None, started)
@@ -274,10 +250,14 @@ def cmd_psd(args) -> int:
     psd = welch_psd(x, spec)
     lines = ["freq_hz,psd"]
     for f, p in zip(psd.freqs, psd.values):
-        lines.append(f"{io._fmt(f)},{io._fmt(p)}")
+        lines.append(f"{io.fmt(f)},{io.fmt(p)}")
     _write(lambda p, text: Path(p).write_text(text), out, "\n".join(lines) + "\n")
     _emit_manifest(args, "psd", parameters, [inp], [out], None, started)
     return EXIT_OK
+
+
+def _matrix_path(matrix_dir, pair, method, seed) -> Path:
+    return Path(matrix_dir) / f"{method}_m{pair[0]}_n{pair[1]}_seed{seed}.csv"
 
 
 def cmd_compare(args) -> int:
@@ -305,12 +285,19 @@ def cmd_compare(args) -> int:
         "fs": args.fs,
         "noise_power": args.noise_power,
         "clean_power": args.clean_power,
-        "grid": io._grid_str(grid),
+        "grid": io.grid_str(grid),
         "jobs": jobs,
         "matrix_dir": args.matrix_dir,
     }
     if args.dry_run:
-        _emit_manifest(args, "compare", parameters, [], [out], seeds, None)
+        # the same outputs, in the same order, as the run below writes
+        outputs = [out]
+        if args.matrix_dir is not None:
+            outputs += [
+                _matrix_path(args.matrix_dir, pair, method, seed)
+                for pair in pairs for seed in seeds for method in methods
+            ]
+        _emit_manifest(args, "compare", parameters, [], outputs, seeds, None)
         return EXIT_OK
 
     matrix_jobs = []
@@ -343,7 +330,7 @@ def cmd_compare(args) -> int:
         except OSError as e:
             raise _IoError(f"cannot create {mdir}: {e}")
         for mat, pair, method, seed in matrix_jobs:
-            mpath = mdir / f"{method}_m{pair[0]}_n{pair[1]}_seed{seed}.csv"
+            mpath = _matrix_path(mdir, pair, method, seed)
             _write(io.write_matrix_csv, mpath, mat)
             outputs.append(mpath)
     doc = {"schema": 1, "params": parameters}
@@ -371,18 +358,21 @@ def cmd_heatmap(args) -> int:
 
 
 def _add_measure_flags(p):
-    p.add_argument("--mca-bw", type=float, default=1.0,
-                   help="narrowband filter width in Hz (default 1)")
-    p.add_argument("--morlet-cycles", type=float, default=4.0,
-                   help="wavelet cycles for the comparison methods (default 4)")
-    p.add_argument("--kld-bins", type=int, default=50,
-                   help="phase histogram bins for kld (default 50)")
-    p.add_argument("--edge-trim", type=int, default=None,
-                   help="override per-side sample trim before statistics")
-    p.add_argument("--welch-window", type=int, default=4096,
-                   help="Welch window length for cv (default 4096)")
-    p.add_argument("--welch-overlap", type=float, default=0.25,
-                   help="Welch window overlap fraction (default 0.25)")
+    cfg = MeasureConfig()
+    p.add_argument("--mca-bw", type=float, default=cfg.mca_bw,
+                   help=f"narrowband filter width in Hz (default {cfg.mca_bw:g})")
+    p.add_argument("--morlet-cycles", type=float, default=cfg.morlet_cycles,
+                   help="wavelet cycles for the comparison methods "
+                        f"(default {cfg.morlet_cycles:g})")
+    p.add_argument("--kld-bins", type=int, default=cfg.kld_bins,
+                   help=f"phase histogram bins for kld (default {cfg.kld_bins})")
+    p.add_argument("--edge-trim", type=int, default=cfg.edge_trim,
+                   help="override per-side sample trim before statistics "
+                        "(0: no trim)")
+    p.add_argument("--welch-window", type=int, default=cfg.welch.window_len,
+                   help=f"Welch window length for cv (default {cfg.welch.window_len})")
+    p.add_argument("--welch-overlap", type=float, default=cfg.welch.overlap,
+                   help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
 
 
 def _add_common(p):
@@ -436,10 +426,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psd", help="Welch power spectral density as CSV")
     p.add_argument("-i", "--input", required=True, help="signal CSV path")
     p.add_argument("-o", "--output", required=True, help="spectrum CSV path")
-    p.add_argument("--window", type=int, default=4096,
-                   help="window length in samples (default 4096)")
-    p.add_argument("--overlap", type=float, default=0.25,
-                   help="window overlap fraction (default 0.25)")
+    welch = WelchSpec()
+    p.add_argument("--window", type=int, default=welch.window_len,
+                   help=f"window length in samples (default {welch.window_len})")
+    p.add_argument("--overlap", type=float, default=welch.overlap,
+                   help=f"window overlap fraction (default {welch.overlap:g})")
     _add_common(p)
     p.set_defaults(func=cmd_psd)
 
@@ -450,11 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {','.join(METHODS)}")
     p.add_argument("--seeds", type=int, default=10, help="seeds per pair (default 10)")
     p.add_argument("--base-seed", type=int, default=0, help="first seed (default 0)")
-    p.add_argument("--ami", type=float, default=0.25)
-    p.add_argument("--dur", type=float, default=10.0)
-    p.add_argument("--fs", type=float, default=1000.0)
-    p.add_argument("--noise-power", type=float, default=6250.0)
-    p.add_argument("--clean-power", type=float, default=630.0)
+    p.add_argument("--ami", type=float, default=BENCHMARK_AMI)
+    p.add_argument("--dur", type=float, default=BENCHMARK_DURATION)
+    p.add_argument("--fs", type=float, default=BENCHMARK_FS)
+    p.add_argument("--noise-power", type=float, default=BENCHMARK_NOISE_POWER)
+    p.add_argument("--clean-power", type=float, default=BENCHMARK_CLEAN_POWER)
     p.add_argument("--grid", default="m=1:50,n=1:50")
     p.add_argument("--matrix-dir", default=None,
                    help="also write every normalized matrix into this directory")

@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import filters, measures
+from . import measures
 from .errors import (
     DegenerateDistributionError,
     DegeneratePhaseError,
@@ -19,10 +19,19 @@ from .errors import (
     InvalidMethodError,
     OutOfBandError,
 )
-from .filters import FilterSpec
+from .filters import FilterBank
 from .measures import MeasureConfig
 from .signal_core import Signal
-from .synthesis import SynthesisSpec, clean_power_unit, synth_pac
+from .synthesis import (
+    BENCHMARK_AMI,
+    BENCHMARK_CLEAN_POWER,
+    BENCHMARK_DURATION,
+    BENCHMARK_FS,
+    BENCHMARK_NOISE_POWER,
+    SynthesisSpec,
+    clean_scale_for,
+    synth_pac,
+)
 
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
 
@@ -92,39 +101,6 @@ class PacMatrix:
         return float(self.values[i, j])
 
 
-class FilterBank:
-    """Cached band outputs of one input signal.
-
-    Keyed by (family, center, bandwidth-or-cycles). Plain dict storage:
-    concurrent readers are safe, concurrent first-fill may compute a band
-    twice and the identical result wins.
-    """
-
-    def __init__(self, x: Signal):
-        self.x = x
-        self._cache: dict = {}
-
-    def gabor(self, center: float, bw: float) -> np.ndarray:
-        key = ("gabor", float(center), float(bw))
-        out = self._cache.get(key)
-        if out is None:
-            out = filters.bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples
-            self._cache[key] = out
-        return out
-
-    def morlet(self, center: float, cycles: float) -> np.ndarray:
-        key = ("morlet", float(center), float(cycles))
-        out = self._cache.get(key)
-        if out is None:
-            out = filters.morlet_bandpass(self.x, center, cycles).values
-            self._cache[key] = out
-        return out
-
-    @property
-    def n_filterings(self) -> int:
-        return len(self._cache)
-
-
 def compute_matrix(
     x: Signal,
     method: str = "mca",
@@ -180,14 +156,7 @@ def compute_matrix(
     meta = {
         "fs": x.fs,
         "n_samples": len(x),
-        "config": {
-            "mca_bw": cfg.mca_bw,
-            "morlet_cycles": cfg.morlet_cycles,
-            "kld_bins": cfg.kld_bins,
-            "edge_trim": cfg.edge_trim,
-            "welch_window": cfg.welch.window_len,
-            "welch_overlap": cfg.welch.overlap,
-        },
+        "config": cfg.as_dict(),
         "cached_filterings": bank.n_filterings if bank is not None else None,
     }
     return PacMatrix(out, method, False, grid, meta)
@@ -204,16 +173,13 @@ def normalize(mat: PacMatrix) -> PacMatrix:
 def argmax(mat: PacMatrix):
     """Largest cell as (m, n, value); ties go to the smallest n, then the
     smallest m. Returns None when every cell is zero."""
-    vals = mat.values
-    best = 0.0
-    found = None
-    for i, n in enumerate(mat.grid.n_values):
-        for j, m in enumerate(mat.grid.m_values):
-            v = vals[i, j]
-            if v > best:
-                best = v
-                found = (int(m), int(n), float(v))
-    return found
+    # rows follow n and columns m, so the first maximum in C order is the
+    # one with the smallest n, then the smallest m
+    i, j = np.unravel_index(np.argmax(mat.values), mat.values.shape)
+    v = float(mat.values[i, j])
+    if not v > 0.0:
+        return None
+    return int(mat.grid.m_values[j]), int(mat.grid.n_values[i]), v
 
 
 def localization_error(found, truth) -> float:
@@ -291,11 +257,11 @@ def run_comparison(
     methods=METHODS,
     n_seeds: int = 10,
     *,
-    ami: float = 0.25,
-    duration: float = 10.0,
-    fs: float = 1000.0,
-    noise_power: float = 6250.0,
-    clean_power: Optional[float] = 630.0,
+    ami: float = BENCHMARK_AMI,
+    duration: float = BENCHMARK_DURATION,
+    fs: float = BENCHMARK_FS,
+    noise_power: float = BENCHMARK_NOISE_POWER,
+    clean_power: Optional[float] = BENCHMARK_CLEAN_POWER,
     clean_scale: Optional[float] = None,
     grid: GridSpec | None = None,
     cfg: MeasureConfig | None = None,
@@ -318,12 +284,7 @@ def run_comparison(
             raise InvalidMethodError(f"unknown method {meth!r}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
-    if clean_scale is None:
-        scale = 1.0 if clean_power is None else math.sqrt(
-            clean_power / clean_power_unit(ami)
-        )
-    else:
-        scale = clean_scale
+    scale = clean_scale_for(clean_power, ami) if clean_scale is None else clean_scale
 
     tasks = []
     for pair in pairs:

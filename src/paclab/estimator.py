@@ -7,7 +7,7 @@ from typing import Optional
 
 import numpy as np
 
-from .comodulogram import GridSpec, argmax, compute_matrix, normalize
+from .comodulogram import GridSpec, PacMatrix, argmax, compute_matrix, normalize
 from .errors import InvalidInputError
 from .measures import MeasureConfig
 from .signal_core import Signal
@@ -61,9 +61,7 @@ class PacAnalyzer:
             raise InvalidInputError("X must be a 1-D sample array or a Signal")
         return Signal(arr, float(self.fs))
 
-    def fit(self, X, y=None) -> "PacAnalyzer":
-        """Compute the comodulogram of X and store it as fitted state."""
-        x = self._as_signal(X)
+    def _matrix(self, x: Signal) -> PacMatrix:
         mat = compute_matrix(
             x,
             method=self.method,
@@ -71,10 +69,13 @@ class PacAnalyzer:
             cfg=self.config,
             jobs=self.jobs,
         )
-        if self.normalize:
-            mat = normalize(mat)
-        self.matrix_ = mat
-        self.argmax_ = argmax(mat)
+        return normalize(mat) if self.normalize else mat
+
+    def fit(self, X, y=None) -> "PacAnalyzer":
+        """Compute the comodulogram of X and store it as fitted state."""
+        x = self._as_signal(X)
+        self.matrix_ = self._matrix(x)
+        self.argmax_ = argmax(self.matrix_)
         self.n_samples_in_ = len(x)
         return self
 
@@ -84,16 +85,7 @@ class PacAnalyzer:
         Stateless with respect to fitted attributes: transform never
         overwrites matrix_ from an earlier fit.
         """
-        x = self._as_signal(X)
-        mat = compute_matrix(
-            x,
-            method=self.method,
-            grid=self.grid,
-            cfg=self.config,
-            jobs=self.jobs,
-        )
-        if self.normalize:
-            mat = normalize(mat)
+        mat = self._matrix(self._as_signal(X))
         return np.array(mat.values, copy=True)
 
     def fit_transform(self, X, y=None) -> np.ndarray:

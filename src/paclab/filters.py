@@ -1,5 +1,6 @@
 """Narrow-band filtering: constant-bandwidth Gabor kernels, proportional
-Morlet kernels, zero-phase application, and the three-band triplet."""
+Morlet kernels, zero-phase application, the three-band triplet, and the
+filter bank every coupling measure reads its bands from."""
 
 from __future__ import annotations
 
@@ -158,3 +159,38 @@ def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
     mid = bandpass(x, FilterSpec(center=n, bw_hz=bw))
     hi = bandpass(x, FilterSpec(center=n + m, bw_hz=bw))
     return Signal(lo.samples + 2.0 * mid.samples + hi.samples, x.fs)
+
+
+class FilterBank:
+    """Cached band outputs of one input signal.
+
+    Keyed by (family, center, bandwidth-or-cycles). Plain dict storage:
+    concurrent readers are safe, concurrent first-fill may compute a band
+    twice and the identical result wins. A bank lives as long as its
+    owner keeps it: compute_matrix shares one across a whole grid, a
+    measure called without one uses a fresh bank for that call only.
+    """
+
+    def __init__(self, x: Signal):
+        self.x = x
+        self._cache: dict = {}
+
+    def gabor(self, center: float, bw: float) -> np.ndarray:
+        key = ("gabor", float(center), float(bw))
+        out = self._cache.get(key)
+        if out is None:
+            out = bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples
+            self._cache[key] = out
+        return out
+
+    def morlet(self, center: float, cycles: float) -> np.ndarray:
+        key = ("morlet", float(center), float(cycles))
+        out = self._cache.get(key)
+        if out is None:
+            out = morlet_bandpass(self.x, center, cycles).values
+            self._cache[key] = out
+        return out
+
+    @property
+    def n_filterings(self) -> int:
+        return len(self._cache)

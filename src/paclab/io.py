@@ -20,7 +20,7 @@ SPACING_TOL_REL = 1e-9
 FS_SNAP_REL = 1e-6
 
 
-def _fmt(v: float) -> str:
+def fmt(v: float) -> str:
     return "%.17g" % float(v)
 
 
@@ -31,7 +31,7 @@ def write_signal_csv(path, x: Signal) -> None:
     fs = x.fs
     lines = [SIGNAL_HEADER]
     for i, v in enumerate(x.samples):
-        lines.append(f"{_fmt(i / fs)},{_fmt(v)}")
+        lines.append(f"{fmt(i / fs)},{fmt(v)}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -72,11 +72,11 @@ def read_signal_csv(path) -> Signal:
     return Signal(np.array(values), fs)
 
 
-def _grid_str(g: GridSpec) -> str:
+def grid_str(g: GridSpec) -> str:
     return f"m={g.m_start}:{g.m_stop},n={g.n_start}:{g.n_stop}"
 
 
-def _parse_grid(s: str) -> GridSpec:
+def parse_grid(s: str) -> GridSpec:
     try:
         parts = dict(p.split("=") for p in s.split(","))
         m0, m1 = (int(v) for v in parts["m"].split(":"))
@@ -94,12 +94,12 @@ def write_matrix_csv(path, mat: PacMatrix) -> None:
     lines = [
         f"# method: {mat.method}",
         f"# normalized: {str(mat.normalized).lower()}",
-        f"# grid: {_grid_str(mat.grid)}",
+        f"# grid: {grid_str(mat.grid)}",
         "# argmax: none" if peak is None
-        else f"# argmax: m={peak[0]},n={peak[1]},value={_fmt(peak[2])}",
+        else f"# argmax: m={peak[0]},n={peak[1]},value={fmt(peak[2])}",
     ]
     for row in mat.values:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -129,7 +129,7 @@ def read_matrix_csv(path) -> PacMatrix:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise InvalidInputError(f"{path}: ragged matrix rows")
-    grid = _parse_grid(meta["grid"]) if "grid" in meta else GridSpec(
+    grid = parse_grid(meta["grid"]) if "grid" in meta else GridSpec(
         1, len(rows[0]), 1, len(rows)
     )
     values = np.array(rows)
@@ -185,17 +185,16 @@ def manifest_path(output_path) -> Path:
     return Path(str(output_path) + ".manifest.json")
 
 
-def write_manifest(
-    output_path,
+def manifest_doc(
     command: str,
     parameters: dict,
     inputs: list,
     outputs: list,
     seeds,
-    duration_s: float,
+    duration_s,
     version: str,
 ) -> dict:
-    """Sidecar manifest next to an output file.
+    """The manifest document: JSON-ready, infinities recorded as null.
 
     duration_s is informational: it varies between reruns and is not part
     of the reproducibility contract.
@@ -214,7 +213,7 @@ def write_manifest(
             return v.item()
         return v
 
-    doc = {
+    return {
         "schema": 1,
         "command": command,
         "parameters": clean(parameters),
@@ -224,5 +223,19 @@ def write_manifest(
         "version": version,
         "duration_s": duration_s,
     }
+
+
+def write_manifest(
+    output_path,
+    command: str,
+    parameters: dict,
+    inputs: list,
+    outputs: list,
+    seeds,
+    duration_s: float,
+    version: str,
+) -> dict:
+    """Write manifest_doc(...) as the sidecar next to an output file."""
+    doc = manifest_doc(command, parameters, inputs, outputs, seeds, duration_s, version)
     write_json(manifest_path(output_path), doc)
     return doc

@@ -8,6 +8,7 @@ phase-locking value and phase-binning support they build on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +23,7 @@ from .errors import (
     OutOfBandError,
     SignalTooShortError,
 )
-from .filters import FilterSpec, gabor_half_length, morlet_half_length
+from .filters import FilterBank, FilterSpec, gabor_half_length, morlet_half_length
 from .signal_core import Signal
 from .spectral import WelchSpec, coherence
 
@@ -49,7 +50,7 @@ class MeasureConfig:
     mca_bw: float = 1.0
     morlet_cycles: float = 4.0
     kld_bins: int = 50
-    edge_trim: Optional[int] = None  # None: largest kernel half-length in use
+    edge_trim: Optional[int] = None  # None: largest kernel half-length in use; 0: no trim
     welch: WelchSpec = WelchSpec()
 
     def __post_init__(self):
@@ -59,6 +60,20 @@ class MeasureConfig:
             raise InvalidInputError("morlet_cycles must be at least 1")
         if self.kld_bins < 2:
             raise InvalidInputError("kld_bins must be at least 2")
+        tr = self.edge_trim
+        if tr is not None and (not isinstance(tr, numbers.Integral) or tr < 0):
+            raise InvalidInputError("edge_trim must be an integer >= 0 (or None)")
+
+    def as_dict(self) -> dict:
+        """Flat settings, as recorded in matrix meta and manifests."""
+        return {
+            "mca_bw": self.mca_bw,
+            "morlet_cycles": self.morlet_cycles,
+            "kld_bins": self.kld_bins,
+            "edge_trim": self.edge_trim,
+            "welch_window": self.welch.window_len,
+            "welch_overlap": self.welch.overlap,
+        }
 
 
 @dataclass(frozen=True)
@@ -76,19 +91,6 @@ class PhaseAmplitudeDistribution:
     def bin_centers(self) -> np.ndarray:
         edges = np.linspace(-np.pi, np.pi, self.n_bins + 1)
         return 0.5 * (edges[:-1] + edges[1:])
-
-
-class _DirectBands:
-    """Uncached band provider; the comodulogram module supplies a cached one."""
-
-    def __init__(self, x: Signal):
-        self.x = x
-
-    def gabor(self, center: float, bw: float) -> np.ndarray:
-        return filters.bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples
-
-    def morlet(self, center: float, cycles: float) -> np.ndarray:
-        return filters.morlet_bandpass(self.x, center, cycles).values
 
 
 def _rms(a: np.ndarray) -> float:
@@ -109,6 +111,11 @@ def _check_trim(n_total: int, tr: int) -> None:
         raise SignalTooShortError(
             f"signal of {n_total} samples leaves nothing after trimming {tr} per edge"
         )
+
+
+def _trimmed(a: np.ndarray, tr: int) -> np.ndarray:
+    """View of `a` without `tr` samples at each edge; tr == 0 keeps all."""
+    return a[tr:a.size - tr]
 
 
 def plv(phase_u, phase_v) -> float:
@@ -169,20 +176,20 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     fs = x.fs
     if not (m >= 1) or n - m < 1 or n + m >= fs / 2:
         raise OutOfBandError(f"triplet bands for ({m}, {n}) Hz leave the valid range")
-    provider = bands if bands is not None else _DirectBands(x)
+    provider = bands if bands is not None else FilterBank(x)
     bw = cfg.mca_bw
     tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, fs)
     _check_trim(len(x), tr)
 
     xm = provider.gabor(m, bw)
-    xm_t = xm[tr:-tr]
+    xm_t = _trimmed(xm, tr)
     x_ref = _rms(x.samples)
     if _rms(xm_t) <= SLOW_BAND_FLOOR_REL * x_ref:
         return 0.0
 
     xm_wide = provider.gabor(m, 2.0 * bw)
     p1 = float(np.mean(xm_t * xm_t))
-    p2 = float(np.mean(xm_wide[tr:-tr] ** 2))
+    p2 = float(np.mean(_trimmed(xm_wide, tr) ** 2))
     s_est = 2.0 * p1 - p2
     if s_est <= 0.0:
         return 0.0
@@ -196,9 +203,9 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     lo = provider.gabor(n - m, bw)
     mid = provider.gabor(n, bw)
     hi = provider.gabor(n + m, bw)
-    r_lo = _rms(lo[tr:-tr])
-    r_mid = _rms(mid[tr:-tr])
-    r_hi = _rms(hi[tr:-tr])
+    r_lo = _rms(_trimmed(lo, tr))
+    r_mid = _rms(_trimmed(mid, tr))
+    r_hi = _rms(_trimmed(hi, tr))
     # coupling needs a carrier at n and at least one sideband; a cell
     # holding only filter-tail residue of distant lines would otherwise
     # score on numerically coherent envelope ripple
@@ -214,10 +221,10 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     except DegeneratePhaseError:
         return 0.0
     ph_slow = np.angle(hilbert(xm))
-    value = float(np.abs(np.mean(np.exp(1j * (ph_slow[tr:-tr] - ph_env.samples[tr:-tr])))))
+    value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
 
     mid_wide = provider.gabor(n, 2.0 * bw)
-    r_wide = _rms(mid_wide[tr:-tr])
+    r_wide = _rms(_trimmed(mid_wide, tr))
     capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
 
     big = max(r_lo, r_hi)
@@ -226,29 +233,36 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     return value * capture * slow_weight * balance
 
 
-def _morlet_pair(x, m, n, cfg, provider):
-    zm = provider.morlet(m, cfg.morlet_cycles)
-    zn = provider.morlet(n, cfg.morlet_cycles)
-    return zm, zn
-
-
-def _morlet_trim(x, m, n, cfg, with_envelope_filter: bool) -> int:
-    if cfg.edge_trim is not None:
-        return cfg.edge_trim
-    tr = max(
-        morlet_half_length(m, cfg.morlet_cycles, x.fs),
-        morlet_half_length(n, cfg.morlet_cycles, x.fs),
-    )
-    if with_envelope_filter:
-        tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
-    return tr
-
-
 def _check_band(m: float, n: float, fs: float) -> None:
     if not (m >= 1):
         raise OutOfBandError("modulating frequency must be at least 1 Hz")
     if n >= fs / 2:
         raise OutOfBandError(f"modulated frequency {n} Hz reaches Nyquist")
+
+
+def _morlet_cell(x: Signal, m: float, n: float, cfg: MeasureConfig | None, bands,
+                 slow: bool = True, envelope_filter: bool = False):
+    """Config, complex Morlet bands at m (None unless `slow`) and n, and
+    per-edge trim of one Morlet-measure cell.
+
+    The default trim is the widest kernel in use, counting the envelope
+    band-pass when `envelope_filter`.
+    """
+    cfg = cfg or MeasureConfig()
+    _check_band(m, n, x.fs)
+    provider = bands if bands is not None else FilterBank(x)
+    cycles = cfg.morlet_cycles
+    zm = provider.morlet(m, cycles) if slow else None
+    zn = provider.morlet(n, cycles)
+    tr = cfg.edge_trim
+    if tr is None:
+        tr = morlet_half_length(n, cycles, x.fs)
+        if slow:
+            tr = max(tr, morlet_half_length(m, cycles, x.fs))
+        if envelope_filter:
+            tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
+    _check_trim(len(x), tr)
+    return cfg, zm, zn, tr
 
 
 def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
@@ -259,21 +273,12 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     envelope, both bands from Morlet filtering. Degenerate envelopes
     score 0.
     """
-    cfg = cfg or MeasureConfig()
-    _check_band(m, n, x.fs)
-    provider = bands if bands is not None else _DirectBands(x)
-    zm, zn = _morlet_pair(x, m, n, cfg, provider)
-    tr = _morlet_trim(x, m, n, cfg, with_envelope_filter=True)
-    _check_trim(len(x), tr)
-    env = Signal(np.abs(zn), x.fs)
+    cfg, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands, envelope_filter=True)
     try:
-        ph_env = envelope_phase(env, m, cfg.mca_bw)
+        ph_env = envelope_phase(Signal(np.abs(zn), x.fs), m, cfg.mca_bw)
     except DegeneratePhaseError:
         return 0.0
-    ph_slow = np.angle(zm)
-    return float(np.abs(np.mean(np.exp(
-        1j * (ph_slow[tr:-tr] - ph_env.samples[tr:-tr])
-    ))))
+    return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
 
 
 def vector_length(phase, amp) -> float:
@@ -288,29 +293,17 @@ def vector_length(phase, amp) -> float:
 def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
         bands=None) -> float:
     """Mean vector length: amplitude-weighted mean phasor of the slow phase."""
-    cfg = cfg or MeasureConfig()
-    _check_band(m, n, x.fs)
-    provider = bands if bands is not None else _DirectBands(x)
-    zm, zn = _morlet_pair(x, m, n, cfg, provider)
-    tr = _morlet_trim(x, m, n, cfg, with_envelope_filter=False)
-    _check_trim(len(x), tr)
-    return vector_length(np.angle(zm)[tr:-tr], np.abs(zn)[tr:-tr])
+    _, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands)
+    return vector_length(_trimmed(np.angle(zm), tr), _trimmed(np.abs(zn), tr))
 
 
 def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
        bands=None) -> float:
     """Coherence between the raw signal and the fast band's envelope,
     read at the bin nearest the modulating frequency."""
-    cfg = cfg or MeasureConfig()
-    _check_band(m, n, x.fs)
-    provider = bands if bands is not None else _DirectBands(x)
-    zn = provider.morlet(n, cfg.morlet_cycles)
-    tr = cfg.edge_trim if cfg.edge_trim is not None else morlet_half_length(
-        n, cfg.morlet_cycles, x.fs
-    )
-    _check_trim(len(x), tr)
-    raw = Signal(x.samples[tr:-tr], x.fs)
-    env = Signal(np.abs(zn)[tr:-tr], x.fs)
+    cfg, _, zn, tr = _morlet_cell(x, m, n, cfg, bands, slow=False)
+    raw = Signal(_trimmed(x.samples, tr), x.fs)
+    env = Signal(_trimmed(np.abs(zn), tr), x.fs)
     spectrum = coherence(raw, env, cfg.welch)
     return spectrum.value_at(m)
 
@@ -360,13 +353,7 @@ def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
         bands=None) -> float:
     """Entropy-based coupling: deviation of the amplitude-by-phase
     distribution from uniformity, normalized to [0, 1]."""
-    cfg = cfg or MeasureConfig()
-    _check_band(m, n, x.fs)
-    provider = bands if bands is not None else _DirectBands(x)
-    zm, zn = _morlet_pair(x, m, n, cfg, provider)
-    tr = _morlet_trim(x, m, n, cfg, with_envelope_filter=False)
-    _check_trim(len(x), tr)
-    ph = np.angle(zm)[tr:-tr]
-    a = np.abs(zn)[tr:-tr]
-    dist = bin_amplitude_by_phase(ph, a, cfg.kld_bins)
+    cfg, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands)
+    dist = bin_amplitude_by_phase(_trimmed(np.angle(zm), tr), _trimmed(np.abs(zn), tr),
+                                  cfg.kld_bins)
     return kld_from_distribution(dist)

@@ -73,6 +73,13 @@ def clean_power_unit(ami: float) -> float:
     return 0.625 + ami * ami / 4.0
 
 
+def clean_scale_for(clean_power: Optional[float], ami: float) -> float:
+    """Factor that rescales the deterministic part to clean_power; None keeps 1."""
+    if clean_power is None:
+        return 1.0
+    return math.sqrt(clean_power / clean_power_unit(ami))
+
+
 def pink_noise(n_samples: int, fs: float, target_power: float, seed=None) -> Signal:
     """1/f noise by spectral synthesis.
 
@@ -139,7 +146,6 @@ def benchmark_spec(pair: int | tuple, seed=None) -> SynthesisSpec:
         m, n = BENCHMARK_PAIRS[pair - 1]
     else:
         m, n = pair
-    scale = math.sqrt(BENCHMARK_CLEAN_POWER / clean_power_unit(BENCHMARK_AMI))
     return SynthesisSpec(
         m=m,
         n=n,
@@ -147,6 +153,6 @@ def benchmark_spec(pair: int | tuple, seed=None) -> SynthesisSpec:
         duration=BENCHMARK_DURATION,
         fs=BENCHMARK_FS,
         noise_power=BENCHMARK_NOISE_POWER,
-        clean_scale=scale,
+        clean_scale=clean_scale_for(BENCHMARK_CLEAN_POWER, BENCHMARK_AMI),
         seed=seed,
     )

@@ -97,6 +97,23 @@ class TestPac:
         assert (tmp_path / "a.csv.meta.json").read_bytes() == \
             (tmp_path / "b.csv.meta.json").read_bytes()
 
+    def test_zero_edge_trim_means_no_trim(self, tmp_path):
+        sig = synth_file(tmp_path)
+        out = tmp_path / "mat.csv"
+        rc = main(["pac", "--method", "mca", "-i", str(sig), "-o", str(out),
+                   "--grid", GRID, "--edge-trim", "0"])
+        assert rc == EXIT_OK
+        assert read_matrix_csv(out).values.max() == 1.0
+        assert read_json(tmp_path / "mat.csv.meta.json")["config"]["edge_trim"] == 0
+
+    def test_negative_edge_trim_is_usage_error(self, tmp_path):
+        sig = synth_file(tmp_path)
+        rc = main(["pac", "--method", "kld", "-i", str(sig),
+                   "-o", str(tmp_path / "out.csv"), "--grid", GRID,
+                   "--edge-trim", "-5"])
+        assert rc == EXIT_USAGE
+        assert not (tmp_path / "out.csv").exists()
+
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["pac", "--method", "mca", "-i", str(tmp_path / "absent.csv"),
                    "-o", str(tmp_path / "out.csv"), "--grid", GRID])
@@ -153,6 +170,59 @@ class TestDryRun:
         doc = json.loads(capsys.readouterr().out)
         assert doc["command"] == "pac"
         assert not (tmp_path / "out.csv").exists()
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not valid JSON: {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+# argv per command; {d} is the test's directory, which holds sig.csv and
+# mat.csv. Each runs once with --dry-run and once for real.
+DRY_RUN_CASES = {
+    "synth": ["synth", "--m", "8", "--n", "45", "--noise-power", "100",
+              "--dur", "3", "-o", "{d}/out.csv"],
+    "pac": ["pac", "--method", "mca", "-i", "{d}/sig.csv", "-o", "{d}/out.csv",
+            "--grid", GRID],
+    "pac-infinite-cycles": ["pac", "--method", "mca", "-i", "{d}/sig.csv",
+                            "-o", "{d}/out.csv", "--grid", GRID,
+                            "--morlet-cycles", "inf"],
+    "psd": ["psd", "-i", "{d}/sig.csv", "-o", "{d}/out.csv", "--window", "512"],
+    "compare": ["compare", "--pairs", "8:45", "--methods", "kld", "--seeds", "1",
+                "--grid", GRID, "-o", "{d}/out.json"],
+    "compare-matrix-dir": ["compare", "--pairs", "8:45,12:45", "--methods", "kld,mvl",
+                           "--seeds", "2", "--grid", "m=6:13,n=42:46",
+                           "--matrix-dir", "{d}/mats", "-o", "{d}/out.json"],
+    "heatmap": ["heatmap", "-i", "{d}/mat.csv", "-o", "{d}/out.pgm"],
+}
+
+
+class TestDryRunMatchesRun:
+    @pytest.mark.parametrize("case", sorted(DRY_RUN_CASES))
+    def test_dry_run_prints_the_written_manifest(self, case, tmp_path, capsys):
+        sig = synth_file(tmp_path)
+        assert main(["pac", "--method", "mca", "-i", str(sig),
+                     "-o", str(tmp_path / "mat.csv"), "--grid", GRID]) == EXIT_OK
+        argv = [a.format(d=tmp_path) for a in DRY_RUN_CASES[case]]
+        capsys.readouterr()
+        assert main(argv + ["--dry-run"]) == EXIT_OK
+        printed = _strict_json(capsys.readouterr().out)
+        assert main(argv) == EXIT_OK
+        output = argv[argv.index("-o") + 1]
+        written = read_json(output + ".manifest.json")
+        assert printed.pop("duration_s") is None
+        assert written.pop("duration_s") >= 0.0
+        assert printed == written
+
+    def test_infinite_noise_power_prints_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "sig.csv"
+        assert main(["synth", "--m", "8", "--n", "45", "--noise-power", "inf",
+                     "-o", str(out), "--dry-run"]) == EXIT_OK
+        doc = _strict_json(capsys.readouterr().out)
+        # infinities are recorded as null, as in every written manifest
+        assert doc["parameters"]["noise_power"] is None
 
 
 class TestJobsEnv:

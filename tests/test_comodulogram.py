@@ -101,6 +101,13 @@ class TestFilterBank:
         bank.morlet(45.0, 4.0)
         assert bank.n_filterings == 3
 
+    def test_lives_in_filters_and_stays_importable(self):
+        import paclab.comodulogram
+        import paclab.filters
+
+        assert FilterBank is paclab.filters.FilterBank
+        assert paclab.comodulogram.FilterBank is paclab.filters.FilterBank
+
 
 class TestComputeMatrix:
     def test_unknown_method(self):
@@ -198,6 +205,34 @@ class TestArgmax:
     def test_all_zero_has_no_peak(self):
         mat = PacMatrix(np.zeros((3, 3)), "mca", False, self.grid())
         assert argmax(mat) is None
+
+    @staticmethod
+    def scan_argmax(mat):
+        """Reference: first cell strictly above the running best, scanning
+        n ascending, then m ascending."""
+        best = 0.0
+        found = None
+        for i, n in enumerate(mat.grid.n_values):
+            for j, m in enumerate(mat.grid.m_values):
+                v = mat.values[i, j]
+                if v > best:
+                    best = v
+                    found = (int(m), int(n), float(v))
+        return found
+
+    def test_matches_scan_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(0)
+        g = GridSpec(m_start=1, m_stop=6, n_start=2, n_stop=9)
+        mm, nn = np.meshgrid(g.m_values, g.n_values)
+        all_zero = 0
+        for k in range(400):
+            # few distinct integer levels force ties; level 0 gives all-zero
+            vals = rng.integers(0, k % 4 + 1, size=mm.shape).astype(float)
+            vals[mm >= nn] = 0.0
+            mat = PacMatrix(vals, "mca", False, g)
+            all_zero += not vals.any()
+            assert argmax(mat) == self.scan_argmax(mat)
+        assert all_zero >= 100
 
 
 class TestLocalizationError:

@@ -24,6 +24,7 @@ from paclab import (
     kld,
     kld_from_distribution,
     mca_pac,
+    morlet_bandpass,
     mvl,
     pink_noise,
     plv,
@@ -263,6 +264,45 @@ class TestReferenceMeasures:
                 fn(x, 0.5, 45)
             with pytest.raises(OutOfBandError):
                 fn(x, 8, 600)
+
+
+ALL_MEASURES = (mca_pac, eps, mvl, cv, kld)
+
+
+class TestMeasureConfig:
+    def test_as_dict_lists_every_setting(self):
+        cfg = MeasureConfig(edge_trim=3, welch=WelchSpec(window_len=512, overlap=0.5))
+        assert cfg.as_dict() == {
+            "mca_bw": 1.0,
+            "morlet_cycles": 4.0,
+            "kld_bins": 50,
+            "edge_trim": 3,
+            "welch_window": 512,
+            "welch_overlap": 0.5,
+        }
+
+
+class TestEdgeTrim:
+    @pytest.mark.parametrize("fn", ALL_MEASURES, ids=lambda f: f.__name__)
+    def test_zero_trim_is_finite(self, fn):
+        x = coupled_signal(noise=6250.0, seed=0)
+        v = fn(x, 8, 45, MeasureConfig(edge_trim=0))
+        assert math.isfinite(v)
+        assert v >= 0.0
+
+    def test_zero_trim_uses_every_sample(self):
+        x = coupled_signal(noise=6250.0, seed=0)
+        zm = morlet_bandpass(x, 8, 4.0).values
+        zn = morlet_bandpass(x, 45, 4.0).values
+        full = vector_length(np.angle(zm), np.abs(zn))
+        assert mvl(x, 8, 45, MeasureConfig(edge_trim=0)) == pytest.approx(full, rel=1e-12)
+
+    @pytest.mark.parametrize("fn", ALL_MEASURES, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("bad", [-1, 2.5])
+    def test_negative_or_fractional_trim_rejected(self, fn, bad):
+        x = coupled_signal(dur=4.0)
+        with pytest.raises(InvalidInputError):
+            fn(x, 8, 45, MeasureConfig(edge_trim=bad))
 
 
 class TestRangesOnArbitraryInputs:
