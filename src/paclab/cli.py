@@ -172,8 +172,8 @@ def cmd_synth(args) -> int:
         fs = 1000.0 if args.fs is None else args.fs
         noise = 0.0 if args.noise_power is None else args.noise_power
         clean = args.clean_power
-    scale = clean_scale_for(clean, ami)
     try:
+        scale = clean_scale_for(clean, ami)
         spec = SynthesisSpec(
             m=m, n=n, ami=ami, duration=dur, fs=fs,
             noise_power=noise, clean_scale=scale, seed=args.seed,
@@ -238,13 +238,13 @@ def cmd_psd(args) -> int:
         "window": args.window,
         "overlap": args.overlap,
     }
-    if args.dry_run:
-        _emit_manifest(args, "psd", parameters, [inp], [out], None, None)
-        return EXIT_OK
     try:
         spec = WelchSpec(window_len=args.window, overlap=args.overlap)
     except InvalidInputError as e:
         raise _UsageError(str(e))
+    if args.dry_run:
+        _emit_manifest(args, "psd", parameters, [inp], [out], None, None)
+        return EXIT_OK
     started = time.perf_counter()
     x = _read_signal(inp)
     psd = welch_psd(x, spec)
@@ -273,6 +273,14 @@ def cmd_compare(args) -> int:
     cfg = _measure_config(args)
     grid = _parse_grid(args.grid)
     jobs = _resolve_jobs(args)
+    try:
+        # the signal settings run_comparison will use, checked before any work
+        scale = clean_scale_for(args.clean_power, args.ami)
+        for m, n in pairs:
+            SynthesisSpec(m=m, n=n, ami=args.ami, duration=args.dur, fs=args.fs,
+                          noise_power=args.noise_power, clean_scale=scale)
+    except InvalidInputError as e:
+        raise _UsageError(str(e))
     out = Path(args.output)
     seeds = list(range(args.base_seed, args.base_seed + args.seeds))
     parameters = {

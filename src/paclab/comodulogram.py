@@ -12,13 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import measures
-from .errors import (
-    DegenerateDistributionError,
-    DegeneratePhaseError,
-    InvalidInputError,
-    InvalidMethodError,
-    OutOfBandError,
-)
+from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
 from .measures import MeasureConfig
 from .signal_core import Signal
@@ -35,16 +29,18 @@ from .synthesis import (
 
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
 
-_MEASURE_FNS = {
-    "mca": measures.mca_pac,
-    "eps": measures.eps,
-    "mvl": measures.mvl,
-    "cv": measures.cv,
-    "kld": measures.kld,
+# One column function per method: column(x, n, m_values, cfg, bank) scores
+# the cells (m, n) for every m in m_values; cells with nothing to score are
+# 0. Work that depends on n alone is done once per column; mca keeps the
+# work that depends on m alone in the bank. Each public per-cell measure
+# evaluates a one-cell column.
+_COLUMN_FNS = {
+    "mca": measures._mca_column,
+    "eps": measures._eps_column,
+    "mvl": measures._mvl_column,
+    "cv": measures._cv_column,
+    "kld": measures._kld_column,
 }
-
-# Errors that mean "this cell has nothing to score", not "the run is broken".
-_ZERO_CELL_ERRORS = (OutOfBandError, DegeneratePhaseError, DegenerateDistributionError)
 
 
 @dataclass(frozen=True)
@@ -112,11 +108,15 @@ def compute_matrix(
     """Evaluate one measure at every cell with m < n.
 
     Cells outside the measure's valid band and degenerate cells score 0,
-    so the result is always a complete triangular matrix. With jobs > 1
-    cells are evaluated by a thread pool; results are identical to the
-    serial order because every cell is a pure function.
+    so the result is always a complete triangular matrix. The measure runs
+    one n column at a time, so work that depends on n alone is done once
+    per column (and for mca, work that depends on m alone once per matrix,
+    kept in the shared filter bank). With jobs > 1 columns are evaluated by a
+    thread pool; results are identical to the serial order because every
+    column is a pure function. With use_cache=False every cell is a
+    one-cell column on a fresh bank.
     """
-    if method not in _MEASURE_FNS:
+    if method not in _COLUMN_FNS:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
@@ -124,34 +124,32 @@ def compute_matrix(
         raise InvalidInputError(
             f"grid reaches {grid.n_stop} Hz, at or above Nyquist {x.fs / 2} Hz"
         )
-    fn = _MEASURE_FNS[method]
+    column = _COLUMN_FNS[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
     out = np.zeros((len(n_vals), len(m_vals)))
 
-    cells = [
-        (i, j, int(m), int(n))
+    # m ascends, so the cells with m < n are the first ones of each row
+    columns = [
+        (i, int(n), [int(m) for m in m_vals if m < n])
         for i, n in enumerate(n_vals)
-        for j, m in enumerate(m_vals)
-        if m < n
+        if m_vals[0] < n
     ]
 
-    def one(cell):
-        i, j, m, n = cell
-        try:
-            v = fn(x, m, n, cfg, bands=bank)
-        except _ZERO_CELL_ERRORS:
-            v = 0.0
-        return i, j, v
+    def one(col):
+        i, n, ms = col
+        if bank is not None:
+            return i, column(x, n, ms, cfg, bank)
+        return i, [column(x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, cells))
+            results = list(pool.map(one, columns))
     else:
-        results = [one(c) for c in cells]
-    for i, j, v in results:
-        out[i, j] = v
+        results = [one(c) for c in columns]
+    for i, values in results:
+        out[i, :len(values)] = values
 
     meta = {
         "fs": x.fs,
@@ -280,7 +278,7 @@ def run_comparison(
     if not pairs:
         raise InvalidInputError("need at least one (m, n) pair")
     for meth in methods:
-        if meth not in _MEASURE_FNS:
+        if meth not in _COLUMN_FNS:
             raise InvalidMethodError(f"unknown method {meth!r}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()

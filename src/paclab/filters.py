@@ -161,6 +161,9 @@ def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
     return Signal(lo.samples + 2.0 * mid.samples + hi.samples, x.fs)
 
 
+_MISSING = object()
+
+
 class FilterBank:
     """Cached band outputs of one input signal.
 
@@ -169,11 +172,25 @@ class FilterBank:
     twice and the identical result wins. A bank lives as long as its
     owner keeps it: compute_matrix shares one across a whole grid, a
     measure called without one uses a fresh bank for that call only.
+    Values the measures derive from one band (its phase, a gate on it)
+    are kept by `derived` under the same rules, apart from the bands.
     """
 
     def __init__(self, x: Signal):
         self.x = x
         self._cache: dict = {}
+        self._derived: dict = {}
+
+    def derived(self, key: tuple, compute):
+        """compute(), worked out once per key for the bank's lifetime.
+
+        None is a valid result and is kept like any other.
+        """
+        out = self._derived.get(key, _MISSING)
+        if out is _MISSING:
+            out = compute()
+            self._derived[key] = out
+        return out
 
     def gabor(self, center: float, bw: float) -> np.ndarray:
         key = ("gabor", float(center), float(bw))

@@ -166,9 +166,27 @@ def write_pgm(path, mat: PacMatrix) -> None:
         f.write(pixels.tobytes())
 
 
+def _json_ready(v):
+    """v with paths as strings, numpy scalars as Python numbers and
+    non-finite floats as null, the only spelling strict JSON has for them."""
+    if isinstance(v, Path):
+        return str(v)
+    if isinstance(v, dict):
+        return {k: _json_ready(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_json_ready(x) for x in v]
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def write_json(path, doc: dict) -> None:
-    """Deterministic JSON: sorted keys, fixed layout, trailing newline."""
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Deterministic, strict JSON: sorted keys, fixed layout, trailing
+    newline, non-finite floats written as null."""
+    text = json.dumps(_json_ready(doc), indent=2, sort_keys=True, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def read_json(path) -> dict:
@@ -194,30 +212,16 @@ def manifest_doc(
     duration_s,
     version: str,
 ) -> dict:
-    """The manifest document: JSON-ready, infinities recorded as null.
+    """The manifest document: JSON-ready, non-finite floats recorded as null.
 
     duration_s is informational: it varies between reruns and is not part
     of the reproducibility contract.
     """
-
-    def clean(v):
-        if isinstance(v, Path):
-            return str(v)
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        if isinstance(v, float) and math.isinf(v):
-            return None
-        if isinstance(v, np.generic):
-            return v.item()
-        return v
-
     return {
         "schema": 1,
         "command": command,
-        "parameters": clean(parameters),
-        "seeds": clean(seeds),
+        "parameters": _json_ready(parameters),
+        "seeds": _json_ready(seeds),
         "inputs": [str(p) for p in inputs],
         "outputs": [str(p) for p in outputs],
         "version": version,

@@ -3,6 +3,14 @@
 Five estimators share this module: the narrowband-triplet measure
 (mca_pac) and four reference measures (eps, mvl, cv, kld), plus the
 phase-locking value and phase-binning support they build on.
+
+Each measure is written once, per n column: _<name>_cells(x, n, cfg,
+bands) is the measure on the column at n as a function of m. Work that
+depends on n alone is done once per column; mca keeps the work that
+depends on m alone in the filter bank for as long as the bank lives.
+_<name>_column scores a column for compute_matrix, where a cell with
+nothing to score is 0; the public per-cell function evaluates one cell
+and raises instead.
 """
 
 from __future__ import annotations
@@ -41,6 +49,10 @@ TRIPLET_FLOOR_REL = 1e-6
 # with harmonics of the true modulation. Such cells keep half credit.
 BALANCE_RATIO = 1.0 / 3.0
 BALANCE_PENALTY = 0.5
+
+# Errors that mean "this cell has nothing to score", not "the run is
+# broken": a column scores such cells 0.
+_ZERO_CELL_ERRORS = (OutOfBandError, DegeneratePhaseError, DegenerateDistributionError)
 
 
 @dataclass(frozen=True)
@@ -146,6 +158,17 @@ def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     return Signal(p, env.fs)
 
 
+def _scored(cell, m_values) -> np.ndarray:
+    """cell(m) for each m of a column; a cell with nothing to score is 0."""
+    out = np.zeros(len(m_values))
+    for j, m in enumerate(m_values):
+        try:
+            out[j] = cell(m)
+        except _ZERO_CELL_ERRORS:
+            pass
+    return out
+
+
 def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
             bands=None) -> float:
     """Narrowband-triplet coupling strength of the (m, n) cell.
@@ -172,65 +195,88 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     Degenerate cells score 0: empty slow band, empty carrier band, both
     sideband bands empty, or an envelope without an m component.
     """
-    cfg = cfg or MeasureConfig()
-    fs = x.fs
-    if not (m >= 1) or n - m < 1 or n + m >= fs / 2:
-        raise OutOfBandError(f"triplet bands for ({m}, {n}) Hz leave the valid range")
-    provider = bands if bands is not None else FilterBank(x)
-    bw = cfg.mca_bw
-    tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, fs)
-    _check_trim(len(x), tr)
+    return _mca_cells(x, n, cfg, bands)(m)
 
-    xm = provider.gabor(m, bw)
-    xm_t = _trimmed(xm, tr)
-    x_ref = _rms(x.samples)
+
+def _mca_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
+    return _scored(_mca_cells(x, n, cfg, bands), m_values)
+
+
+def _slow_weight(bank, m: float, bw: float, tr: int, x_ref: float):
+    """Slow-band credibility of mca_pac at m, or None when the band is
+    empty or all noise (the cell scores 0)."""
+    xm_t = _trimmed(bank.gabor(m, bw), tr)
     if _rms(xm_t) <= SLOW_BAND_FLOOR_REL * x_ref:
-        return 0.0
-
-    xm_wide = provider.gabor(m, 2.0 * bw)
+        return None
     p1 = float(np.mean(xm_t * xm_t))
-    p2 = float(np.mean(_trimmed(xm_wide, tr) ** 2))
+    p2 = float(np.mean(_trimmed(bank.gabor(m, 2.0 * bw), tr) ** 2))
     s_est = 2.0 * p1 - p2
     if s_est <= 0.0:
-        return 0.0
+        return None
     n_est = p2 - p1
     if n_est <= 0.0 or s_est >= n_est:
-        slow_weight = 1.0
-    else:
-        ratio = s_est / n_est
-        slow_weight = ratio / (1.0 + ratio)
+        return 1.0
+    ratio = s_est / n_est
+    return ratio / (1.0 + ratio)
 
-    lo = provider.gabor(n - m, bw)
-    mid = provider.gabor(n, bw)
-    hi = provider.gabor(n + m, bw)
-    r_lo = _rms(_trimmed(lo, tr))
-    r_mid = _rms(_trimmed(mid, tr))
-    r_hi = _rms(_trimmed(hi, tr))
-    # coupling needs a carrier at n and at least one sideband; a cell
-    # holding only filter-tail residue of distant lines would otherwise
-    # score on numerically coherent envelope ripple
-    if r_mid <= TRIPLET_FLOOR_REL * x_ref:
-        return 0.0
-    if max(r_lo, r_hi) <= TRIPLET_FLOOR_REL * x_ref:
-        return 0.0
-    trip = lo + 2.0 * mid + hi
 
-    env = np.abs(hilbert(trip))
-    try:
-        ph_env = envelope_phase(Signal(env, fs), m, bw)
-    except DegeneratePhaseError:
-        return 0.0
-    ph_slow = np.angle(hilbert(xm))
-    value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
+def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+    """mca_pac of the column at n, as a function of m.
 
-    mid_wide = provider.gabor(n, 2.0 * bw)
-    r_wide = _rms(_trimmed(mid_wide, tr))
-    capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
+    The slow-band weight and the slow band's phase depend on m alone, so
+    they are kept in the bank for the whole matrix, the phase only once a
+    cell of that m needs it. Each cell keeps its own triplet envelope.
+    """
+    cfg = cfg or MeasureConfig()
+    bank = bands if bands is not None else FilterBank(x)
+    fs = x.fs
+    bw = cfg.mca_bw
+    tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, fs)
+    x_ref = _rms(x.samples)
 
-    big = max(r_lo, r_hi)
-    balance = 1.0 if (big == 0.0 or min(r_lo, r_hi) > big * BALANCE_RATIO) else BALANCE_PENALTY
+    def cell(m):
+        if not (m >= 1) or n - m < 1 or n + m >= fs / 2:
+            raise OutOfBandError(f"triplet bands for ({m}, {n}) Hz leave the valid range")
+        _check_trim(len(x), tr)
+        slow_weight = bank.derived(("mca_slow_weight", float(m), float(bw), tr, x_ref),
+                                   lambda: _slow_weight(bank, m, bw, tr, x_ref))
+        if slow_weight is None:
+            return 0.0
 
-    return value * capture * slow_weight * balance
+        lo = bank.gabor(n - m, bw)
+        mid = bank.gabor(n, bw)
+        hi = bank.gabor(n + m, bw)
+        r_lo = _rms(_trimmed(lo, tr))
+        r_mid = _rms(_trimmed(mid, tr))
+        r_hi = _rms(_trimmed(hi, tr))
+        # coupling needs a carrier at n and at least one sideband; a cell
+        # holding only filter-tail residue of distant lines would otherwise
+        # score on numerically coherent envelope ripple
+        if r_mid <= TRIPLET_FLOOR_REL * x_ref:
+            return 0.0
+        if max(r_lo, r_hi) <= TRIPLET_FLOOR_REL * x_ref:
+            return 0.0
+        trip = lo + 2.0 * mid + hi
+
+        env = np.abs(hilbert(trip))
+        try:
+            ph_env = envelope_phase(Signal(env, fs), m, bw)
+        except DegeneratePhaseError:
+            return 0.0
+        ph_slow = bank.derived(("mca_slow_phase", float(m), float(bw)),
+                               lambda: np.angle(hilbert(bank.gabor(m, bw))))
+        value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
+
+        mid_wide = bank.gabor(n, 2.0 * bw)
+        r_wide = _rms(_trimmed(mid_wide, tr))
+        capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
+
+        big = max(r_lo, r_hi)
+        balance = 1.0 if (big == 0.0 or min(r_lo, r_hi) > big * BALANCE_RATIO) else BALANCE_PENALTY
+
+        return value * capture * slow_weight * balance
+
+    return cell
 
 
 def _check_band(m: float, n: float, fs: float) -> None:
@@ -240,29 +286,37 @@ def _check_band(m: float, n: float, fs: float) -> None:
         raise OutOfBandError(f"modulated frequency {n} Hz reaches Nyquist")
 
 
-def _morlet_cell(x: Signal, m: float, n: float, cfg: MeasureConfig | None, bands,
-                 slow: bool = True, envelope_filter: bool = False):
-    """Config, complex Morlet bands at m (None unless `slow`) and n, and
-    per-edge trim of one Morlet-measure cell.
+def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig | None, bands,
+                   slow: bool = True, envelope_filter: bool = False):
+    """Config and per-cell inputs of one Morlet-measure column at n.
 
-    The default trim is the widest kernel in use, counting the envelope
-    band-pass when `envelope_filter`.
+    Returns cfg and inputs(m) -> (complex band at m, None unless `slow`;
+    |zn|, worked out once per column; per-edge trim). The default trim is
+    the widest kernel in use, counting the envelope band-pass when
+    `envelope_filter`.
     """
     cfg = cfg or MeasureConfig()
-    _check_band(m, n, x.fs)
-    provider = bands if bands is not None else FilterBank(x)
+    bank = bands if bands is not None else FilterBank(x)
     cycles = cfg.morlet_cycles
-    zm = provider.morlet(m, cycles) if slow else None
-    zn = provider.morlet(n, cycles)
-    tr = cfg.edge_trim
-    if tr is None:
-        tr = morlet_half_length(n, cycles, x.fs)
-        if slow:
-            tr = max(tr, morlet_half_length(m, cycles, x.fs))
-        if envelope_filter:
-            tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
-    _check_trim(len(x), tr)
-    return cfg, zm, zn, tr
+    amp_n = None
+
+    def inputs(m):
+        nonlocal amp_n
+        _check_band(m, n, x.fs)
+        zm = bank.morlet(m, cycles) if slow else None
+        if amp_n is None:
+            amp_n = np.abs(bank.morlet(n, cycles))
+        tr = cfg.edge_trim
+        if tr is None:
+            tr = morlet_half_length(n, cycles, x.fs)
+            if slow:
+                tr = max(tr, morlet_half_length(m, cycles, x.fs))
+            if envelope_filter:
+                tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
+        _check_trim(len(x), tr)
+        return zm, amp_n, tr
+
+    return cfg, inputs
 
 
 def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
@@ -273,12 +327,25 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     envelope, both bands from Morlet filtering. Degenerate envelopes
     score 0.
     """
-    cfg, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands, envelope_filter=True)
-    try:
-        ph_env = envelope_phase(Signal(np.abs(zn), x.fs), m, cfg.mca_bw)
-    except DegeneratePhaseError:
-        return 0.0
-    return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
+    return _eps_cells(x, n, cfg, bands)(m)
+
+
+def _eps_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
+    return _scored(_eps_cells(x, n, cfg, bands), m_values)
+
+
+def _eps_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+    cfg, inputs = _morlet_inputs(x, n, cfg, bands, envelope_filter=True)
+
+    def cell(m):
+        zm, amp_n, tr = inputs(m)
+        try:
+            ph_env = envelope_phase(Signal(amp_n, x.fs), m, cfg.mca_bw)
+        except DegeneratePhaseError:
+            return 0.0
+        return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
+
+    return cell
 
 
 def vector_length(phase, amp) -> float:
@@ -293,19 +360,50 @@ def vector_length(phase, amp) -> float:
 def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
         bands=None) -> float:
     """Mean vector length: amplitude-weighted mean phasor of the slow phase."""
-    _, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands)
-    return vector_length(_trimmed(np.angle(zm), tr), _trimmed(np.abs(zn), tr))
+    return _mvl_cells(x, n, cfg, bands)(m)
+
+
+def _mvl_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
+    return _scored(_mvl_cells(x, n, cfg, bands), m_values)
+
+
+def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+    _, inputs = _morlet_inputs(x, n, cfg, bands)
+
+    def cell(m):
+        zm, amp_n, tr = inputs(m)
+        return vector_length(_trimmed(np.angle(zm), tr), _trimmed(amp_n, tr))
+
+    return cell
 
 
 def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
        bands=None) -> float:
     """Coherence between the raw signal and the fast band's envelope,
     read at the bin nearest the modulating frequency."""
-    cfg, _, zn, tr = _morlet_cell(x, m, n, cfg, bands, slow=False)
-    raw = Signal(_trimmed(x.samples, tr), x.fs)
-    env = Signal(_trimmed(np.abs(zn), tr), x.fs)
-    spectrum = coherence(raw, env, cfg.welch)
-    return spectrum.value_at(m)
+    return _cv_cells(x, n, cfg, bands)(m)
+
+
+def _cv_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
+    return _scored(_cv_cells(x, n, cfg, bands), m_values)
+
+
+def _cv_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+    # without a slow band the trim depends on n alone, so one coherence
+    # spectrum serves the whole column
+    cfg, inputs = _morlet_inputs(x, n, cfg, bands, slow=False)
+    spectrum = None
+
+    def cell(m):
+        nonlocal spectrum
+        _, amp_n, tr = inputs(m)
+        if spectrum is None:
+            raw = Signal(_trimmed(x.samples, tr), x.fs)
+            env = Signal(_trimmed(amp_n, tr), x.fs)
+            spectrum = coherence(raw, env, cfg.welch)
+        return spectrum.value_at(m)
+
+    return cell
 
 
 def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistribution:
@@ -353,7 +451,20 @@ def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
         bands=None) -> float:
     """Entropy-based coupling: deviation of the amplitude-by-phase
     distribution from uniformity, normalized to [0, 1]."""
-    cfg, zm, zn, tr = _morlet_cell(x, m, n, cfg, bands)
-    dist = bin_amplitude_by_phase(_trimmed(np.angle(zm), tr), _trimmed(np.abs(zn), tr),
-                                  cfg.kld_bins)
-    return kld_from_distribution(dist)
+    return _kld_cells(x, n, cfg, bands)(m)
+
+
+def _kld_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
+    return _scored(_kld_cells(x, n, cfg, bands), m_values)
+
+
+def _kld_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+    cfg, inputs = _morlet_inputs(x, n, cfg, bands)
+
+    def cell(m):
+        zm, amp_n, tr = inputs(m)
+        dist = bin_amplitude_by_phase(_trimmed(np.angle(zm), tr), _trimmed(amp_n, tr),
+                                      cfg.kld_bins)
+        return kld_from_distribution(dist)
+
+    return cell

@@ -46,6 +46,8 @@ class SynthesisSpec:
             raise InvalidInputError("ami must be nonnegative")
         if not (0 < self.m < self.n < self.fs / 2):
             raise InvalidInputError("need 0 < m < n < fs/2")
+        if not (math.isfinite(self.duration) and math.isfinite(self.fs)):
+            raise InvalidInputError("duration and fs must be finite")
         if self.duration * self.fs < 2:
             raise InvalidInputError("need at least 2 samples")
         if not (self.noise_power >= 0):
@@ -77,6 +79,8 @@ def clean_scale_for(clean_power: Optional[float], ami: float) -> float:
     """Factor that rescales the deterministic part to clean_power; None keeps 1."""
     if clean_power is None:
         return 1.0
+    if not (clean_power >= 0):
+        raise InvalidInputError("clean_power must be nonnegative")
     return math.sqrt(clean_power / clean_power_unit(ami))
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, exit codes, sidecar files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,6 +70,15 @@ class TestSynth:
     def test_inverted_frequencies(self, tmp_path):
         rc = main(["synth", "--m", "45", "--n", "8", "-o", str(tmp_path / "x.csv")])
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--dur", "nan"), ("--dur", "inf"), ("--fs", "inf"), ("--clean-power", "-1"),
+    ])
+    def test_non_finite_or_negative_settings_are_usage_errors(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        rc = main(["synth", "--m", "8", "--n", "45", flag, value, "-o", str(out)])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestPac:
@@ -215,6 +225,10 @@ class TestDryRunMatchesRun:
         assert printed.pop("duration_s") is None
         assert written.pop("duration_s") >= 0.0
         assert printed == written
+        if argv[0] == "pac":
+            # the meta sidecar follows the manifest's strict-JSON rule
+            meta = _strict_json(Path(output + ".meta.json").read_text())
+            assert meta["config"]["morlet_cycles"] == written["parameters"]["morlet_cycles"]
 
     def test_infinite_noise_power_prints_strict_json(self, tmp_path, capsys):
         out = tmp_path / "sig.csv"
@@ -223,6 +237,31 @@ class TestDryRunMatchesRun:
         doc = _strict_json(capsys.readouterr().out)
         # infinities are recorded as null, as in every written manifest
         assert doc["parameters"]["noise_power"] is None
+
+
+# argv that the real run rejects as a usage error; --dry-run must too
+INVALID_CASES = {
+    "psd-negative-overlap": ["psd", "-i", "{d}/sig.csv", "-o", "{d}/out.csv",
+                             "--overlap", "-1"],
+    "compare-nan-duration": ["compare", "--pairs", "8:45", "--methods", "kld",
+                             "--seeds", "1", "--grid", GRID, "--dur", "nan",
+                             "-o", "{d}/out.json"],
+    "compare-negative-clean-power": ["compare", "--pairs", "8:45", "--methods", "kld",
+                                     "--seeds", "1", "--grid", GRID, "--clean-power", "-1",
+                                     "-o", "{d}/out.json"],
+}
+
+
+class TestDryRunValidatesLikeRun:
+    @pytest.mark.parametrize("case", sorted(INVALID_CASES))
+    def test_same_exit_code_with_and_without_dry_run(self, case, tmp_path, capsys):
+        synth_file(tmp_path)
+        argv = [a.format(d=tmp_path) for a in INVALID_CASES[case]]
+        assert main(argv + ["--dry-run"]) == EXIT_USAGE
+        assert main(argv) == EXIT_USAGE
+        output = Path(argv[argv.index("-o") + 1])
+        assert not output.exists()
+        assert capsys.readouterr().out == ""
 
 
 class TestJobsEnv:

@@ -1,26 +1,36 @@
 """Grid evaluation, matrix containers, peak readout, and method comparison."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import paclab.measures
 from paclab import (
     FilterBank,
     GridSpec,
     InvalidInputError,
     InvalidMethodError,
+    MeasureConfig,
     PacMatrix,
     Signal,
+    SynthesisSpec,
     argmax,
     benchmark_spec,
     compute_matrix,
+    cv,
+    eps,
+    kld,
     localization_error,
+    mca_pac,
+    mvl,
     normalize,
     pink_noise,
     run_comparison,
     synth_pac,
 )
+from paclab.measures import _ZERO_CELL_ERRORS
 
 FS = 1000.0
 
@@ -101,6 +111,19 @@ class TestFilterBank:
         bank.morlet(45.0, 4.0)
         assert bank.n_filterings == 3
 
+    def test_derived_values_are_computed_once(self):
+        bank = FilterBank(pink_noise(4000, FS, 1.0, seed=0))
+        calls = []
+
+        def compute():
+            calls.append(1)
+            return None
+
+        assert bank.derived(("gate", 8.0), compute) is None
+        assert bank.derived(("gate", 8.0), compute) is None
+        assert len(calls) == 1
+        assert bank.n_filterings == 0
+
     def test_lives_in_filters_and_stays_importable(self):
         import paclab.comodulogram
         import paclab.filters
@@ -165,6 +188,90 @@ class TestComputeMatrix:
         assert mat.meta["config"]["mca_bw"] == 1.0
         assert mat.method == "mca"
         assert not mat.normalized
+
+
+CELL_FNS = {"mca": mca_pac, "eps": eps, "mvl": mvl, "cv": cv, "kld": kld}
+
+
+def _low_rate_signal():
+    # 250 Hz: on the grid below n + m reaches Nyquist (125 Hz) for the
+    # larger m, so those mca cells are out of band and score 0
+    spec = SynthesisSpec(m=8, n=110, ami=0.25, duration=40.0, fs=250.0,
+                         noise_power=1.0, clean_scale=1.0, seed=0)
+    return synth_pac(spec).composite
+
+
+# the stock grid has rows with no cell, rows with some cells (m < n) and
+# the true cell (8, 45)
+COLUMN_CASES = {
+    "stock": (lambda: coupled(seed=0), GridSpec(7, 9, 6, 46)),
+    "nyquist": (_low_rate_signal, GridSpec(4, 12, 110, 120)),
+}
+
+
+def cell_by_cell(x, method, grid, cfg):
+    """The matrix from the public per-cell measure, uncached."""
+    out = np.zeros((len(grid.n_values), len(grid.m_values)))
+    for i, n in enumerate(grid.n_values):
+        for j, m in enumerate(grid.m_values):
+            if m < n:
+                try:
+                    out[i, j] = CELL_FNS[method](x, int(m), int(n), cfg)
+                except _ZERO_CELL_ERRORS:
+                    pass
+    return out
+
+
+class TestColumnProtocol:
+    @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
+    @pytest.mark.parametrize("method", sorted(CELL_FNS))
+    @pytest.mark.parametrize("edge_trim", [None, 0], ids=["default", "no-trim"])
+    def test_columns_equal_the_per_cell_measure(self, case, method, edge_trim):
+        make, grid = COLUMN_CASES[case]
+        x = make()
+        cfg = MeasureConfig(edge_trim=edge_trim)
+        want = cell_by_cell(x, method, grid, cfg)
+        assert want.any()
+        for jobs in (None, 2):
+            got = compute_matrix(x, method, grid, cfg, jobs=jobs)
+            assert np.array_equal(got.values, want)
+
+    @pytest.mark.parametrize("method", ["mca", "eps"])
+    def test_many_threads_share_one_bank(self, method):
+        # more workers than cores, switching threads as often as possible:
+        # columns fill the bank's bands and per-m values concurrently
+        x = coupled(seed=1)
+        grid = GridSpec(6, 10, 40, 47)
+        want = compute_matrix(x, method, grid)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = compute_matrix(x, method, grid, jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(got.values, want.values)
+
+    def test_nyquist_case_has_out_of_band_mca_cells(self):
+        make, grid = COLUMN_CASES["nyquist"]
+        x = make()
+        assert grid.n_stop + grid.m_stop >= x.fs / 2
+        with pytest.raises(paclab.OutOfBandError):
+            mca_pac(x, grid.m_stop, grid.n_stop)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_cv_computes_one_coherence_per_column(self, monkeypatch, jobs):
+        calls = []
+        real = paclab.measures.coherence
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(paclab.measures, "coherence", counting)
+        grid = GridSpec(1, 10, 1, 12)
+        compute_matrix(coupled(seed=0), "cv", grid, jobs=jobs)
+        # n = 1 has no cell with m < n; n = 2..12 each have at least one
+        assert len(calls) == 11
 
 
 class TestNormalize:

@@ -210,3 +210,16 @@ class TestJsonAndManifest:
         )
         assert json.dumps(doc)  # everything is plain JSON types
         assert doc["parameters"]["m"] == 8
+
+
+class TestWriteJson:
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        out = tmp_path / "doc.json"
+        write_json(out, {"inf": float("inf"), "nan": float("nan"),
+                         "nested": [np.float64("-inf"), 1.5]})
+
+        def reject(constant):
+            raise ValueError(f"not valid JSON: {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc == {"inf": None, "nan": None, "nested": [None, 1.5]}

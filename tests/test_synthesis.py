@@ -19,6 +19,7 @@ from paclab import (
     welch_psd,
 )
 from paclab.spectral import WelchSpec
+from paclab.synthesis import clean_scale_for
 
 
 class TestSynthesisSpec:
@@ -34,6 +35,9 @@ class TestSynthesisSpec:
         dict(ami=-0.1),
         dict(duration=0.0005),
         dict(noise_power=-1.0),
+        dict(duration=math.nan),
+        dict(duration=math.inf),
+        dict(fs=math.inf),
     ])
     def test_invalid(self, kw):
         base = dict(m=8, n=45, ami=0.25, duration=10.0, fs=1000.0,
@@ -41,6 +45,16 @@ class TestSynthesisSpec:
         base.update(kw)
         with pytest.raises(InvalidInputError):
             SynthesisSpec(**base)
+
+
+class TestCleanScale:
+    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    def test_negative_or_nan_power_rejected(self, bad):
+        with pytest.raises(InvalidInputError):
+            clean_scale_for(bad, 0.25)
+
+    def test_none_keeps_unit_scale(self):
+        assert clean_scale_for(None, 0.25) == 1.0
 
 
 class TestCleanComponent:
