@@ -5,9 +5,11 @@ filter bank every coupling measure reads its bands from."""
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.signal import fftconvolve
 
 from .errors import AliasingError, InvalidInputError, OutOfBandError, SignalTooShortError
@@ -109,13 +111,45 @@ def morlet_kernel(center: float, cycles: float, fs: float) -> Kernel:
     return Kernel(w, fs, center)
 
 
+def _check_fits(n_samples: int, n_taps: int) -> None:
+    if n_taps > n_samples:
+        raise SignalTooShortError(f"kernel of {n_taps} taps cannot filter {n_samples} samples")
+
+
+def conv_size(n_samples: int, n_taps: int) -> int:
+    """Transform length fftconvolve uses to filter n_samples reflection-padded
+    by half an n_taps kernel on each side."""
+    return next_fast_len(n_samples + 2 * (n_taps - 1), True)
+
+
+class ReflectedSpectrum:
+    """rfft of a real series reflection-padded for an n_taps kernel, at
+    fftconvolve's transform length `nfft`.
+
+    filter(rfft(taps, nfft)) is bit for bit fftconvolve(padded, taps,
+    "valid"), which scipy computes as irfft(rfft(padded) * rfft(taps))
+    and a centred slice, so one spectrum serves every kernel of that length.
+    """
+
+    def __init__(self, samples: np.ndarray, n_taps: int):
+        _check_fits(len(samples), n_taps)
+        self.n_samples = len(samples)
+        self.n_taps = n_taps
+        self.nfft = conv_size(self.n_samples, n_taps)
+        padded = np.pad(samples, (n_taps - 1) // 2, mode="reflect")
+        self.values = rfft(padded, self.nfft)
+
+    def filter(self, kernel_spectrum: np.ndarray) -> np.ndarray:
+        full = irfft(self.values * kernel_spectrum, self.nfft)
+        return full[self.n_taps - 1:self.n_taps - 1 + self.n_samples]
+
+
 def _apply(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    half = (len(taps) - 1) // 2
-    if len(taps) > len(samples):
-        raise SignalTooShortError(
-            f"kernel of {len(taps)} taps cannot filter {len(samples)} samples"
-        )
-    padded = np.pad(samples, half, mode="reflect")
+    if not np.iscomplexobj(taps):
+        padded = ReflectedSpectrum(samples, len(taps))
+        return padded.filter(rfft(taps, padded.nfft))
+    _check_fits(len(samples), len(taps))
+    padded = np.pad(samples, (len(taps) - 1) // 2, mode="reflect")
     return fftconvolve(padded, taps, mode="valid")
 
 
@@ -164,50 +198,86 @@ def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
 _MISSING = object()
 
 
+class _Memo:
+    """Values by key, each computed once even when threads ask at once.
+
+    The first thread to miss a key computes it; later threads asking for
+    that key wait for it instead of computing it again. A compute that
+    raises stores nothing and wakes the waiters, which retry on their own.
+    compute() may ask the memo for other keys, never for its own.
+    """
+
+    def __init__(self):
+        self.values: dict = {}
+        self._filling: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, key, compute):
+        while True:
+            out = self.values.get(key, _MISSING)
+            if out is not _MISSING:
+                return out
+            with self._lock:
+                if key in self.values:
+                    continue
+                done = self._filling.get(key)
+                if done is None:
+                    done = self._filling[key] = threading.Event()
+                    break
+            done.wait()
+        try:
+            out = compute()
+            self.values[key] = out
+            return out
+        finally:
+            with self._lock:
+                del self._filling[key]
+            done.set()
+
+
 class FilterBank:
     """Cached band outputs of one input signal.
 
-    Keyed by (family, center, bandwidth-or-cycles). Plain dict storage:
-    concurrent readers are safe, concurrent first-fill may compute a band
-    twice and the identical result wins. A bank lives as long as its
-    owner keeps it: compute_matrix shares one across a whole grid, a
-    measure called without one uses a fresh bank for that call only.
-    Values the measures derive from one band (its phase, a gate on it)
-    are kept by `derived` under the same rules, apart from the bands.
+    Keyed by (family, center, bandwidth-or-cycles). Each band is filtered
+    once: when concurrent columns miss the same band, one thread fills it
+    and the others wait for its result. A bank lives as long as its owner
+    keeps it: compute_matrix shares one across a whole grid, a measure
+    called without one uses a fresh bank for that call only.
+    Values the measures derive from one band (its phase, a gate on it,
+    a kernel spectrum) are kept by `derived` under the same rules, apart
+    from the bands.
     """
 
     def __init__(self, x: Signal):
         self.x = x
-        self._cache: dict = {}
-        self._derived: dict = {}
+        self._cache = _Memo()
+        self._derived = _Memo()
 
     def derived(self, key: tuple, compute):
         """compute(), worked out once per key for the bank's lifetime.
 
         None is a valid result and is kept like any other.
         """
-        out = self._derived.get(key, _MISSING)
-        if out is _MISSING:
-            out = compute()
-            self._derived[key] = out
-        return out
+        return self._derived.get(key, compute)
 
     def gabor(self, center: float, bw: float) -> np.ndarray:
-        key = ("gabor", float(center), float(bw))
-        out = self._cache.get(key)
-        if out is None:
-            out = bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples
-            self._cache[key] = out
-        return out
+        return self._cache.get(
+            ("gabor", float(center), float(bw)),
+            lambda: bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
-        key = ("morlet", float(center), float(cycles))
-        out = self._cache.get(key)
-        if out is None:
-            out = morlet_bandpass(self.x, center, cycles).values
-            self._cache[key] = out
-        return out
+        return self._cache.get(
+            ("morlet", float(center), float(cycles)),
+            lambda: morlet_bandpass(self.x, center, cycles).values)
+
+    def gabor_spectrum(self, center: float, bw: float, nfft: int) -> np.ndarray:
+        """rfft at nfft of the Gabor kernel at center, kept in `derived`:
+        the kernel spectrum ReflectedSpectrum.filter takes."""
+        return self.derived(
+            ("gabor_spectrum", float(center), float(bw), int(nfft)),
+            lambda: rfft(gabor_kernel(FilterSpec(center=center, bw_hz=bw), self.x.fs).taps,
+                         nfft))
 
     @property
     def n_filterings(self) -> int:
-        return len(self._cache)
+        return len(self._cache.values)

@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 from scipy.signal import hilbert
 
-from . import filters
 from .errors import (
     DegenerateDistributionError,
     DegeneratePhaseError,
@@ -31,7 +30,14 @@ from .errors import (
     OutOfBandError,
     SignalTooShortError,
 )
-from .filters import FilterBank, FilterSpec, gabor_half_length, morlet_half_length
+from .filters import (
+    FilterBank,
+    FilterSpec,
+    ReflectedSpectrum,
+    conv_size,
+    gabor_half_length,
+    morlet_half_length,
+)
 from .signal_core import Signal
 from .spectral import WelchSpec, coherence
 
@@ -140,19 +146,47 @@ def plv(phase_u, phase_v) -> float:
     return float(np.abs(np.mean(np.exp(1j * (u - v)))))
 
 
+class _Envelope:
+    """An amplitude envelope prepared for band-passing at many m.
+
+    `samples` share the rate of the bank's signal. The reflection-padded
+    envelope's spectrum is taken once per kernel length and each kernel's
+    spectrum comes from the bank, so a band-pass is one product and one
+    irfft, bit for bit filters.bandpass. The reference RMS of the envelope
+    is worked out once.
+    """
+
+    def __init__(self, samples: np.ndarray, bank: FilterBank):
+        self.samples = samples
+        self.fs = bank.x.fs
+        self.bank = bank
+        self.ref = _rms(samples)
+        self._padded = None
+
+    def bandpass(self, m: float, bw: float) -> np.ndarray:
+        spec = FilterSpec(center=m, bw_hz=bw)
+        n_taps = 2 * gabor_half_length(bw, self.fs, spec.truncation) + 1
+        kernel = self.bank.gabor_spectrum(m, bw, conv_size(len(self.samples), n_taps))
+        if self._padded is None or self._padded.n_taps != n_taps:
+            self._padded = ReflectedSpectrum(self.samples, n_taps)
+        return self._padded.filter(kernel)
+
+
 def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     """Phase of an amplitude envelope's component at m Hz.
 
     A strictly positive envelope is DC-dominated, so its raw analytic
     phase is meaningless; band-passing at the modulation frequency first
     isolates the oscillation whose phase matters. Raises when the envelope
-    has no usable m Hz content.
+    has no usable m Hz content. The measures pass a prepared _Envelope,
+    which band-passes one envelope at many m from one spectrum.
     """
-    filtered = filters.bandpass(env, FilterSpec(center=m, bw_hz=bw))
-    ref = _rms(env.samples)
-    if _rms(filtered.samples) <= ENVELOPE_FLOOR_REL * max(ref, 1e-300):
+    if not isinstance(env, _Envelope):
+        env = _Envelope(env.samples, FilterBank(env))
+    filtered = env.bandpass(m, bw)
+    if _rms(filtered) <= ENVELOPE_FLOOR_REL * max(env.ref, 1e-300):
         raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
-    z = hilbert(filtered.samples)
+    z = hilbert(filtered)
     p = np.angle(z)
     p = np.where(p == np.pi, -np.pi, p)
     return Signal(p, env.fs)
@@ -220,12 +254,19 @@ def _slow_weight(bank, m: float, bw: float, tr: int, x_ref: float):
     return ratio / (1.0 + ratio)
 
 
+def _band_rms(bank, center: float, bw: float, tr: int) -> float:
+    """Trimmed RMS of the Gabor band at center, kept in the bank."""
+    return bank.derived(("band_rms", float(center), float(bw), tr),
+                        lambda: _rms(_trimmed(bank.gabor(center, bw), tr)))
+
+
 def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
     """mca_pac of the column at n, as a function of m.
 
     The slow-band weight and the slow band's phase depend on m alone, so
     they are kept in the bank for the whole matrix, the phase only once a
-    cell of that m needs it. Each cell keeps its own triplet envelope.
+    cell of that m needs it; so are each band's trimmed RMS and each
+    envelope kernel's spectrum. Each cell keeps its own triplet envelope.
     """
     cfg = cfg or MeasureConfig()
     bank = bands if bands is not None else FilterBank(x)
@@ -243,12 +284,9 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
         if slow_weight is None:
             return 0.0
 
-        lo = bank.gabor(n - m, bw)
-        mid = bank.gabor(n, bw)
-        hi = bank.gabor(n + m, bw)
-        r_lo = _rms(_trimmed(lo, tr))
-        r_mid = _rms(_trimmed(mid, tr))
-        r_hi = _rms(_trimmed(hi, tr))
+        r_lo = _band_rms(bank, n - m, bw, tr)
+        r_mid = _band_rms(bank, n, bw, tr)
+        r_hi = _band_rms(bank, n + m, bw, tr)
         # coupling needs a carrier at n and at least one sideband; a cell
         # holding only filter-tail residue of distant lines would otherwise
         # score on numerically coherent envelope ripple
@@ -256,19 +294,18 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
             return 0.0
         if max(r_lo, r_hi) <= TRIPLET_FLOOR_REL * x_ref:
             return 0.0
-        trip = lo + 2.0 * mid + hi
+        trip = bank.gabor(n - m, bw) + 2.0 * bank.gabor(n, bw) + bank.gabor(n + m, bw)
 
         env = np.abs(hilbert(trip))
         try:
-            ph_env = envelope_phase(Signal(env, fs), m, bw)
+            ph_env = envelope_phase(_Envelope(env, bank), m, bw)
         except DegeneratePhaseError:
             return 0.0
         ph_slow = bank.derived(("mca_slow_phase", float(m), float(bw)),
                                lambda: np.angle(hilbert(bank.gabor(m, bw))))
         value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
 
-        mid_wide = bank.gabor(n, 2.0 * bw)
-        r_wide = _rms(_trimmed(mid_wide, tr))
+        r_wide = _band_rms(bank, n, 2.0 * bw, tr)
         capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
 
         big = max(r_lo, r_hi)
@@ -335,12 +372,19 @@ def _eps_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.
 
 
 def _eps_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
-    cfg, inputs = _morlet_inputs(x, n, cfg, bands, envelope_filter=True)
+    # |zn| depends on n alone, so its spectrum serves every cell of the
+    # column; the envelope kernels' spectra are kept in the bank
+    bank = bands if bands is not None else FilterBank(x)
+    cfg, inputs = _morlet_inputs(x, n, cfg, bank, envelope_filter=True)
+    env = None
 
     def cell(m):
+        nonlocal env
         zm, amp_n, tr = inputs(m)
+        if env is None:
+            env = _Envelope(amp_n, bank)
         try:
-            ph_env = envelope_phase(Signal(amp_n, x.fs), m, cfg.mca_bw)
+            ph_env = envelope_phase(env, m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
         return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
@@ -380,7 +424,8 @@ def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
 def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
        bands=None) -> float:
     """Coherence between the raw signal and the fast band's envelope,
-    read at the bin nearest the modulating frequency."""
+    read at the bin nearest the modulating frequency. A flat signal or
+    envelope has no coherence to read: DegeneratePhaseError."""
     return _cv_cells(x, n, cfg, bands)(m)
 
 

@@ -8,7 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.signal
 
-from .errors import InvalidInputError, SignalTooShortError, UnreliableEstimateError
+from .errors import (
+    DegeneratePhaseError,
+    InvalidInputError,
+    SignalTooShortError,
+    UnreliableEstimateError,
+)
 from .signal_core import Signal
 
 
@@ -92,7 +97,9 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     """Magnitude-squared coherence per bin over a shared segmentation.
 
     Needs at least two averaged segments; with a single segment the
-    estimator degenerates to 1 everywhere, so that case raises.
+    estimator degenerates to 1 everywhere, so that case raises. A signal
+    whose Welch spectrum holds no power (a constant, once each segment's
+    mean is removed) has no coherence: DegeneratePhaseError.
     """
     spec = spec or WelchSpec()
     if len(x) != len(y) or x.fs != y.fs:
@@ -103,14 +110,15 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
         raise UnreliableEstimateError(
             f"only {segs} segment(s) of {win} samples; need at least 2"
         )
-    freqs, coh = scipy.signal.coherence(
-        x.samples,
-        y.samples,
-        fs=x.fs,
-        window=spec.window,
-        nperseg=win,
-        noverlap=int(win * spec.overlap),
-        detrend="constant",
-    )
+    # scipy.signal.coherence's own steps, so that a spectrum without power
+    # raises instead of dividing 0 by 0
+    welch_args = dict(fs=x.fs, window=spec.window, nperseg=win,
+                      noverlap=int(win * spec.overlap), detrend="constant")
+    freqs, pxx = scipy.signal.welch(x.samples, **welch_args)
+    _, pyy = scipy.signal.welch(y.samples, **welch_args)
+    if not (pxx.any() and pyy.any()):
+        raise DegeneratePhaseError("coherence needs power in both signals")
+    _, pxy = scipy.signal.csd(x.samples, y.samples, **welch_args)
+    coh = np.abs(pxy) ** 2 / pxx / pyy
     coh = np.clip(coh, 0.0, 1.0)
     return Spectrum(freqs, coh, "coherence")

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paclab import read_json, read_matrix_csv, read_signal_csv
+from paclab import Signal, read_json, read_matrix_csv, read_signal_csv, write_signal_csv
 from paclab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 GRID = "m=6:10,n=42:48"
@@ -123,6 +123,18 @@ class TestPac:
                    "--edge-trim", "-5"])
         assert rc == EXIT_USAGE
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_flat_input_scores_zero_for_cv_as_for_mca(self, tmp_path):
+        sig = tmp_path / "flat.csv"
+        write_signal_csv(sig, Signal(np.zeros(10000), 1000.0))
+        for method in ("mca", "cv"):
+            out = tmp_path / f"{method}.csv"
+            rc = main(["pac", "--method", method, "-i", str(sig), "-o", str(out),
+                       "--grid", GRID])
+            assert rc == EXIT_OK
+            assert not read_matrix_csv(out).values.any()
+            assert read_json(tmp_path / f"{method}.csv.meta.json")["argmax"] is None
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["pac", "--method", "mca", "-i", str(tmp_path / "absent.csv"),

@@ -1,11 +1,14 @@
 """Grid evaluation, matrix containers, peak readout, and method comparison."""
 
+import dataclasses
 import math
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+import paclab.filters
 import paclab.measures
 from paclab import (
     FilterBank,
@@ -250,6 +253,31 @@ class TestColumnProtocol:
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(got.values, want.values)
+
+    @pytest.mark.parametrize("method", ["mca", "eps"])
+    def test_column_pool_fills_each_band_once(self, monkeypatch, method):
+        # with two workers the first two columns walk the same m values in
+        # step, so both miss the same slow bands at the same moment
+        calls = []
+        lock = threading.Lock()
+        for name in ("bandpass", "morlet_bandpass"):
+            real = getattr(paclab.filters, name)
+
+            def counting(*args, _real=real, **kwargs):
+                with lock:
+                    calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(paclab.filters, name, counting)
+        spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
+        x = synth_pac(spec).composite
+        grid = GridSpec(1, 12, 30, 50)
+        serial = compute_matrix(x, method, grid)
+        n_serial = len(calls)
+        calls.clear()
+        pooled = compute_matrix(x, method, grid, jobs=2)
+        assert len(calls) == n_serial == serial.meta["cached_filterings"]
+        assert np.array_equal(pooled.values, serial.values)
 
     def test_nyquist_case_has_out_of_band_mca_cells(self):
         make, grid = COLUMN_CASES["nyquist"]

@@ -1,7 +1,14 @@
 """Narrow-band Gabor and Morlet filtering, and the three-band sum."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from paclab import (
     AliasingError,
@@ -16,6 +23,10 @@ from paclab import (
 )
 from paclab.filters import (
     DEFAULT_TRUNCATION,
+    FilterBank,
+    ReflectedSpectrum,
+    _Memo,
+    conv_size,
     gabor_half_length,
     gabor_kernel,
     morlet_half_length,
@@ -124,6 +135,149 @@ class TestBandpass:
     def test_length_preserved(self):
         x = tone(45, dur=8.0)
         assert len(bandpass(x, FilterSpec(center=45, bw_hz=1))) == len(x)
+
+
+def fftconvolve_bandpass(x, spec):
+    """Zero-phase Gabor filtering as fftconvolve on the reflection-padded input."""
+    taps = gabor_kernel(spec, x.fs).taps
+    half = (len(taps) - 1) // 2
+    return fftconvolve(np.pad(x.samples, half, mode="reflect"), taps, mode="valid")
+
+
+class TestReflectedSpectrum:
+    @settings(max_examples=40, deadline=None)
+    @given(extra=st.integers(1, 17000),
+           center=st.floats(1.0, 0.45 * FS, exclude_max=True),
+           bw=st.sampled_from([0.5, 1.0, 2.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_cached_spectra_equal_bandpass_bitwise(self, extra, center, bw, seed):
+        n_taps = 2 * gabor_half_length(bw, FS) + 1
+        x = Signal(np.random.default_rng(seed).standard_normal(n_taps + extra), FS)
+        spec = FilterSpec(center=center, bw_hz=bw)
+        want = bandpass(x, spec).samples
+        assert np.array_equal(want, fftconvolve_bandpass(x, spec))
+        padded = ReflectedSpectrum(x.samples, n_taps)
+        assert padded.nfft == conv_size(len(x), n_taps)
+        kernel = FilterBank(x).gabor_spectrum(center, bw, padded.nfft)
+        assert np.array_equal(padded.filter(kernel), want)
+
+    def test_one_spectrum_serves_every_center(self):
+        x = Signal(np.random.default_rng(4).standard_normal(9000), FS)
+        bank = FilterBank(x)
+        padded = ReflectedSpectrum(x.samples, 2 * gabor_half_length(1.0, FS) + 1)
+        for center in (1.0, 8.0, 45.0, 449.5):
+            spec = FilterSpec(center=center, bw_hz=1.0)
+            kernel = bank.gabor_spectrum(center, 1.0, padded.nfft)
+            assert np.array_equal(padded.filter(kernel), bandpass(x, spec).samples)
+        assert bank.n_filterings == 0
+
+    def test_kernel_longer_than_signal(self):
+        with pytest.raises(SignalTooShortError):
+            ReflectedSpectrum(np.ones(500), 2 * gabor_half_length(1.0, FS) + 1)
+
+
+class TestMemo:
+    def test_concurrent_misses_compute_once(self):
+        memo = _Memo()
+        calls = []
+        started = threading.Event()
+        release = threading.Event()
+
+        def compute():
+            calls.append(1)
+            started.set()
+            release.wait(5)
+            return "band"
+
+        got = []
+        first = threading.Thread(target=lambda: got.append(memo.get("k", compute)))
+        first.start()
+        assert started.wait(5)
+        second = threading.Thread(target=lambda: got.append(memo.get("k", compute)))
+        second.start()
+        second.join(0.05)
+        assert second.is_alive()  # waiting for the first fill, not computing
+        release.set()
+        first.join(5)
+        second.join(5)
+        assert got == ["band", "band"]
+        assert len(calls) == 1
+
+    def test_many_threads_compute_each_key_once(self):
+        memo = _Memo()
+        calls = []
+        lock = threading.Lock()
+
+        def compute(key):
+            with lock:
+                calls.append(key)
+            time.sleep(0.001)  # widen the window a second computation would use
+            return key * 2
+
+        def worker(results):
+            for key in range(200):
+                results.append(memo.get(key % 20, lambda: compute(key % 20)))
+
+        results = [[] for _ in range(8)]
+        threads = [threading.Thread(target=worker, args=(r,)) for r in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(calls) == list(range(20))
+        assert all(r == [2 * (k % 20) for k in range(200)] for r in results)
+
+    def test_failed_fill_lets_the_waiter_retry(self):
+        memo = _Memo()
+        started = threading.Event()
+        release = threading.Event()
+
+        def failing():
+            started.set()
+            release.wait(5)
+            raise OutOfBandError("fill failed")
+
+        errors = []
+
+        def first_fill():
+            try:
+                memo.get("k", failing)
+            except OutOfBandError as e:
+                errors.append(e)
+
+        first = threading.Thread(target=first_fill)
+        first.start()
+        assert started.wait(5)
+        got = []
+        second = threading.Thread(target=lambda: got.append(memo.get("k", lambda: "band")))
+        second.start()
+        second.join(0.05)
+        assert second.is_alive()  # waiting for the first fill
+        release.set()
+        first.join(5)
+        second.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        assert len(errors) == 1
+        assert got == ["band"]
+        assert memo.get("k", failing) == "band"
+
+    def test_failed_fill_stores_nothing(self):
+        memo = _Memo()
+
+        def failing():
+            raise OutOfBandError("fill failed")
+
+        with pytest.raises(OutOfBandError):
+            memo.get("k", failing)
+        assert memo.values == {}
+        assert memo.get("k", lambda: None) is None
+        assert memo.values == {"k": None}
 
 
 class TestMorlet:

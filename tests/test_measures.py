@@ -4,11 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from scipy.signal import hilbert
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve, hilbert
 
 from paclab import (
+    AliasingError,
     DegenerateDistributionError,
     DegeneratePhaseError,
+    FilterBank,
+    FilterSpec,
+    GridSpec,
     InvalidInputError,
     MeasureConfig,
     OutOfBandError,
@@ -31,6 +37,8 @@ from paclab import (
     synth_pac,
     vector_length,
 )
+from paclab.filters import gabor_half_length, gabor_kernel
+from paclab.measures import _ZERO_CELL_ERRORS, ENVELOPE_FLOOR_REL, _Envelope
 
 FS = 1000.0
 PAIR = (8, 45)
@@ -99,6 +107,84 @@ class TestEnvelopePhase:
         got = ph.samples[1500:-1500]
         assert plv(got, ref_a) > 0.95
         assert plv(got, ref_b) < 0.3
+
+
+def reference_envelope_phase(env, m, bw):
+    """envelope_phase written with fftconvolve on the reflection-padded
+    envelope: the band-pass every cached spectrum must reproduce bit for bit."""
+    taps = gabor_kernel(FilterSpec(center=m, bw_hz=bw), env.fs).taps
+    half = (len(taps) - 1) // 2
+    filtered = fftconvolve(np.pad(env.samples, half, mode="reflect"), taps, mode="valid")
+    ref = np.sqrt(np.mean(env.samples**2))
+    if np.sqrt(np.mean(filtered**2)) <= ENVELOPE_FLOOR_REL * max(ref, 1e-300):
+        raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
+    p = np.angle(hilbert(filtered))
+    return np.where(p == np.pi, -np.pi, p)
+
+
+def phase_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except DegeneratePhaseError:
+        return "degenerate"
+
+
+class TestEnvelopeFromSpectra:
+    @settings(max_examples=30, deadline=None)
+    @given(extra=st.integers(1, 17000),
+           m=st.floats(1.0, 0.45 * FS, exclude_max=True),
+           bw=st.sampled_from([0.5, 1.0, 2.0]),
+           depth=st.sampled_from([0.0, 0.3]),
+           noise=st.sampled_from([0.0, 0.1]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_fftconvolve_envelope_phase(self, extra, m, bw, depth, noise, seed):
+        n = 2 * gabor_half_length(bw, FS) + 1 + extra
+        t = np.arange(n) / FS
+        wave = np.sin(2 * np.pi * m * t)
+        env = Signal(2.0 + depth * wave + noise * np.random.default_rng(seed).random(n), FS)
+        want = phase_or_error(reference_envelope_phase, env, m, bw)
+        got = phase_or_error(lambda: envelope_phase(env, m, bw).samples)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+        # one prepared envelope, several kernels, a kernel spectrum reused
+        prepared = _Envelope(env.samples, FilterBank(env))
+        for center in (m, 1.0, m):
+            want = phase_or_error(reference_envelope_phase, env, center, bw)
+            got = phase_or_error(lambda: envelope_phase(prepared, center, bw).samples)
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
+
+    def test_envelope_shorter_than_kernel(self):
+        n_taps = 2 * gabor_half_length(1.0, FS) + 1
+        env = Signal(1.0 + np.random.default_rng(0).random(n_taps - 1), FS)
+        with pytest.raises(SignalTooShortError):
+            envelope_phase(env, 8.0)
+        with pytest.raises(SignalTooShortError):
+            envelope_phase(_Envelope(env.samples, FilterBank(env)), 8.0, 1.0)
+
+    def test_center_at_nyquist_is_aliasing(self):
+        env = Signal(np.full(3000, 2.0), FS)
+        with pytest.raises(AliasingError):
+            envelope_phase(env, FS / 2)
+
+    def test_bank_keeps_one_kernel_spectrum_per_center(self, monkeypatch):
+        import paclab.filters
+
+        built = []
+        real = paclab.filters.gabor_kernel
+
+        def counting(spec, fs):
+            built.append(spec.center)
+            return real(spec, fs)
+
+        monkeypatch.setattr(paclab.filters, "gabor_kernel", counting)
+        x = coupled_signal(seed=0, noise=6250.0)
+        # n = 1 has no cell with m < n; n = 2..12 hold 65 cells over m = 1..10
+        compute_matrix(x, "eps", GridSpec(1, 10, 1, 12))
+        assert sorted(built) == list(range(1, 11))
+        built.clear()
+        compute_matrix(x, "eps", GridSpec(1, 10, 1, 12), jobs=2)
+        assert sorted(built) == list(range(1, 11))
 
 
 class TestVectorLength:
@@ -256,6 +342,14 @@ class TestReferenceMeasures:
         x = coupled_signal(noise=6250.0, seed=5)
         y = Signal(3.7 * x.samples, FS)
         assert abs(eps(y, 8, 45) - eps(x, 8, 45)) < 1e-6
+
+    @pytest.mark.filterwarnings("error")
+    def test_cv_on_a_flat_signal_has_nothing_to_score(self):
+        x = Signal(np.zeros(10000), FS)
+        with pytest.raises(_ZERO_CELL_ERRORS):
+            cv(x, 8, 45)
+        mat = compute_matrix(x, "cv", GridSpec(6, 10, 42, 48))
+        assert not mat.values.any()
 
     def test_band_checks(self):
         x = coupled_signal(dur=4.0)

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from paclab import (
+    DegeneratePhaseError,
     InvalidInputError,
     Signal,
     SignalTooShortError,
@@ -138,6 +140,25 @@ class TestCoherence:
         z = Signal(x.samples, 500.0)
         with pytest.raises(InvalidInputError):
             coherence(x, z, WelchSpec(window_len=256))
+
+    def test_equals_scipy_coherence_bitwise(self):
+        rng = np.random.default_rng(41)
+        x = Signal(rng.standard_normal(9000), FS)
+        y = Signal(rng.standard_normal(9000) ** 2, FS)
+        spec = WelchSpec(window_len=1024, overlap=0.5)
+        _, want = scipy.signal.coherence(x.samples, y.samples, fs=FS, window="hann",
+                                         nperseg=1024, noverlap=512, detrend="constant")
+        assert np.array_equal(coherence(x, y, spec).values, np.clip(want, 0.0, 1.0))
+
+    @pytest.mark.filterwarnings("error")
+    def test_signal_without_power_is_degenerate(self):
+        x = pink_noise(8000, FS, 1.0, seed=3)
+        spec = WelchSpec(window_len=512)
+        for flat in (np.zeros(8000), np.full(8000, 3.0)):
+            with pytest.raises(DegeneratePhaseError):
+                coherence(x, Signal(flat, FS), spec)
+            with pytest.raises(DegeneratePhaseError):
+                coherence(Signal(flat, FS), x, spec)
 
     def test_single_segment_unreliable(self):
         x = tone(10, dur=1.0)
