@@ -1,17 +1,22 @@
 """pac-lab command line: synthesize signals, compute PSDs and coupling
 matrices, run the multi-method comparison, render heatmaps.
 
+Each command validates its arguments into a plan; main prints the plan's
+manifest under --dry-run, or runs it and writes that manifest.
+
 Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/degenerate input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__, io
 from .comodulogram import (
@@ -33,6 +38,7 @@ from .synthesis import (
     BENCHMARK_NOISE_POWER,
     BENCHMARK_PAIRS,
     SynthesisSpec,
+    benchmark_spec,
     clean_scale_for,
     synth_pac,
 )
@@ -68,16 +74,21 @@ def _resolve_jobs(args):
     return args.jobs if args.jobs is not None else _jobs_default()
 
 
-def _read_signal(path):
-    try:
-        return io.read_signal_csv(path)
-    except InvalidInputError as e:
-        raise _IoError(str(e))
+class _Plan(NamedTuple):
+    """A validated command: what its manifest records, and run(), which
+    writes every output but the manifest."""
+
+    command: str
+    parameters: dict
+    inputs: list
+    outputs: list
+    seeds: Optional[list]
+    run: Callable[[], None]
 
 
-def _read_matrix(path):
+def _read(reader, path):
     try:
-        return io.read_matrix_csv(path)
+        return reader(path)
     except InvalidInputError as e:
         raise _IoError(str(e))
 
@@ -131,71 +142,40 @@ def _measure_config(args) -> MeasureConfig:
         raise _UsageError(str(e))
 
 
-def _emit_manifest(args, command, parameters, inputs, outputs, seeds, started):
-    """Write the sidecar manifest, or print it instead under --dry-run."""
-    if args.dry_run:
-        doc = io.manifest_doc(command, parameters, inputs, outputs, seeds, None, __version__)
-        print(json.dumps(doc, indent=2, sort_keys=True))
-        return
-    duration = time.perf_counter() - started
-    _write(
-        io.write_manifest,
-        outputs[0],
-        command,
-        parameters,
-        inputs,
-        outputs,
-        seeds,
-        duration,
-        __version__,
-    )
-
-
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> _Plan:
+    given = {"m": args.m, "n": args.n, "ami": args.ami, "duration": args.dur,
+             "fs": args.fs, "noise_power": args.noise_power}
+    given = {k: v for k, v in given.items() if v is not None}
+    # unset flags keep the preset's value, or else SynthesisSpec's default
     if args.paper_pair is not None:
         if not (1 <= args.paper_pair <= len(BENCHMARK_PAIRS)):
             raise _UsageError(f"--paper-pair must be 1..{len(BENCHMARK_PAIRS)}")
-        m, n = BENCHMARK_PAIRS[args.paper_pair - 1]
-        m = m if args.m is None else args.m
-        n = n if args.n is None else args.n
-        ami = BENCHMARK_AMI if args.ami is None else args.ami
-        dur = BENCHMARK_DURATION if args.dur is None else args.dur
-        fs = BENCHMARK_FS if args.fs is None else args.fs
-        noise = BENCHMARK_NOISE_POWER if args.noise_power is None else args.noise_power
+        preset = benchmark_spec(args.paper_pair)
         clean = BENCHMARK_CLEAN_POWER if args.clean_power is None else args.clean_power
+    elif args.m is None or args.n is None:
+        raise _UsageError("need --m and --n (or --paper-pair)")
     else:
-        if args.m is None or args.n is None:
-            raise _UsageError("need --m and --n (or --paper-pair)")
-        m, n = args.m, args.n
-        ami = 0.25 if args.ami is None else args.ami
-        dur = 10.0 if args.dur is None else args.dur
-        fs = 1000.0 if args.fs is None else args.fs
-        noise = 0.0 if args.noise_power is None else args.noise_power
-        clean = args.clean_power
+        preset, clean = None, args.clean_power
     try:
-        scale = clean_scale_for(clean, ami)
-        spec = SynthesisSpec(
-            m=m, n=n, ami=ami, duration=dur, fs=fs,
-            noise_power=noise, clean_scale=scale, seed=args.seed,
-        )
+        spec = dataclasses.replace(preset, **given) if preset else SynthesisSpec(**given)
+        spec = dataclasses.replace(spec, clean_scale=clean_scale_for(clean, spec.ami),
+                                   seed=args.seed)
     except InvalidInputError as e:
         raise _UsageError(str(e))
     parameters = {
-        "m": m, "n": n, "ami": ami, "duration": dur, "fs": fs,
-        "noise_power": noise, "clean_power": clean, "clean_scale": scale,
+        "m": spec.m, "n": spec.n, "ami": spec.ami, "duration": spec.duration,
+        "fs": spec.fs, "noise_power": spec.noise_power, "clean_power": clean,
+        "clean_scale": spec.clean_scale,
     }
     out = Path(args.output)
-    if args.dry_run:
-        _emit_manifest(args, "synth", parameters, [], [out], [args.seed], None)
-        return EXIT_OK
-    started = time.perf_counter()
-    x = synth_pac(spec).composite
-    _write(io.write_signal_csv, out, x)
-    _emit_manifest(args, "synth", parameters, [], [out], [args.seed], started)
-    return EXIT_OK
+
+    def run():
+        _write(io.write_signal_csv, out, synth_pac(spec).composite)
+
+    return _Plan("synth", parameters, [], [out], [args.seed], run)
 
 
-def cmd_pac(args) -> int:
+def cmd_pac(args) -> _Plan:
     cfg = _measure_config(args)
     grid = _parse_grid(args.grid)
     jobs = _resolve_jobs(args)
@@ -209,29 +189,27 @@ def cmd_pac(args) -> int:
         "jobs": jobs,
         "cache": not args.no_cache,
     }
-    if args.dry_run:
-        _emit_manifest(args, "pac", parameters, [inp], [out, meta_out], None, None)
-        return EXIT_OK
-    started = time.perf_counter()
-    x = _read_signal(inp)
-    mat = normalize(
-        compute_matrix(x, args.method, grid, cfg, jobs=jobs, use_cache=not args.no_cache)
-    )
-    peak = argmax(mat)
-    _write(io.write_matrix_csv, out, mat)
-    meta = {
-        "schema": 1,
-        "method": args.method,
-        "grid": io.grid_str(grid),
-        "argmax": None if peak is None else {"m": peak[0], "n": peak[1], "value": peak[2]},
-        "config": cfg.as_dict(),
-    }
-    _write(io.write_json, meta_out, meta)
-    _emit_manifest(args, "pac", parameters, [inp], [out, meta_out], None, started)
-    return EXIT_OK
+
+    def run():
+        x = _read(io.read_signal_csv, inp)
+        mat = normalize(
+            compute_matrix(x, args.method, grid, cfg, jobs=jobs, use_cache=not args.no_cache)
+        )
+        peak = argmax(mat)
+        _write(io.write_matrix_csv, out, mat)
+        meta = {
+            "schema": 1,
+            "method": args.method,
+            "grid": io.grid_str(grid),
+            "argmax": None if peak is None else {"m": peak[0], "n": peak[1], "value": peak[2]},
+            "config": cfg.as_dict(),
+        }
+        _write(io.write_json, meta_out, meta)
+
+    return _Plan("pac", parameters, [inp], [out, meta_out], None, run)
 
 
-def cmd_psd(args) -> int:
+def cmd_psd(args) -> _Plan:
     inp = Path(args.input)
     out = Path(args.output)
     parameters = {
@@ -242,25 +220,18 @@ def cmd_psd(args) -> int:
         spec = WelchSpec(window_len=args.window, overlap=args.overlap)
     except InvalidInputError as e:
         raise _UsageError(str(e))
-    if args.dry_run:
-        _emit_manifest(args, "psd", parameters, [inp], [out], None, None)
-        return EXIT_OK
-    started = time.perf_counter()
-    x = _read_signal(inp)
-    psd = welch_psd(x, spec)
-    lines = ["freq_hz,psd"]
-    for f, p in zip(psd.freqs, psd.values):
-        lines.append(f"{io.fmt(f)},{io.fmt(p)}")
-    _write(lambda p, text: Path(p).write_text(text), out, "\n".join(lines) + "\n")
-    _emit_manifest(args, "psd", parameters, [inp], [out], None, started)
-    return EXIT_OK
+
+    def run():
+        psd = welch_psd(_read(io.read_signal_csv, inp), spec)
+        lines = ["freq_hz,psd"]
+        for f, p in zip(psd.freqs, psd.values):
+            lines.append(f"{io.fmt(f)},{io.fmt(p)}")
+        _write(lambda p, text: Path(p).write_text(text), out, "\n".join(lines) + "\n")
+
+    return _Plan("psd", parameters, [inp], [out], None, run)
 
 
-def _matrix_path(matrix_dir, pair, method, seed) -> Path:
-    return Path(matrix_dir) / f"{method}_m{pair[0]}_n{pair[1]}_seed{seed}.csv"
-
-
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> _Plan:
     pairs = _parse_pairs(args.pairs)
     methods = [mth.strip() for mth in args.methods.split(",") if mth.strip()]
     for mth in methods:
@@ -297,72 +268,63 @@ def cmd_compare(args) -> int:
         "jobs": jobs,
         "matrix_dir": args.matrix_dir,
     }
-    if args.dry_run:
-        # the same outputs, in the same order, as the run below writes
-        outputs = [out]
-        if args.matrix_dir is not None:
-            outputs += [
-                _matrix_path(args.matrix_dir, pair, method, seed)
-                for pair in pairs for seed in seeds for method in methods
-            ]
-        _emit_manifest(args, "compare", parameters, [], outputs, seeds, None)
-        return EXIT_OK
+    # run_comparison hands the matrices over in this order: pair, seed, method
+    matrices = {} if args.matrix_dir is None else {
+        (pair, method, seed):
+            Path(args.matrix_dir) / f"{method}_m{pair[0]}_n{pair[1]}_seed{seed}.csv"
+        for pair in pairs for seed in seeds for method in methods
+    }
 
-    matrix_jobs = []
+    def run():
+        written = []
 
-    def sink(mat, pair, method, seed):
-        if args.matrix_dir is not None:
-            matrix_jobs.append((mat, pair, method, seed))
+        def sink(mat, *key):
+            if matrices:
+                written.append((matrices[key], mat))
 
-    started = time.perf_counter()
-    report = run_comparison(
-        pairs,
-        methods,
-        n_seeds=args.seeds,
-        ami=args.ami,
-        duration=args.dur,
-        fs=args.fs,
-        noise_power=args.noise_power,
-        clean_power=args.clean_power,
-        grid=grid,
-        cfg=cfg,
-        jobs=jobs,
-        base_seed=args.base_seed,
-        matrix_sink=sink,
-    )
-    outputs = [out]
-    if args.matrix_dir is not None:
-        mdir = Path(args.matrix_dir)
-        try:
-            mdir.mkdir(parents=True, exist_ok=True)
-        except OSError as e:
-            raise _IoError(f"cannot create {mdir}: {e}")
-        for mat, pair, method, seed in matrix_jobs:
-            mpath = _matrix_path(mdir, pair, method, seed)
+        report = run_comparison(
+            pairs,
+            methods,
+            n_seeds=args.seeds,
+            ami=args.ami,
+            duration=args.dur,
+            fs=args.fs,
+            noise_power=args.noise_power,
+            clean_power=args.clean_power,
+            grid=grid,
+            cfg=cfg,
+            jobs=jobs,
+            base_seed=args.base_seed,
+            matrix_sink=sink,
+        )
+        if matrices:
+            mdir = Path(args.matrix_dir)
+            try:
+                mdir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise _IoError(f"cannot create {mdir}: {e}")
+        for mpath, mat in written:
             _write(io.write_matrix_csv, mpath, mat)
-            outputs.append(mpath)
-    doc = {"schema": 1, "params": parameters}
-    doc.update(report.as_dict())
-    _write(io.write_json, out, doc)
-    _emit_manifest(args, "compare", parameters, [], outputs, seeds, started)
-    return EXIT_OK
+        doc = {"schema": 1, "params": parameters}
+        doc.update(report.as_dict())
+        _write(io.write_json, out, doc)
+
+    return _Plan("compare", parameters, [], [out, *matrices.values()], seeds, run)
 
 
-def cmd_heatmap(args) -> int:
+def cmd_heatmap(args) -> _Plan:
     inp = Path(args.input)
     out = Path(args.output)
-    if args.dry_run:
-        _emit_manifest(args, "heatmap", {}, [inp], [out], None, None)
-        return EXIT_OK
-    started = time.perf_counter()
-    mat = _read_matrix(inp)
-    try:
-        _write(io.write_pgm, out, mat)
-    except InvalidInputError as e:
-        # un-normalized cells above 1 cannot be rendered into 8 bits
-        raise _IoError(str(e))
-    _emit_manifest(args, "heatmap", {}, [inp], [out], None, started)
-    return EXIT_OK
+
+    def run():
+        mat = _read(io.read_matrix_csv, inp)
+        try:
+            _write(io.write_pgm, out, mat)
+        except InvalidInputError as e:
+            # un-normalized cells above 1 cannot be rendered into 8 bits
+            raise _IoError(str(e))
+
+    return _Plan("heatmap", {}, [inp], [out], None, run)
 
 
 def _add_measure_flags(p):
@@ -479,7 +441,18 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(e.code or 0)
     try:
-        return args.func(args)
+        plan = args.func(args)
+        if args.dry_run:
+            doc = io.manifest_doc(plan.command, plan.parameters, plan.inputs,
+                                  plan.outputs, plan.seeds, None, __version__)
+            print(json.dumps(doc, indent=2, sort_keys=True))
+            return EXIT_OK
+        started = time.perf_counter()
+        plan.run()
+        _write(io.write_manifest, plan.outputs[0], plan.command, plan.parameters,
+               plan.inputs, plan.outputs, plan.seeds, time.perf_counter() - started,
+               __version__)
+        return EXIT_OK
     except _UsageError as e:
         print(f"pac-lab: error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,8 @@
 """Comodulogram engine: evaluate a coupling measure over the (m, n) grid,
-normalize, locate maxima, and compare methods across seeds."""
+normalize, locate maxima, and compare methods across seeds.
+
+A method is the name of one cell factory of paclab.measures; the registry
+below is the only list of them."""
 
 from __future__ import annotations
 
@@ -27,20 +30,16 @@ from .synthesis import (
     synth_pac,
 )
 
-METHODS = ("mca", "eps", "mvl", "cv", "kld")
-
-# One column function per method: column(x, n, m_values, cfg, bank) scores
-# the cells (m, n) for every m in m_values; cells with nothing to score are
-# 0. Work that depends on n alone is done once per column; mca keeps the
-# work that depends on m alone in the bank. Each public per-cell measure
-# evaluates a one-cell column.
-_COLUMN_FNS = {
-    "mca": measures._mca_column,
-    "eps": measures._eps_column,
-    "mvl": measures._mvl_column,
-    "cv": measures._cv_column,
-    "kld": measures._kld_column,
+# One cell factory per method: cells(x, n, cfg, bank) returns the measure
+# on the column at n as a function of m; measures._column scores a column.
+_CELL_FACTORIES = {
+    "mca": measures._mca_cells,
+    "eps": measures._eps_cells,
+    "mvl": measures._mvl_cells,
+    "cv": measures._cv_cells,
+    "kld": measures._kld_cells,
 }
+METHODS = tuple(_CELL_FACTORIES)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,9 @@ class PacMatrix:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, copy=True)
-        expected = (len(self.grid.n_values), len(self.grid.m_values))
+        g = self.grid
+        # from the bounds, so a hostile grid allocates nothing before the check
+        expected = (int(g.n_stop - g.n_start) + 1, int(g.m_stop - g.m_start) + 1)
         if v.shape != expected:
             raise InvalidInputError(f"values shape {v.shape} does not match grid {expected}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
@@ -116,7 +117,7 @@ def compute_matrix(
     column is a pure function. With use_cache=False every cell is a
     one-cell column on a fresh bank.
     """
-    if method not in _COLUMN_FNS:
+    if method not in _CELL_FACTORIES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
@@ -124,7 +125,7 @@ def compute_matrix(
         raise InvalidInputError(
             f"grid reaches {grid.n_stop} Hz, at or above Nyquist {x.fs / 2} Hz"
         )
-    column = _COLUMN_FNS[method]
+    cells = _CELL_FACTORIES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
@@ -140,8 +141,8 @@ def compute_matrix(
     def one(col):
         i, n, ms = col
         if bank is not None:
-            return i, column(x, n, ms, cfg, bank)
-        return i, [column(x, n, [m], cfg, FilterBank(x))[0] for m in ms]
+            return i, measures._column(cells, x, n, ms, cfg, bank)
+        return i, [measures._column(cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -278,7 +279,7 @@ def run_comparison(
     if not pairs:
         raise InvalidInputError("need at least one (m, n) pair")
     for meth in methods:
-        if meth not in _COLUMN_FNS:
+        if meth not in _CELL_FACTORIES:
             raise InvalidMethodError(f"unknown method {meth!r}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()

@@ -41,7 +41,7 @@ def read_signal_csv(path) -> Signal:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInputError(f"cannot read signal file {path}: {e}") from e
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != SIGNAL_HEADER:
@@ -60,13 +60,18 @@ def read_signal_csv(path) -> Signal:
     if len(values) < 2:
         raise InvalidInputError(f"{path}: need at least 2 samples")
     t = np.array(times)
-    dt = np.diff(t)
-    dt0 = float(np.mean(dt))
-    if dt0 <= 0:
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError(f"{path}: time column must be finite")
+    with np.errstate(over="ignore"):
+        dt = np.diff(t)
+        dt0 = float(np.mean(dt))
+    if not dt0 > 0:
         raise InvalidInputError(f"{path}: time column must be increasing")
-    if np.max(np.abs(dt - dt0)) > SPACING_TOL_REL * dt0:
+    if not (math.isfinite(dt0) and np.max(np.abs(dt - dt0)) <= SPACING_TOL_REL * dt0):
         raise InvalidInputError(f"{path}: sample spacing is not uniform")
     fs = 1.0 / dt0
+    if not math.isfinite(fs):
+        raise InvalidInputError(f"{path}: sample spacing {dt0!r} s gives no finite rate")
     if abs(fs - round(fs)) <= FS_SNAP_REL * fs:
         fs = float(round(fs))
     return Signal(np.array(values), fs)
@@ -107,7 +112,7 @@ def read_matrix_csv(path) -> PacMatrix:
     path = Path(path)
     try:
         raw = path.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInputError(f"cannot read matrix file {path}: {e}") from e
     meta: dict = {}
     rows = []
@@ -193,7 +198,7 @@ def read_json(path) -> dict:
     path = Path(path)
     try:
         return json.loads(path.read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InvalidInputError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise InvalidInputError(f"{path}: invalid JSON: {e}") from e

@@ -4,13 +4,13 @@ Five estimators share this module: the narrowband-triplet measure
 (mca_pac) and four reference measures (eps, mvl, cv, kld), plus the
 phase-locking value and phase-binning support they build on.
 
-Each measure is written once, per n column: _<name>_cells(x, n, cfg,
-bands) is the measure on the column at n as a function of m. Work that
-depends on n alone is done once per column; mca keeps the work that
-depends on m alone in the filter bank for as long as the bank lives.
-_<name>_column scores a column for compute_matrix, where a cell with
+Each measure is written once, as a cell factory: _<name>_cells(x, n,
+cfg, bank) returns the measure on the column at n as a function of m.
+Work that depends on n alone is done once per column; mca keeps the work
+that depends on m alone in the filter bank for as long as the bank
+lives. compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
-and raises instead.
+on a one-call bank through _cell and raises instead.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     DegeneratePhaseError,
     InvalidInputError,
     OutOfBandError,
+    PacError,
     SignalTooShortError,
 )
 from .filters import (
@@ -192,8 +193,11 @@ def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     return Signal(p, env.fs)
 
 
-def _scored(cell, m_values) -> np.ndarray:
-    """cell(m) for each m of a column; a cell with nothing to score is 0."""
+def _column(cells, x: Signal, n: float, m_values, cfg: MeasureConfig,
+            bank: FilterBank) -> np.ndarray:
+    """cells(x, n, cfg, bank)(m) for each m of a column; a cell with
+    nothing to score is 0."""
+    cell = cells(x, n, cfg, bank)
     out = np.zeros(len(m_values))
     for j, m in enumerate(m_values):
         try:
@@ -203,8 +207,33 @@ def _scored(cell, m_values) -> np.ndarray:
     return out
 
 
-def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
-            bands=None) -> float:
+def _cell(cells, x: Signal, m: float, n: float, cfg: MeasureConfig | None) -> float:
+    """One cell of a measure, on a one-call bank; raises where a column
+    would score 0."""
+    return cells(x, n, cfg or MeasureConfig(), FilterBank(x))(m)
+
+
+def _once(compute):
+    """compute(*args) on the first call only: later calls return its value,
+    or raise its PacError, again. A column's work that depends on n alone
+    goes through one of these."""
+    memo = []
+
+    def get(*args):
+        if not memo:
+            try:
+                memo.append((compute(*args), None))
+            except PacError as e:
+                memo.append((None, e))
+        value, error = memo[0]
+        if error is not None:
+            raise error
+        return value
+
+    return get
+
+
+def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Narrowband-triplet coupling strength of the (m, n) cell.
 
     The triplet of 1 Hz bands at n-m, n (doubled), n+m reconstructs the
@@ -229,11 +258,7 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
     Degenerate cells score 0: empty slow band, empty carrier band, both
     sideband bands empty, or an envelope without an m component.
     """
-    return _mca_cells(x, n, cfg, bands)(m)
-
-
-def _mca_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
-    return _scored(_mca_cells(x, n, cfg, bands), m_values)
+    return _cell(_mca_cells, x, m, n, cfg)
 
 
 def _slow_weight(bank, m: float, bw: float, tr: int, x_ref: float):
@@ -260,7 +285,7 @@ def _band_rms(bank, center: float, bw: float, tr: int) -> float:
                         lambda: _rms(_trimmed(bank.gabor(center, bw), tr)))
 
 
-def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     """mca_pac of the column at n, as a function of m.
 
     The slow-band weight and the slow band's phase depend on m alone, so
@@ -268,8 +293,6 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
     cell of that m needs it; so are each band's trimmed RMS and each
     envelope kernel's spectrum. Each cell keeps its own triplet envelope.
     """
-    cfg = cfg or MeasureConfig()
-    bank = bands if bands is not None else FilterBank(x)
     fs = x.fs
     bw = cfg.mca_bw
     tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, fs)
@@ -323,26 +346,22 @@ def _check_band(m: float, n: float, fs: float) -> None:
         raise OutOfBandError(f"modulated frequency {n} Hz reaches Nyquist")
 
 
-def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig | None, bands,
+def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
                    slow: bool = True, envelope_filter: bool = False):
-    """Config and per-cell inputs of one Morlet-measure column at n.
+    """Per-cell inputs of one Morlet-measure column at n.
 
-    Returns cfg and inputs(m) -> (complex band at m, None unless `slow`;
-    |zn|, worked out once per column; per-edge trim). The default trim is
-    the widest kernel in use, counting the envelope band-pass when
+    Returns inputs(m) -> (complex band at m, None unless `slow`; |zn|,
+    worked out once per column; per-edge trim). The default trim is the
+    widest kernel in use, counting the envelope band-pass when
     `envelope_filter`.
     """
-    cfg = cfg or MeasureConfig()
-    bank = bands if bands is not None else FilterBank(x)
     cycles = cfg.morlet_cycles
-    amp_n = None
+    amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
 
     def inputs(m):
-        nonlocal amp_n
         _check_band(m, n, x.fs)
         zm = bank.morlet(m, cycles) if slow else None
-        if amp_n is None:
-            amp_n = np.abs(bank.morlet(n, cycles))
+        amp_n = amp()
         tr = cfg.edge_trim
         if tr is None:
             tr = morlet_half_length(n, cycles, x.fs)
@@ -353,38 +372,29 @@ def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig | None, bands,
         _check_trim(len(x), tr)
         return zm, amp_n, tr
 
-    return cfg, inputs
+    return inputs
 
 
-def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
-        bands=None) -> float:
+def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Envelope phase synchronization with proportional-bandwidth filters.
 
     PLV between the slow band's phase and the phase of the fast band's
     envelope, both bands from Morlet filtering. Degenerate envelopes
     score 0.
     """
-    return _eps_cells(x, n, cfg, bands)(m)
+    return _cell(_eps_cells, x, m, n, cfg)
 
 
-def _eps_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
-    return _scored(_eps_cells(x, n, cfg, bands), m_values)
-
-
-def _eps_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # |zn| depends on n alone, so its spectrum serves every cell of the
     # column; the envelope kernels' spectra are kept in the bank
-    bank = bands if bands is not None else FilterBank(x)
-    cfg, inputs = _morlet_inputs(x, n, cfg, bank, envelope_filter=True)
-    env = None
+    inputs = _morlet_inputs(x, n, cfg, bank, envelope_filter=True)
+    envelope = _once(lambda amp_n: _Envelope(amp_n, bank))
 
     def cell(m):
-        nonlocal env
         zm, amp_n, tr = inputs(m)
-        if env is None:
-            env = _Envelope(amp_n, bank)
         try:
-            ph_env = envelope_phase(env, m, cfg.mca_bw)
+            ph_env = envelope_phase(envelope(amp_n), m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
         return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
@@ -401,18 +411,13 @@ def vector_length(phase, amp) -> float:
     return float(np.abs(np.mean(a * np.exp(1j * ph))))
 
 
-def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
-        bands=None) -> float:
+def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Mean vector length: amplitude-weighted mean phasor of the slow phase."""
-    return _mvl_cells(x, n, cfg, bands)(m)
+    return _cell(_mvl_cells, x, m, n, cfg)
 
 
-def _mvl_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
-    return _scored(_mvl_cells(x, n, cfg, bands), m_values)
-
-
-def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
-    _, inputs = _morlet_inputs(x, n, cfg, bands)
+def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
+    inputs = _morlet_inputs(x, n, cfg, bank)
 
     def cell(m):
         zm, amp_n, tr = inputs(m)
@@ -421,32 +426,23 @@ def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
     return cell
 
 
-def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
-       bands=None) -> float:
+def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Coherence between the raw signal and the fast band's envelope,
     read at the bin nearest the modulating frequency. A flat signal or
     envelope has no coherence to read: DegeneratePhaseError."""
-    return _cv_cells(x, n, cfg, bands)(m)
+    return _cell(_cv_cells, x, m, n, cfg)
 
 
-def _cv_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
-    return _scored(_cv_cells(x, n, cfg, bands), m_values)
-
-
-def _cv_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
+def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # without a slow band the trim depends on n alone, so one coherence
-    # spectrum serves the whole column
-    cfg, inputs = _morlet_inputs(x, n, cfg, bands, slow=False)
-    spectrum = None
+    # spectrum (or its DegeneratePhaseError) serves the whole column
+    inputs = _morlet_inputs(x, n, cfg, bank, slow=False)
+    spectrum = _once(lambda amp_n, tr: coherence(
+        Signal(_trimmed(x.samples, tr), x.fs), Signal(_trimmed(amp_n, tr), x.fs), cfg.welch))
 
     def cell(m):
-        nonlocal spectrum
         _, amp_n, tr = inputs(m)
-        if spectrum is None:
-            raw = Signal(_trimmed(x.samples, tr), x.fs)
-            env = Signal(_trimmed(amp_n, tr), x.fs)
-            spectrum = coherence(raw, env, cfg.welch)
-        return spectrum.value_at(m)
+        return spectrum(amp_n, tr).value_at(m)
 
     return cell
 
@@ -492,19 +488,14 @@ def kld_from_distribution(dist: PhaseAmplitudeDistribution) -> float:
     return value
 
 
-def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None,
-        bands=None) -> float:
+def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Entropy-based coupling: deviation of the amplitude-by-phase
     distribution from uniformity, normalized to [0, 1]."""
-    return _kld_cells(x, n, cfg, bands)(m)
+    return _cell(_kld_cells, x, m, n, cfg)
 
 
-def _kld_column(x: Signal, n: float, m_values, cfg: MeasureConfig, bands) -> np.ndarray:
-    return _scored(_kld_cells(x, n, cfg, bands), m_values)
-
-
-def _kld_cells(x: Signal, n: float, cfg: MeasureConfig | None, bands):
-    cfg, inputs = _morlet_inputs(x, n, cfg, bands)
+def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
+    inputs = _morlet_inputs(x, n, cfg, bank)
 
     def cell(m):
         zm, amp_n, tr = inputs(m)

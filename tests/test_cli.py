@@ -148,6 +148,19 @@ class TestPac:
                    "-o", str(tmp_path / "out.csv"), "--grid", GRID])
         assert rc == EXIT_IO
 
+    @pytest.mark.parametrize("rows", ["nan,1\nnan,2\n", "0,1\n1e-320,2\n"],
+                             ids=["nan-times", "no-finite-rate"])
+    @pytest.mark.parametrize("command", ["pac", "psd"])
+    def test_hostile_time_column_is_io_error(self, tmp_path, capsys, command, rows):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_s,value\n" + rows)
+        argv = [command, "-i", str(bad), "-o", str(tmp_path / "out.csv")]
+        if command == "pac":
+            argv += ["--method", "mca", "--grid", GRID]
+        assert main(argv) == EXIT_IO
+        assert "I/O error" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_grid_beyond_nyquist_is_numeric_error(self, tmp_path):
         sig = synth_file(tmp_path)
         rc = main(["pac", "--method", "mca", "-i", str(sig),

@@ -297,9 +297,12 @@ class TestColumnProtocol:
 
         monkeypatch.setattr(paclab.measures, "coherence", counting)
         grid = GridSpec(1, 10, 1, 12)
-        compute_matrix(coupled(seed=0), "cv", grid, jobs=jobs)
-        # n = 1 has no cell with m < n; n = 2..12 each have at least one
-        assert len(calls) == 11
+        # a flat signal's coherence raises; the column keeps that error too
+        for x in (coupled(seed=0), Signal(np.zeros(10000), 1000.0)):
+            calls.clear()
+            compute_matrix(x, "cv", grid, jobs=jobs)
+            # n = 1 has no cell with m < n; n = 2..12 each have at least one
+            assert len(calls) == 11
 
 
 class TestNormalize:

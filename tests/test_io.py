@@ -1,9 +1,14 @@
 """File formats: round trips, validation, and deterministic output."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paclab import (
     GridSpec,
@@ -76,6 +81,26 @@ class TestSignalCsv:
         write_signal_csv(p, x)
         assert read_signal_csv(p).fs == 1000.0
 
+    @pytest.mark.parametrize("times", [("nan", "nan"), ("0", "nan"), ("0", "inf")])
+    def test_non_finite_time_rejected(self, tmp_path, times):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"time_s,value\n{times[0]},1\n{times[1]},2\n")
+        with pytest.raises(InvalidInputError, match="finite"):
+            read_signal_csv(p)
+
+    def test_spacing_without_finite_rate_rejected(self, tmp_path):
+        # 1 / 1e-320 overflows to an infinite rate
+        p = tmp_path / "bad.csv"
+        p.write_text("time_s,value\n0,1\n1e-320,2\n")
+        with pytest.raises(InvalidInputError, match="finite rate"):
+            read_signal_csv(p)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(b"time_s,value\n\xff,1\n")
+        with pytest.raises(InvalidInputError):
+            read_signal_csv(p)
+
 
 class TestMatrixCsv:
     def test_round_trip_values_and_meta(self, tmp_path):
@@ -121,6 +146,12 @@ class TestMatrixCsv:
         # cell m=2,n=2 sits on the diagonal and must be zero
         p.write_text("# grid: m=1:3,n=2:4\n0,0.5,0\n0,0,0\n0,0,0\n")
         with pytest.raises(InvalidInputError):
+            read_matrix_csv(p)
+
+    def test_huge_grid_header_is_rejected_before_allocating(self, tmp_path):
+        p = tmp_path / "mat.csv"
+        p.write_text("# grid: m=1:100000000000,n=1:1\n0\n")
+        with pytest.raises(InvalidInputError, match="does not match grid"):
             read_matrix_csv(p)
 
     def test_grid_falls_back_to_shape(self, tmp_path):
@@ -174,6 +205,9 @@ class TestJsonAndManifest:
         p.write_text("{nope")
         with pytest.raises(InvalidInputError):
             read_json(p)
+        p.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(InvalidInputError):
+            read_json(p)
 
     def test_manifest_sits_next_to_output(self, tmp_path):
         out = tmp_path / "mat.csv"
@@ -223,3 +257,115 @@ class TestWriteJson:
 
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc == {"inf": None, "nan": None, "nested": [None, 1.5]}
+
+
+# Hostile CSV text: every input must parse or raise InvalidInputError, and
+# warnings are errors, so no NaN or overflow slips through unnoticed.
+FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "inf", "1e999", "1e-320", "5e-324", "", " ", "x", "1_0"]),
+)
+
+
+@st.composite
+def time_columns(draw, n):
+    kind = draw(st.sampled_from(["uniform"] * 4 + ["reversed", "jittered", "repeated", "field"]))
+    # rates that are not integers, and spacings down to subnormal
+    fs = draw(st.one_of(*[st.floats(1e-3, 1e5)] * 3, st.floats(1e300, 1e308)))
+    t0 = draw(st.one_of(st.just(0.0), st.floats(-1e6, 1e6)))
+    times = ["%.17g" % (t0 + k / fs) for k in range(n)]
+    if kind == "reversed":
+        times.reverse()
+    elif kind == "jittered" and n > 2:
+        k = draw(st.integers(1, n - 2))
+        times[k] = "%.17g" % (t0 + (k + draw(st.floats(-1.0, 1.0))) / fs)
+    elif kind == "repeated" and n > 1:
+        times[-1] = times[-2]
+    elif kind == "field" and n:
+        times[draw(st.integers(0, n - 1))] = draw(FIELDS)
+    return times
+
+
+@st.composite
+def signal_texts(draw):
+    n = draw(st.integers(0, 30))
+    times = draw(time_columns(n))
+    values = [repr(v) for v in draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n))]
+    rows = [f"{t},{v}" for t, v in zip(times, values)]
+    if rows:
+        k = draw(st.integers(0, n - 1))
+        # one row may hold a hostile value, or one field too many or too few
+        rows[k] = draw(st.sampled_from([rows[k]] * 4 + [
+            f"{times[k]},{draw(FIELDS)}", rows[k] + ",0", times[k]]))
+    header = draw(st.sampled_from(["time_s,value"] * 4 + ["t,v", ""]))
+    return "\n".join([header, *rows]) + "\n"
+
+
+@st.composite
+def matrix_texts(draw):
+    n_rows = draw(st.integers(0, 5))
+    width = draw(st.integers(1, 5))
+    # nonzero cells below the diagonal only, so most matrices are valid
+    rows = [[draw(st.sampled_from(["0", "0.5", "1e-300", "3"])) if j < i else "0"
+             for j in range(width)] for i in range(n_rows)]
+    if rows:
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, width - 1))
+        # one cell may be hostile, or one row a field short
+        how = draw(st.sampled_from(["keep"] * 3 + ["field", "ragged"]))
+        if how == "field":
+            rows[i][j] = draw(FIELDS)
+        elif how == "ragged":
+            rows[i].pop()
+    header = []
+    if draw(st.booleans()):
+        bound = st.one_of(st.integers(-1, 7), st.just(10**11))
+        m0, m1, n0, n1 = 1, width, 1, n_rows
+        if draw(st.booleans()):
+            m0, m1, n0, n1 = (draw(bound) for _ in range(4))
+        header.append(draw(st.sampled_from([
+            f"# grid: m={m0}:{m1},n={n0}:{n1}",
+            f"# grid: m={m0}:{m1},n={n0}:{n1}",
+            f"# grid: m={m0}:{m1}",
+            f"# grid: m={m0},n={n0}:{n1}",
+        ])))
+    header += draw(st.lists(st.sampled_from(
+        ["# method: mca", "# normalized: true", "# normalized: maybe", "#", "# argmax: none"]),
+        max_size=3))
+    return "\n".join(header + [",".join(r) for r in rows]) + "\n"
+
+
+def _parse_text(reader, text):
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "input.csv"
+        p.write_text(text)
+        try:
+            return reader(p)
+        except InvalidInputError:
+            return None
+
+
+class TestHostileText:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=signal_texts())
+    def test_signal_csv_parses_or_is_invalid(self, text):
+        x = _parse_text(read_signal_csv, text)
+        if x is not None:
+            assert isinstance(x, Signal)
+            assert len(x) >= 2 and math.isfinite(x.fs) and x.fs > 0
+            assert np.all(np.isfinite(x.samples))
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(text=matrix_texts())
+    def test_matrix_csv_parses_or_is_invalid(self, text):
+        mat = _parse_text(read_matrix_csv, text)
+        if mat is not None:
+            assert isinstance(mat, PacMatrix)
+            assert np.all(np.isfinite(mat.values)) and np.all(mat.values >= 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=st.text(max_size=200))
+    def test_any_text_after_the_header_parses_or_is_invalid(self, text):
+        for reader, head in ((read_signal_csv, "time_s,value\n"), (read_matrix_csv, "")):
+            _parse_text(reader, head + text)
