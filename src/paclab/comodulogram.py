@@ -111,20 +111,22 @@ def compute_matrix(
     Cells outside the measure's valid band and degenerate cells score 0,
     so the result is always a complete triangular matrix. The measure runs
     one n column at a time, so work that depends on n alone is done once
-    per column (and for mca, work that depends on m alone once per matrix,
-    kept in the shared filter bank). With jobs > 1 columns are evaluated by a
-    thread pool; results are identical to the serial order because every
-    column is a pure function. With use_cache=False every cell is a
-    one-cell column on a fresh bank.
+    per column (and for mca, mvl and kld, work that depends on m alone
+    once per matrix, kept in the shared filter bank). With jobs > 1
+    columns are evaluated by a thread pool; results are identical to the
+    serial order because every column is a pure function. With
+    use_cache=False every cell is a one-cell column on a fresh bank. A
+    grid reaching Nyquist, in m or in n, is refused before any work.
     """
     if method not in _CELL_FACTORIES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
-    if grid.n_stop >= x.fs / 2:
-        raise InvalidInputError(
-            f"grid reaches {grid.n_stop} Hz, at or above Nyquist {x.fs / 2} Hz"
-        )
+    # checked before any grid array is built. Once n is below Nyquist, the
+    # columns at m >= Nyquist hold only cells with m > n, zero by contract
+    top = max(grid.m_stop, grid.n_stop)
+    if top >= x.fs / 2:
+        raise InvalidInputError(f"grid reaches {top} Hz, at or above Nyquist {x.fs / 2} Hz")
     cells = _CELL_FACTORIES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values

@@ -6,11 +6,16 @@ phase-locking value and phase-binning support they build on.
 
 Each measure is written once, as a cell factory: _<name>_cells(x, n,
 cfg, bank) returns the measure on the column at n as a function of m.
-Work that depends on n alone is done once per column; mca keeps the work
-that depends on m alone in the filter bank for as long as the bank
-lives. compute_matrix scores a column through _column, where a cell with
+Work that depends on n alone is done once per column. The work that
+depends on m alone is kept in the filter bank for as long as the bank
+lives: mca's slow-band weight and phase, mvl's unit phasor of the slow
+band, kld's phase-bin index and its bin counts per trim. eps takes the
+slow band's phase in each cell; kept per m it measured no faster.
+compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
-on a one-call bank through _cell and raises instead.
+on a one-call bank through _cell and raises instead. The public helpers
+vector_length and bin_amplitude_by_phase check their arguments and run
+the same private kernels as the cells.
 """
 
 from __future__ import annotations
@@ -347,20 +352,30 @@ def _check_band(m: float, n: float, fs: float) -> None:
 
 
 def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
-                   slow: bool = True, envelope_filter: bool = False):
+                   slow: bool = True, form=None, envelope_filter: bool = False):
     """Per-cell inputs of one Morlet-measure column at n.
 
     Returns inputs(m) -> (complex band at m, None unless `slow`; |zn|,
-    worked out once per column; per-edge trim). The default trim is the
-    widest kernel in use, counting the envelope band-pass when
-    `envelope_filter`.
+    worked out once per column; per-edge trim). With `form` = (key, fn)
+    the first item is fn(complex band at m) instead, the compact form the
+    measure reads: it depends on m alone, so it is kept in the bank under
+    key + (m, morlet_cycles) and worked out once per m for as long as the
+    bank lives. The key names the form and every other setting it depends
+    on. The default trim is the widest kernel in use, counting the
+    envelope band-pass when `envelope_filter`.
     """
     cycles = cfg.morlet_cycles
     amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
 
     def inputs(m):
         _check_band(m, n, x.fs)
-        zm = bank.morlet(m, cycles) if slow else None
+        zm = None
+        if form is not None:
+            key, fn = form
+            zm = bank.derived(key + (float(m), float(cycles)),
+                              lambda: fn(bank.morlet(m, cycles)))
+        elif slow:
+            zm = bank.morlet(m, cycles)
         amp_n = amp()
         tr = cfg.edge_trim
         if tr is None:
@@ -402,13 +417,22 @@ def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     return cell
 
 
+def _unit_phasor(z: np.ndarray) -> np.ndarray:
+    """exp(1j * angle(z)), the slow band's form mvl reads."""
+    return np.exp(1j * np.angle(z))
+
+
+def _vector_length(phasor: np.ndarray, amp: np.ndarray) -> float:
+    return float(np.abs(np.mean(amp * phasor)))
+
+
 def vector_length(phase, amp) -> float:
     """Modulus of the amplitude-weighted mean phasor |mean(a*e^{i*phase})|."""
     ph = _as_array(phase, "phase")
     a = _as_array(amp, "amp")
     if len(ph) != len(a):
         raise InvalidInputError("phase and amp lengths differ")
-    return float(np.abs(np.mean(a * np.exp(1j * ph))))
+    return _vector_length(np.exp(1j * ph), a)
 
 
 def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
@@ -417,11 +441,11 @@ def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    inputs = _morlet_inputs(x, n, cfg, bank)
+    inputs = _morlet_inputs(x, n, cfg, bank, form=(("mvl_phasor",), _unit_phasor))
 
     def cell(m):
-        zm, amp_n, tr = inputs(m)
-        return vector_length(_trimmed(np.angle(zm), tr), _trimmed(amp_n, tr))
+        phasor, amp_n, tr = inputs(m)
+        return _vector_length(_trimmed(phasor, tr), _trimmed(amp_n, tr))
 
     return cell
 
@@ -462,10 +486,23 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
     if np.any(a < 0):
         raise InvalidInputError("amplitudes must be nonnegative")
     n_bins = int(n_bins)
-    idx = np.floor((ph + np.pi) / (2.0 * np.pi) * n_bins).astype(int)
+    idx = _phase_bins(ph, n_bins)
+    return _distribution(idx, np.bincount(idx, minlength=n_bins), a, n_bins)
+
+
+def _phase_bins(phase: np.ndarray, n_bins: int) -> np.ndarray:
+    """Index of each phase's bin among n_bins over [-pi, pi), clipped to
+    the range; kept narrow (int16 up to 32767 bins)."""
+    idx = np.floor((phase + np.pi) / (2.0 * np.pi) * n_bins).astype(int)
     idx = np.clip(idx, 0, n_bins - 1)
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=a, minlength=n_bins)
+    return idx.astype(np.int16) if n_bins <= np.iinfo(np.int16).max else idx
+
+
+def _distribution(idx: np.ndarray, counts: np.ndarray, amp: np.ndarray,
+                  n_bins: int) -> PhaseAmplitudeDistribution:
+    """Phase-amplitude distribution of amp over bin indices idx, whose
+    per-bin counts are `counts`."""
+    sums = np.bincount(idx, weights=amp, minlength=n_bins)
     means = np.zeros(n_bins)
     nonempty = counts > 0
     means[nonempty] = sums[nonempty] / counts[nonempty]
@@ -495,12 +532,15 @@ def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    inputs = _morlet_inputs(x, n, cfg, bank)
+    n_bins = int(cfg.kld_bins)
+    inputs = _morlet_inputs(x, n, cfg, bank, form=(
+        ("kld_bins", n_bins), lambda zm: _phase_bins(np.angle(zm), n_bins)))
 
     def cell(m):
-        zm, amp_n, tr = inputs(m)
-        dist = bin_amplitude_by_phase(_trimmed(np.angle(zm), tr), _trimmed(amp_n, tr),
-                                      cfg.kld_bins)
-        return kld_from_distribution(dist)
+        idx, amp_n, tr = inputs(m)
+        idx = _trimmed(idx, tr)
+        counts = bank.derived(("kld_counts", n_bins, float(m), float(cfg.morlet_cycles), tr),
+                              lambda: np.bincount(idx, minlength=n_bins))
+        return kld_from_distribution(_distribution(idx, counts, _trimmed(amp_n, tr), n_bins))
 
     return cell

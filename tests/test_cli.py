@@ -1,11 +1,16 @@
 """Command line behavior: subcommands, exit codes, sidecar files."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import paclab
 from paclab import Signal, read_json, read_matrix_csv, read_signal_csv, write_signal_csv
 from paclab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -166,6 +171,26 @@ class TestPac:
         rc = main(["pac", "--method", "mca", "-i", str(sig),
                    "-o", str(tmp_path / "out.csv"), "--grid", "m=1:50,n=400:600"])
         assert rc == EXIT_NUMERIC
+
+    def test_huge_m_bound_is_numeric_error_before_any_allocation(self, tmp_path):
+        # the columns at m >= Nyquist are all zero by contract; the check
+        # must come before numpy is asked for a 1e9-entry grid array
+        sig = synth_file(tmp_path)
+        argv = ["pac", "--method", "mvl", "--grid", "m=1:1000000000,n=2:3",
+                "-i", str(sig), "-o", str(tmp_path / "out.csv")]
+        limit = 1500 * 2**20
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(Path(paclab.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "paclab.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              preexec_fn=limit_address_space)
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert "numeric error" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
 
     def test_too_short_signal_is_numeric_error(self, tmp_path):
         sig = tmp_path / "short.csv"

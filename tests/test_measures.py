@@ -37,7 +37,7 @@ from paclab import (
     synth_pac,
     vector_length,
 )
-from paclab.filters import gabor_half_length, gabor_kernel
+from paclab.filters import gabor_half_length, gabor_kernel, morlet_half_length
 from paclab.measures import _ZERO_CELL_ERRORS, ENVELOPE_FLOOR_REL, _Envelope
 
 FS = 1000.0
@@ -185,6 +185,50 @@ class TestEnvelopeFromSpectra:
         built.clear()
         compute_matrix(x, "eps", GridSpec(1, 10, 1, 12), jobs=2)
         assert sorted(built) == list(range(1, 11))
+
+
+# the function each Morlet measure's per-m slow-band form is computed by
+SLOW_FORMS = {"mvl": "_unit_phasor", "kld": "_phase_bins"}
+
+
+class TestSlowBandForms:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("method", sorted(SLOW_FORMS))
+    def test_each_form_is_computed_once_per_m(self, monkeypatch, method, jobs):
+        import paclab.measures
+
+        name = SLOW_FORMS[method]
+        real = getattr(paclab.measures, name)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(paclab.measures, name, counting)
+        x = coupled_signal(seed=0, noise=6250.0)
+        # 65 cells over m = 1..10 (n = 1 has none with m < n)
+        compute_matrix(x, method, GridSpec(1, 10, 1, 12), jobs=jobs)
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("cfg", [
+        MeasureConfig(),
+        MeasureConfig(edge_trim=0),
+        MeasureConfig(kld_bins=18, morlet_cycles=6.0),
+    ], ids=["default", "no-trim", "bins-cycles"])
+    def test_public_helpers_equal_the_cells(self, cfg):
+        x = coupled_signal(seed=1, noise=6250.0)
+        cycles = cfg.morlet_cycles
+        for m, n in [(8, 45), (3, 30), (12, 40)]:
+            tr = cfg.edge_trim
+            if tr is None:
+                tr = max(morlet_half_length(c, cycles, FS) for c in (m, n))
+            keep = slice(tr, len(x) - tr)
+            phase = np.angle(morlet_bandpass(x, m, cycles).values)[keep]
+            amp = np.abs(morlet_bandpass(x, n, cycles).values)[keep]
+            assert mvl(x, m, n, cfg) == vector_length(phase, amp)
+            dist = bin_amplitude_by_phase(phase, amp, cfg.kld_bins)
+            assert kld(x, m, n, cfg) == kld_from_distribution(dist)
 
 
 class TestVectorLength:
