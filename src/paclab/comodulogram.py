@@ -41,6 +41,10 @@ _CELL_FACTORIES = {
 }
 METHODS = tuple(_CELL_FACTORIES)
 
+# Largest grid compute_matrix accepts: its matrix alone takes 80 MB, and a
+# grid bounded only by Nyquist would let a high-rate input ask for any size.
+MAX_GRID_CELLS = 10**7
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -57,6 +61,11 @@ class GridSpec:
                 raise InvalidInputError("grid bounds must be integers >= 1")
         if self.m_stop < self.m_start or self.n_stop < self.n_start:
             raise InvalidInputError("grid ranges must be nondecreasing")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(rows, columns) of the matrix, from the bounds alone."""
+        return (int(self.n_stop - self.n_start) + 1, int(self.m_stop - self.m_start) + 1)
 
     @property
     def m_values(self) -> np.ndarray:
@@ -79,11 +88,9 @@ class PacMatrix:
 
     def __post_init__(self):
         v = np.array(self.values, dtype=float, copy=True)
-        g = self.grid
         # from the bounds, so a hostile grid allocates nothing before the check
-        expected = (int(g.n_stop - g.n_start) + 1, int(g.m_stop - g.m_start) + 1)
-        if v.shape != expected:
-            raise InvalidInputError(f"values shape {v.shape} does not match grid {expected}")
+        if v.shape != self.grid.shape:
+            raise InvalidInputError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise InvalidInputError("matrix values must be finite and nonnegative")
         mm, nn = np.meshgrid(self.grid.m_values, self.grid.n_values)
@@ -116,7 +123,8 @@ def compute_matrix(
     columns are evaluated by a thread pool; results are identical to the
     serial order because every column is a pure function. With
     use_cache=False every cell is a one-cell column on a fresh bank. A
-    grid reaching Nyquist, in m or in n, is refused before any work.
+    grid reaching Nyquist, in m or in n, or holding more than
+    MAX_GRID_CELLS cells is refused before any work.
     """
     if method not in _CELL_FACTORIES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
@@ -127,11 +135,16 @@ def compute_matrix(
     top = max(grid.m_stop, grid.n_stop)
     if top >= x.fs / 2:
         raise InvalidInputError(f"grid reaches {top} Hz, at or above Nyquist {x.fs / 2} Hz")
+    rows, cols = grid.shape
+    if rows * cols > MAX_GRID_CELLS:
+        raise InvalidInputError(
+            f"grid of {rows}x{cols} cells exceeds the limit of {MAX_GRID_CELLS} cells"
+        )
     cells = _CELL_FACTORIES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
-    out = np.zeros((len(n_vals), len(m_vals)))
+    out = np.zeros(grid.shape)
 
     # m ascends, so the cells with m < n are the first ones of each row
     columns = [

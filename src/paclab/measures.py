@@ -352,30 +352,21 @@ def _check_band(m: float, n: float, fs: float) -> None:
 
 
 def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
-                   slow: bool = True, form=None, envelope_filter: bool = False):
+                   slow: bool = True, envelope_filter: bool = False):
     """Per-cell inputs of one Morlet-measure column at n.
 
     Returns inputs(m) -> (complex band at m, None unless `slow`; |zn|,
-    worked out once per column; per-edge trim). With `form` = (key, fn)
-    the first item is fn(complex band at m) instead, the compact form the
-    measure reads: it depends on m alone, so it is kept in the bank under
-    key + (m, morlet_cycles) and worked out once per m for as long as the
-    bank lives. The key names the form and every other setting it depends
-    on. The default trim is the widest kernel in use, counting the
-    envelope band-pass when `envelope_filter`.
+    worked out once per column; per-edge trim). The default trim is the
+    widest kernel in use, counting the envelope band-pass when
+    `envelope_filter`. mvl and kld read a compact form of the band at m,
+    which they keep in the bank once per m.
     """
     cycles = cfg.morlet_cycles
     amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
 
     def inputs(m):
         _check_band(m, n, x.fs)
-        zm = None
-        if form is not None:
-            key, fn = form
-            zm = bank.derived(key + (float(m), float(cycles)),
-                              lambda: fn(bank.morlet(m, cycles)))
-        elif slow:
-            zm = bank.morlet(m, cycles)
+        zm = bank.morlet(m, cycles) if slow else None
         amp_n = amp()
         tr = cfg.edge_trim
         if tr is None:
@@ -441,10 +432,12 @@ def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    inputs = _morlet_inputs(x, n, cfg, bank, form=(("mvl_phasor",), _unit_phasor))
+    inputs = _morlet_inputs(x, n, cfg, bank)
+    cycles = float(cfg.morlet_cycles)
 
     def cell(m):
-        phasor, amp_n, tr = inputs(m)
+        zm, amp_n, tr = inputs(m)
+        phasor = bank.derived(("mvl_phasor", float(m), cycles), lambda: _unit_phasor(zm))
         return _vector_length(_trimmed(phasor, tr), _trimmed(amp_n, tr))
 
     return cell
@@ -492,10 +485,9 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
 
 def _phase_bins(phase: np.ndarray, n_bins: int) -> np.ndarray:
     """Index of each phase's bin among n_bins over [-pi, pi), clipped to
-    the range; kept narrow (int16 up to 32767 bins)."""
+    the range."""
     idx = np.floor((phase + np.pi) / (2.0 * np.pi) * n_bins).astype(int)
-    idx = np.clip(idx, 0, n_bins - 1)
-    return idx.astype(np.int16) if n_bins <= np.iinfo(np.int16).max else idx
+    return np.clip(idx, 0, n_bins - 1)
 
 
 def _distribution(idx: np.ndarray, counts: np.ndarray, amp: np.ndarray,
@@ -532,14 +524,16 @@ def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
+    inputs = _morlet_inputs(x, n, cfg, bank)
+    cycles = float(cfg.morlet_cycles)
     n_bins = int(cfg.kld_bins)
-    inputs = _morlet_inputs(x, n, cfg, bank, form=(
-        ("kld_bins", n_bins), lambda zm: _phase_bins(np.angle(zm), n_bins)))
 
     def cell(m):
-        idx, amp_n, tr = inputs(m)
+        zm, amp_n, tr = inputs(m)
+        key = (float(m), cycles, n_bins)
+        idx = bank.derived(("kld_bins",) + key, lambda: _phase_bins(np.angle(zm), n_bins))
         idx = _trimmed(idx, tr)
-        counts = bank.derived(("kld_counts", n_bins, float(m), float(cfg.morlet_cycles), tr),
+        counts = bank.derived(("kld_counts",) + key + (tr,),
                               lambda: np.bincount(idx, minlength=n_bins))
         return kld_from_distribution(_distribution(idx, counts, _trimmed(amp_n, tr), n_bins))
 

@@ -172,10 +172,16 @@ class TestPac:
                    "-o", str(tmp_path / "out.csv"), "--grid", "m=1:50,n=400:600"])
         assert rc == EXIT_NUMERIC
 
-    def test_huge_m_bound_is_numeric_error_before_any_allocation(self, tmp_path):
-        # the columns at m >= Nyquist are all zero by contract; the check
-        # must come before numpy is asked for a 1e9-entry grid array
-        sig = synth_file(tmp_path)
+    @pytest.mark.parametrize("fs", [None, 1e10], ids=["stock-rate", "10GHz-rate"])
+    def test_huge_m_bound_is_numeric_error_before_any_allocation(self, tmp_path, fs):
+        # at the stock rate the m bound reaches Nyquist; at 10 GHz it does
+        # not, and the grid's cell count is what is refused. Either way the
+        # check must come before numpy is asked for a 1e9-entry grid array
+        if fs is None:
+            sig = synth_file(tmp_path)
+        else:
+            sig = tmp_path / "fast.csv"
+            write_signal_csv(sig, Signal(np.sin(np.arange(4096) / 7.0), fs))
         argv = ["pac", "--method", "mvl", "--grid", "m=1:1000000000,n=2:3",
                 "-i", str(sig), "-o", str(tmp_path / "out.csv")]
         limit = 1500 * 2**20
@@ -183,7 +189,10 @@ class TestPac:
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        env = dict(os.environ, PYTHONPATH=str(Path(paclab.__file__).parents[1]))
+        # one BLAS/OpenMP thread, so thread buffers cannot use up the limit
+        # while numpy is imported
+        env = dict(os.environ, PYTHONPATH=str(Path(paclab.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
         proc = subprocess.run([sys.executable, "-m", "paclab.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120,
                               preexec_fn=limit_address_space)
