@@ -23,6 +23,7 @@ from .comodulogram import (
     METHODS,
     GridSpec,
     argmax,
+    comparison_seeds,
     compute_matrix,
     normalize,
     run_comparison,
@@ -129,14 +130,13 @@ def _parse_grid(text: str) -> GridSpec:
 
 
 def _measure_config(args) -> MeasureConfig:
-    welch = WelchSpec(window_len=args.welch_window, overlap=args.welch_overlap)
     try:
         return MeasureConfig(
             mca_bw=args.mca_bw,
             morlet_cycles=args.morlet_cycles,
             kld_bins=args.kld_bins,
             edge_trim=args.edge_trim,
-            welch=welch,
+            welch=WelchSpec(window_len=args.welch_window, overlap=args.welch_overlap),
         )
     except InvalidInputError as e:
         raise _UsageError(str(e))
@@ -239,13 +239,13 @@ def cmd_compare(args) -> _Plan:
             raise _UsageError(f"unknown method {mth!r}; pick from {METHODS}")
     if not methods:
         raise _UsageError("need at least one method")
-    if args.seeds < 1:
-        raise _UsageError("--seeds must be >= 1")
     cfg = _measure_config(args)
     grid = _parse_grid(args.grid)
     jobs = _resolve_jobs(args)
     try:
-        # the signal settings run_comparison will use, checked before any work
+        # the seeds and signal settings run_comparison will use, checked
+        # before any work
+        seeds = list(comparison_seeds(args.seeds, args.base_seed))
         scale = clean_scale_for(args.clean_power, args.ami)
         for m, n in pairs:
             SynthesisSpec(m=m, n=n, ami=args.ami, duration=args.dur, fs=args.fs,
@@ -253,7 +253,6 @@ def cmd_compare(args) -> _Plan:
     except InvalidInputError as e:
         raise _UsageError(str(e))
     out = Path(args.output)
-    seeds = list(range(args.base_seed, args.base_seed + args.seeds))
     parameters = {
         "pairs": [f"{m}:{n}" for m, n in pairs],
         "methods": methods,

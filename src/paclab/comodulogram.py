@@ -7,6 +7,7 @@ below is the only list of them."""
 from __future__ import annotations
 
 import math
+import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +45,12 @@ METHODS = tuple(_CELL_FACTORIES)
 # Largest grid compute_matrix accepts: its matrix alone takes 80 MB, and a
 # grid bounded only by Nyquist would let a high-rate input ask for any size.
 MAX_GRID_CELLS = 10**7
+
+# Most seeds per pair a comparison accepts. One seed of one pair and
+# method is a whole matrix, seconds of work on the stock grid, so this is
+# weeks of compute; an unbounded count would size the seed list, and the
+# manifest that records it, from unchecked input.
+MAX_SEEDS = 10_000
 
 
 @dataclass(frozen=True)
@@ -266,6 +273,17 @@ def _aggregate(errors: list) -> dict:
     return agg
 
 
+def comparison_seeds(n_seeds: int, base_seed: int) -> range:
+    """The seeds of a comparison: n_seeds of them from base_seed on,
+    checked before any is used. n_seeds must be an integer in
+    [1, MAX_SEEDS] and base_seed an integer >= 0."""
+    if not (isinstance(n_seeds, numbers.Integral) and 1 <= n_seeds <= MAX_SEEDS):
+        raise InvalidInputError(f"seeds per pair must be an integer in [1, {MAX_SEEDS}]")
+    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
+        raise InvalidInputError("base seed must be an integer >= 0")
+    return range(base_seed, base_seed + n_seeds)
+
+
 def run_comparison(
     pairs,
     methods=METHODS,
@@ -296,13 +314,14 @@ def run_comparison(
     for meth in methods:
         if meth not in _CELL_FACTORIES:
             raise InvalidMethodError(f"unknown method {meth!r}")
+    seeds = comparison_seeds(n_seeds, base_seed)
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
     scale = clean_scale_for(clean_power, ami) if clean_scale is None else clean_scale
 
     tasks = []
     for pair in pairs:
-        for seed in range(base_seed, base_seed + n_seeds):
+        for seed in seeds:
             spec = SynthesisSpec(
                 m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
                 noise_power=noise_power, clean_scale=scale, seed=seed,

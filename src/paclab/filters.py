@@ -1,6 +1,13 @@
 """Narrow-band filtering: constant-bandwidth Gabor kernels, proportional
 Morlet kernels, zero-phase application, the three-band triplet, and the
-filter bank every coupling measure reads its bands from."""
+filter bank every coupling measure reads its bands from.
+
+A kernel is applied by FFT convolution of the reflection-padded signal
+on scipy.fft: rfft/irfft for the real Gabor taps, fft/ifft for the
+complex Morlet taps, at the transform lengths and slices of
+scipy.signal.fftconvolve(..., "valid"), so each band is bitwise what
+fftconvolve gives without importing scipy.signal. A kernel's length is
+checked against the signal before any tap is built."""
 
 from __future__ import annotations
 
@@ -9,8 +16,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.signal import fftconvolve
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import AliasingError, InvalidInputError, OutOfBandError, SignalTooShortError
 from .signal_core import ComplexSeries, Signal
@@ -74,18 +80,42 @@ def gabor_beta(bw_hz: float) -> float:
     return math.pi * bw_hz / math.sqrt(2.0 * math.log(2.0))
 
 
+def _half_length(extent: float) -> int:
+    """ceil(extent), the half-length in samples of a kernel reaching
+    `extent` samples from its centre. No signal is long enough for an
+    infinite (or NaN) extent, which would also overflow the ceil."""
+    if not math.isfinite(extent):
+        raise SignalTooShortError(f"a kernel reaching {extent} samples fits no signal")
+    return int(math.ceil(extent))
+
+
+def _check_nyquist(center: float, fs: float) -> None:
+    if center >= fs / 2:
+        raise AliasingError(f"center {center} Hz at or above Nyquist {fs / 2} Hz")
+
+
 def gabor_half_length(bw_hz: float, fs: float, truncation: float = DEFAULT_TRUNCATION) -> int:
     beta = gabor_beta(bw_hz)
     sigma_t = 1.0 / (beta * math.sqrt(2.0))
-    return int(math.ceil(truncation * sigma_t * fs))
+    return _half_length(truncation * sigma_t * fs)
+
+
+def _gabor_half(spec: FilterSpec, fs: float, n_samples: int | None) -> int:
+    """Half-length of spec's Gabor kernel at fs, after gabor_kernel's check
+    of the centre against Nyquist and then, given n_samples, a check that
+    the kernel fits that many samples: a caller filtering a signal calls
+    this before any tap is built."""
+    _check_nyquist(spec.center, fs)
+    half = gabor_half_length(spec.bw_hz, fs, spec.truncation)
+    if n_samples is not None:
+        _check_fits(n_samples, 2 * half + 1)
+    return half
 
 
 def gabor_kernel(spec: FilterSpec, fs: float) -> Kernel:
     """Real Gaussian-envelope cosine kernel with unit center-frequency gain."""
-    if spec.center >= fs / 2:
-        raise AliasingError(f"center {spec.center} Hz at or above Nyquist {fs / 2} Hz")
+    half = _gabor_half(spec, fs, None)
     beta = gabor_beta(spec.bw_hz)
-    half = gabor_half_length(spec.bw_hz, fs, spec.truncation)
     t = np.arange(-half, half + 1) / fs
     g = np.exp(-((beta * t) ** 2)) * np.cos(2.0 * np.pi * spec.center * t)
     g = g / np.abs(_center_gain(g, t, spec.center))
@@ -94,17 +124,26 @@ def gabor_kernel(spec: FilterSpec, fs: float) -> Kernel:
 
 def morlet_half_length(center: float, cycles: float, fs: float) -> int:
     sigma_t = cycles / (2.0 * math.pi * center)
-    return int(math.ceil(MORLET_TRUNCATION * sigma_t * fs))
+    return _half_length(MORLET_TRUNCATION * sigma_t * fs)
+
+
+def _morlet_half(center: float, cycles: float, fs: float, n_samples: int | None) -> int:
+    """Half-length of the Morlet kernel, after morlet_kernel's checks of
+    the centre and then, given n_samples, a check that the kernel fits
+    that many samples, as _gabor_half."""
+    _check_nyquist(center, fs)
+    if not (center > 0):
+        raise InvalidInputError("center frequency must be positive")
+    half = morlet_half_length(center, cycles, fs)
+    if n_samples is not None:
+        _check_fits(n_samples, 2 * half + 1)
+    return half
 
 
 def morlet_kernel(center: float, cycles: float, fs: float) -> Kernel:
     """Complex Morlet kernel, truncated at 4 envelope standard deviations."""
-    if center >= fs / 2:
-        raise AliasingError(f"center {center} Hz at or above Nyquist {fs / 2} Hz")
-    if not (center > 0):
-        raise InvalidInputError("center frequency must be positive")
+    half = _morlet_half(center, cycles, fs, None)
     sigma_t = cycles / (2.0 * math.pi * center)
-    half = morlet_half_length(center, cycles, fs)
     t = np.arange(-half, half + 1) / fs
     w = np.exp(2j * np.pi * center * t) * np.exp(-(t * t) / (2.0 * sigma_t * sigma_t))
     w = w / np.abs(_center_gain(w, t, center))
@@ -148,9 +187,14 @@ def _apply(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
     if not np.iscomplexobj(taps):
         padded = ReflectedSpectrum(samples, len(taps))
         return padded.filter(rfft(taps, padded.nfft))
-    _check_fits(len(samples), len(taps))
-    padded = np.pad(samples, (len(taps) - 1) // 2, mode="reflect")
-    return fftconvolve(padded, taps, mode="valid")
+    # complex taps: fftconvolve's complex path, fft/ifft at its
+    # complex-friendly length, sliced like ReflectedSpectrum.filter; the
+    # caller checked that the kernel fits before building it
+    n_samples, n_taps = len(samples), len(taps)
+    nfft = next_fast_len(n_samples + 2 * (n_taps - 1), False)
+    padded = np.pad(samples, (n_taps - 1) // 2, mode="reflect")
+    full = ifft(fft(padded, nfft) * fft(taps, nfft))
+    return full[n_taps - 1:n_taps - 1 + n_samples]
 
 
 def bandpass(x: Signal, spec: FilterSpec) -> Signal:
@@ -158,6 +202,7 @@ def bandpass(x: Signal, spec: FilterSpec) -> Signal:
 
     Same-length output; the symmetric kernel introduces no group delay.
     """
+    _gabor_half(spec, x.fs, len(x))  # refuses a kernel longer than x before any tap
     k = gabor_kernel(spec, x.fs)
     return Signal(_apply(x.samples, k.taps), x.fs)
 
@@ -171,6 +216,7 @@ def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSer
     kernel ignores; the factor 2 restores the analytic-part amplitude
     (a unit cosine at the center comes out with envelope 1).
     """
+    _morlet_half(center, cycles, x.fs, len(x))  # as in bandpass
     k = morlet_kernel(center, cycles, x.fs)
     return ComplexSeries(2.0 * _apply(x.samples, k.taps), x.fs)
 

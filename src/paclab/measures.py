@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import hilbert
 
 from .errors import (
     DegenerateDistributionError,
@@ -40,11 +39,12 @@ from .filters import (
     FilterBank,
     FilterSpec,
     ReflectedSpectrum,
+    _gabor_half,
     conv_size,
     gabor_half_length,
     morlet_half_length,
 )
-from .signal_core import Signal
+from .signal_core import Signal, hilbert
 from .spectral import WelchSpec, coherence
 
 # Degeneracy thresholds, relative to the reference level of each check.
@@ -66,6 +66,12 @@ BALANCE_PENALTY = 0.5
 # broken": a column scores such cells 0.
 _ZERO_CELL_ERRORS = (OutOfBandError, DegeneratePhaseError, DegenerateDistributionError)
 
+# Most phase bins kld accepts. Each bin costs a slot in every per-m count
+# array the bank keeps; past the samples of any realistic recording
+# almost every bin is empty, and an unbounded count would size those
+# arrays from unchecked input.
+MAX_KLD_BINS = 100_000
+
 
 @dataclass(frozen=True)
 class MeasureConfig:
@@ -82,8 +88,9 @@ class MeasureConfig:
             raise InvalidInputError("mca_bw must be positive")
         if not (self.morlet_cycles >= 1):
             raise InvalidInputError("morlet_cycles must be at least 1")
-        if self.kld_bins < 2:
-            raise InvalidInputError("kld_bins must be at least 2")
+        k = self.kld_bins
+        if not isinstance(k, numbers.Integral) or not 2 <= k <= MAX_KLD_BINS:
+            raise InvalidInputError(f"kld_bins must be an integer in [2, {MAX_KLD_BINS}]")
         tr = self.edge_trim
         if tr is not None and (not isinstance(tr, numbers.Integral) or tr < 0):
             raise InvalidInputError("edge_trim must be an integer >= 0 (or None)")
@@ -170,8 +177,7 @@ class _Envelope:
         self._padded = None
 
     def bandpass(self, m: float, bw: float) -> np.ndarray:
-        spec = FilterSpec(center=m, bw_hz=bw)
-        n_taps = 2 * gabor_half_length(bw, self.fs, spec.truncation) + 1
+        n_taps = 2 * _gabor_half(FilterSpec(center=m, bw_hz=bw), self.fs, len(self.samples)) + 1
         kernel = self.bank.gabor_spectrum(m, bw, conv_size(len(self.samples), n_taps))
         if self._padded is None or self._padded.n_taps != n_taps:
             self._padded = ReflectedSpectrum(self.samples, n_taps)
@@ -468,14 +474,17 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
     """Mean amplitude in each of n_bins equal phase bins over [-pi, pi).
 
     Bin means are normalized to sum to one; empty bins contribute zero and
-    are visible through bin_counts.
+    are visible through bin_counts. A non-finite phase or amplitude has no
+    bin: InvalidInputError.
     """
     ph = _as_array(phase, "phase")
     a = _as_array(amp, "amp")
     if ph.size != a.size or ph.size == 0:
         raise InvalidInputError("phase and amp must have equal nonzero length")
-    if int(n_bins) < 2:
-        raise InvalidInputError("need at least 2 bins")
+    if not 2 <= int(n_bins) <= MAX_KLD_BINS:
+        raise InvalidInputError(f"n_bins must be in [2, {MAX_KLD_BINS}]")
+    if not (np.isfinite(ph).all() and np.isfinite(a).all()):
+        raise InvalidInputError("phases and amplitudes must be finite")
     if np.any(a < 0):
         raise InvalidInputError("amplitudes must be nonnegative")
     n_bins = int(n_bins)

@@ -2,6 +2,10 @@
 
 Power convention throughout the package: power = mean of squared samples,
 reported in "Watt" as a dimensionless bookkeeping unit.
+
+The analytic signal is computed here on scipy.fft (hilbert below), so the
+package does not import scipy.signal to load; only the Welch estimates of
+paclab.spectral import it, on first use.
 """
 
 from __future__ import annotations
@@ -9,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
+from scipy.fft import fft, ifft
 
 from .errors import (
     DegeneratePhaseError,
@@ -78,6 +82,21 @@ class ComplexSeries:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def hilbert(x: np.ndarray) -> np.ndarray:
+    """Analytic signal of a real 1-d array, by the full-length DFT.
+
+    The steps of scipy.signal.hilbert: transform, double bins
+    1..ceil(N/2)-1, zero the negative-frequency bins (DC, and Nyquist for
+    even N, are kept), inverse transform. So the result is bitwise
+    scipy's, for odd and even N alike.
+    """
+    n = len(x)
+    xf = fft(x, n)
+    xf[1:(n + 1) // 2] *= 2.0
+    xf[n // 2 + 1:] = 0.0
+    return ifft(xf)
 
 
 def analytic(x: Signal) -> ComplexSeries:

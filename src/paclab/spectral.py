@@ -1,4 +1,9 @@
-"""Welch power spectral density and magnitude-squared coherence."""
+"""Welch power spectral density and magnitude-squared coherence.
+
+Both are scipy.signal's Welch estimates. scipy.signal takes about a
+second to import, so welch_psd and coherence import it on first use:
+only the commands that estimate a spectrum (cv, psd) pay for it.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from .errors import (
     DegeneratePhaseError,
@@ -81,6 +85,8 @@ def welch_psd(x: Signal, spec: WelchSpec | None = None) -> Spectrum:
             f"window of {spec.window_len} clipped to signal length {win}",
             stacklevel=2,
         )
+    import scipy.signal  # on first use: see the module docstring
+
     freqs, psd = scipy.signal.welch(
         x.samples,
         fs=x.fs,
@@ -110,6 +116,8 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
         raise UnreliableEstimateError(
             f"only {segs} segment(s) of {win} samples; need at least 2"
         )
+    import scipy.signal  # on first use: see the module docstring
+
     # scipy.signal.coherence's own steps, so that a spectrum without power
     # raises instead of dividing 0 by 0
     welch_args = dict(fs=x.fs, window=spec.window, nperseg=win,

@@ -4,6 +4,7 @@ fast carrier, and calibrated pink noise."""
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -52,6 +53,9 @@ class SynthesisSpec:
             raise InvalidInputError("need at least 2 samples")
         if not (self.noise_power >= 0):
             raise InvalidInputError("noise_power must be nonnegative")
+        if self.seed is not None and not (
+                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise InvalidInputError("seed must be an integer >= 0 (or None)")
 
     @property
     def n_samples(self) -> int:

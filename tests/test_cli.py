@@ -25,6 +25,24 @@ def synth_file(tmp_path, name="sig.csv", extra=()):
     return p
 
 
+def run_fresh(args, limit_mb=None):
+    """Run python with args in a fresh interpreter that imports paclab
+    from this checkout, optionally under an address-space limit of
+    limit_mb, which applies to that process only."""
+
+    def limit_address_space():
+        limit = limit_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    # one BLAS/OpenMP thread, so thread buffers cannot use up the limit
+    # while numpy is imported
+    env = dict(os.environ, PYTHONPATH=str(Path(paclab.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120,
+                          preexec_fn=None if limit_mb is None else limit_address_space)
+
+
 class TestSynth:
     def test_writes_signal_and_manifest(self, tmp_path):
         p = tmp_path / "sig.csv"
@@ -184,22 +202,41 @@ class TestPac:
             write_signal_csv(sig, Signal(np.sin(np.arange(4096) / 7.0), fs))
         argv = ["pac", "--method", "mvl", "--grid", "m=1:1000000000,n=2:3",
                 "-i", str(sig), "-o", str(tmp_path / "out.csv")]
-        limit = 1500 * 2**20
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        # one BLAS/OpenMP thread, so thread buffers cannot use up the limit
-        # while numpy is imported
-        env = dict(os.environ, PYTHONPATH=str(Path(paclab.__file__).parents[1]),
-                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-        proc = subprocess.run([sys.executable, "-m", "paclab.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120,
-                              preexec_fn=limit_address_space)
+        proc = run_fresh(["-m", "paclab.cli", *argv], limit_mb=1500)
         assert proc.returncode == EXIT_NUMERIC, proc.stderr
         assert "numeric error" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out.csv").exists()
+
+    # flags that once sized an allocation (a kernel, a trim, a histogram,
+    # a seed list) from unchecked input, with the exit code each must give.
+    # They run only here, under the address-space limit: in-process, a
+    # regression would allocate gigabytes
+    @pytest.mark.parametrize("flags,code", [
+        (["pac", "--method", "mvl", "--morlet-cycles", "1e9"], EXIT_NUMERIC),
+        (["pac", "--method", "cv", "--morlet-cycles", "1e9"], EXIT_NUMERIC),
+        (["pac", "--method", "mvl", "--morlet-cycles", "inf"], EXIT_NUMERIC),
+        (["pac", "--method", "mca", "--mca-bw", "1e-6", "--edge-trim", "0"], EXIT_NUMERIC),
+        (["pac", "--method", "eps", "--mca-bw", "1e-6", "--edge-trim", "0"], EXIT_NUMERIC),
+        (["pac", "--method", "mca", "--mca-bw", "5e-324"], EXIT_NUMERIC),
+        (["pac", "--method", "mca", "--morlet-cycles", "inf"], EXIT_OK),
+        (["pac", "--method", "kld", "--kld-bins", "1000000000"], EXIT_USAGE),
+        (["pac", "--method", "kld", "--kld-bins", "1000000000", "--dry-run"], EXIT_USAGE),
+        (["compare", "--pairs", "8:45", "--seeds", "1000000000"], EXIT_USAGE),
+        (["compare", "--pairs", "8:45", "--seeds", "1000000000", "--dry-run"], EXIT_USAGE),
+    ], ids=["mvl-cycles-1e9", "cv-cycles-1e9", "mvl-cycles-inf", "mca-bw-1e-6",
+            "eps-bw-1e-6", "mca-bw-denormal", "mca-cycles-inf", "kld-bins-1e9",
+            "kld-bins-1e9-dry-run", "compare-seeds-1e9", "compare-seeds-1e9-dry-run"])
+    def test_oversized_flag_fails_cleanly_before_allocating(self, tmp_path, flags, code):
+        sig = synth_file(tmp_path, extra=("--seed", "5"))
+        out = tmp_path / ("out.json" if flags[0] == "compare" else "out.csv")
+        argv = flags + ["--grid", "m=6:7,n=42:43", "-o", str(out)]
+        if flags[0] == "pac":
+            argv += ["-i", str(sig)]
+        proc = run_fresh(["-m", "paclab.cli", *argv], limit_mb=1500)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert out.exists() == (code == EXIT_OK)
 
     def test_too_short_signal_is_numeric_error(self, tmp_path):
         sig = tmp_path / "short.csv"
@@ -308,6 +345,23 @@ INVALID_CASES = {
     "compare-negative-clean-power": ["compare", "--pairs", "8:45", "--methods", "kld",
                                      "--seeds", "1", "--grid", GRID, "--clean-power", "-1",
                                      "-o", "{d}/out.json"],
+    "pac-negative-welch-overlap": ["pac", "--method", "cv", "-i", "{d}/sig.csv",
+                                   "-o", "{d}/out.csv", "--grid", GRID,
+                                   "--welch-overlap", "-1"],
+    "pac-zero-welch-window": ["pac", "--method", "cv", "-i", "{d}/sig.csv",
+                              "-o", "{d}/out.csv", "--grid", GRID, "--welch-window", "0"],
+    "compare-zero-welch-window": ["compare", "--pairs", "8:45", "--methods", "cv",
+                                  "--seeds", "1", "--grid", GRID, "--welch-window", "0",
+                                  "-o", "{d}/out.json"],
+    "pac-kld-bins-over-max": ["pac", "--method", "kld", "-i", "{d}/sig.csv",
+                              "-o", "{d}/out.csv", "--grid", GRID, "--kld-bins", "100001"],
+    "synth-negative-seed": ["synth", "--paper-pair", "1", "--seed", "-1",
+                            "-o", "{d}/out.csv"],
+    "compare-negative-base-seed": ["compare", "--pairs", "8:45", "--methods", "kld",
+                                   "--seeds", "1", "--grid", GRID, "--base-seed", "-3",
+                                   "-o", "{d}/out.json"],
+    "compare-seeds-over-max": ["compare", "--pairs", "8:45", "--methods", "kld",
+                               "--seeds", "10001", "--grid", GRID, "-o", "{d}/out.json"],
 }
 
 
@@ -407,3 +461,23 @@ class TestParser:
 
     def test_no_arguments_exits_two(self):
         assert main([]) == EXIT_USAGE
+
+
+def test_commands_without_spectra_never_import_scipy_signal(tmp_path):
+    # scipy.signal takes about a second to import; only Welch estimates
+    # (cv, psd) need it, and they import it on first use
+    code = f"""
+import sys
+import paclab, paclab.cli
+from paclab.cli import main
+d = {str(tmp_path)!r}
+assert main(["synth", "--paper-pair", "1", "--dur", "4", "-o", d + "/sig.csv"]) == 0
+for method in ("mca", "mvl"):
+    assert main(["pac", "--method", method, "--grid", "m=6:9,n=42:46",
+                 "-i", d + "/sig.csv", "-o", d + "/" + method + ".csv"]) == 0
+print("scipy.signal" in sys.modules)
+"""
+    proc = run_fresh(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert (tmp_path / "mvl.csv").exists()

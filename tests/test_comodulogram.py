@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+import paclab.comodulogram
 import paclab.filters
 import paclab.measures
 from paclab import (
@@ -33,6 +34,7 @@ from paclab import (
     run_comparison,
     synth_pac,
 )
+from paclab.comodulogram import MAX_SEEDS, comparison_seeds
 from paclab.measures import _ZERO_CELL_ERRORS
 
 FS = 1000.0
@@ -412,6 +414,22 @@ class TestRunComparison:
             run_comparison([], methods=("mca",), n_seeds=1)
         with pytest.raises(InvalidMethodError):
             run_comparison([(8, 45)], methods=("nope",), n_seeds=1)
+
+    @pytest.mark.parametrize("kw", [
+        dict(n_seeds=0), dict(n_seeds=MAX_SEEDS + 1), dict(n_seeds=10**9), dict(n_seeds=2.0),
+        dict(base_seed=-3), dict(base_seed=0.5),
+    ])
+    def test_rejects_bad_seeds_before_any_work(self, kw, monkeypatch):
+        def no_synthesis(spec):
+            raise AssertionError("synthesized before the seeds were checked")
+
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
+        with pytest.raises(InvalidInputError):
+            run_comparison([(8, 45)], methods=("mca",), **{"n_seeds": 1, **kw})
+
+    def test_comparison_seeds(self):
+        assert comparison_seeds(3, 5) == range(5, 8)
+        assert len(comparison_seeds(MAX_SEEDS, 0)) == MAX_SEEDS
 
     def test_jobs_do_not_change_results(self):
         kw = dict(methods=("mca",), n_seeds=2, grid=SMALL)

@@ -312,6 +312,60 @@ class TestMorlet:
         with pytest.raises(AliasingError):
             morlet_bandpass(tone(10), 500, 4)
 
+    @settings(max_examples=40, deadline=None)
+    @given(extra=st.integers(0, 17000),
+           center=st.floats(1.0, 0.45 * FS, exclude_max=True),
+           cycles=st.sampled_from([1.0, 4.0, 6.5, 12.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_fftconvolve_bitwise(self, extra, center, cycles, seed):
+        half = morlet_half_length(center, cycles, FS)
+        x = Signal(np.random.default_rng(seed).standard_normal(2 * half + 1 + extra), FS)
+        taps = morlet_kernel(center, cycles, FS).taps
+        want = 2.0 * fftconvolve(np.pad(x.samples, half, mode="reflect"), taps, mode="valid")
+        assert np.array_equal(morlet_bandpass(x, center, cycles).values, want)
+
+
+class TestKernelFits:
+    """A kernel longer than the signal is refused before any tap is built,
+    however long it is."""
+
+    @pytest.mark.parametrize("bw", [1e-6, 5e-324], ids=["narrow", "denormal"])
+    def test_gabor(self, bw):
+        with pytest.raises(SignalTooShortError):
+            bandpass(tone(45, dur=1.0), FilterSpec(center=45, bw_hz=bw))
+
+    @pytest.mark.parametrize("cycles", [1e9, 1e300, np.inf])
+    def test_morlet(self, cycles):
+        with pytest.raises(SignalTooShortError):
+            morlet_bandpass(tone(45, dur=1.0), 45, cycles)
+
+    def test_infinite_half_length_fits_no_signal(self):
+        # the ceil of an infinite extent would overflow
+        with pytest.raises(SignalTooShortError):
+            gabor_half_length(5e-324, FS)
+        with pytest.raises(SignalTooShortError):
+            morlet_half_length(45, np.inf, FS)
+
+    def test_aliasing_comes_first(self):
+        x = tone(45, dur=1.0)
+        with pytest.raises(AliasingError):
+            bandpass(x, FilterSpec(center=500, bw_hz=1e-6))
+        with pytest.raises(AliasingError):
+            morlet_bandpass(x, 500, np.inf)
+
+    @pytest.mark.parametrize("n_samples", [1000, 1001, 1002])
+    def test_longest_fitting_kernel_filters(self, n_samples):
+        # the float comparison admits exactly the kernels of at most
+        # n_samples taps, as the tap count itself would
+        x = Signal(np.random.default_rng(n_samples).standard_normal(n_samples), FS)
+        for cycles in np.linspace(10.0, 60.0, 201):
+            n_taps = 2 * morlet_half_length(45, cycles, FS) + 1
+            if n_taps <= n_samples:
+                assert len(morlet_bandpass(x, 45, cycles)) == n_samples
+            else:
+                with pytest.raises(SignalTooShortError):
+                    morlet_bandpass(x, 45, cycles)
+
 
 class TestTriplet:
     def test_envelope_identity(self):

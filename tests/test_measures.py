@@ -38,7 +38,7 @@ from paclab import (
     vector_length,
 )
 from paclab.filters import gabor_half_length, gabor_kernel, morlet_half_length
-from paclab.measures import _ZERO_CELL_ERRORS, ENVELOPE_FLOOR_REL, _Envelope
+from paclab.measures import _ZERO_CELL_ERRORS, ENVELOPE_FLOOR_REL, MAX_KLD_BINS, _Envelope
 
 FS = 1000.0
 PAIR = (8, 45)
@@ -95,6 +95,14 @@ class TestEnvelopePhase:
     def test_constant_envelope_is_degenerate(self):
         with pytest.raises(DegeneratePhaseError):
             envelope_phase(Signal(np.full(10000, 2.0), FS), 8.0)
+
+    def test_kernel_longer_than_envelope_raises_after_aliasing(self):
+        env = Signal(np.full(1000, 2.0), FS)
+        for bw in (1e-6, 5e-324):
+            with pytest.raises(SignalTooShortError):
+                envelope_phase(env, 8.0, bw)
+            with pytest.raises(AliasingError):
+                envelope_phase(env, 500.0, bw)
 
     def test_selects_requested_component(self):
         t = np.arange(10000) / FS
@@ -288,6 +296,22 @@ class TestBinAmplitudeByPhase:
         with pytest.raises(InvalidInputError):
             bin_amplitude_by_phase(np.zeros(10), np.ones(10), 1)
 
+    def test_too_many_bins_rejected_before_allocating(self):
+        with pytest.raises(InvalidInputError):
+            bin_amplitude_by_phase(np.zeros(10), np.ones(10), 10**12)
+        assert bin_amplitude_by_phase(np.zeros(10), np.ones(10), MAX_KLD_BINS).n_bins \
+            == MAX_KLD_BINS
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["phase", "amp"])
+    def test_non_finite_rejected_without_warning(self, bad, where):
+        ph = np.linspace(-3.0, 3.0, 10)
+        amp = np.ones(10)
+        (ph if where == "phase" else amp)[4] = bad
+        with pytest.raises(InvalidInputError):
+            bin_amplitude_by_phase(ph, amp, 18)
+
 
 class TestKldFromDistribution:
     def test_uniform_scores_exactly_zero(self):
@@ -332,6 +356,16 @@ class TestMcaPac:
         x = Signal(np.zeros(2000), FS)
         with pytest.raises(SignalTooShortError):
             mca_pac(x, 8, 45)
+
+    @pytest.mark.parametrize("trim", [None, 0])
+    @pytest.mark.parametrize("fn", [mca_pac, eps], ids=lambda f: f.__name__)
+    def test_band_too_narrow_for_signal_raises(self, fn, trim):
+        # 5e-324 Hz gives an infinite kernel half-length, 1e-6 Hz a finite
+        # one of 1e9 samples; neither may reach a kernel or trim size
+        x = coupled_signal(dur=2.0)
+        for bw in (1e-6, 5e-324):
+            with pytest.raises(SignalTooShortError):
+                fn(x, 8, 45, MeasureConfig(mca_bw=bw, edge_trim=trim))
 
     def test_scale_invariant(self):
         x = coupled_signal(noise=6250.0, seed=0)
@@ -418,6 +452,15 @@ class TestMeasureConfig:
             "welch_window": 512,
             "welch_overlap": 0.5,
         }
+
+    @pytest.mark.parametrize("bins", [1, MAX_KLD_BINS + 1, 10**9, 18.0, 18.5, None])
+    def test_kld_bins_outside_range_rejected(self, bins):
+        with pytest.raises(InvalidInputError):
+            MeasureConfig(kld_bins=bins)
+
+    @pytest.mark.parametrize("bins", [2, np.int64(18), MAX_KLD_BINS])
+    def test_kld_bins_in_range_accepted(self, bins):
+        assert MeasureConfig(kld_bins=bins).kld_bins == bins
 
 
 class TestEdgeTrim:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paclab import (
     ComplexSeries,
@@ -16,6 +19,7 @@ from paclab import (
     power,
     trim,
 )
+from paclab.signal_core import hilbert
 
 FS = 1000.0
 
@@ -91,6 +95,19 @@ class TestAnalytic:
     def test_too_short(self):
         with pytest.raises(InvalidInputError):
             analytic(Signal(np.ones(3), FS))
+
+
+class TestHilbert:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20000), seed=st.integers(0, 2**32 - 1))
+    def test_bitwise_scipy(self, n, seed):
+        a = np.random.default_rng(seed).standard_normal(n)
+        assert np.array_equal(hilbert(a), scipy.signal.hilbert(a))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10000, 10001])
+    def test_bitwise_scipy_at_small_and_stock_lengths(self, n):
+        a = np.random.default_rng(n).standard_normal(n)
+        assert np.array_equal(hilbert(a), scipy.signal.hilbert(a))
 
 
 class TestPhaseAmplitude:

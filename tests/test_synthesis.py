@@ -38,6 +38,10 @@ class TestSynthesisSpec:
         dict(duration=math.nan),
         dict(duration=math.inf),
         dict(fs=math.inf),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed=2.0),
+        dict(seed="7"),
     ])
     def test_invalid(self, kw):
         base = dict(m=8, n=45, ami=0.25, duration=10.0, fs=1000.0,
@@ -45,6 +49,11 @@ class TestSynthesisSpec:
         base.update(kw)
         with pytest.raises(InvalidInputError):
             SynthesisSpec(**base)
+
+
+    @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2**70])
+    def test_valid_seeds(self, seed):
+        assert SynthesisSpec(m=8, n=45, seed=seed).seed == seed
 
 
 class TestCleanScale:
