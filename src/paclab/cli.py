@@ -23,7 +23,7 @@ from .comodulogram import (
     METHODS,
     GridSpec,
     argmax,
-    comparison_seeds,
+    comparison_runs,
     compute_matrix,
     normalize,
     run_comparison,
@@ -243,9 +243,9 @@ def cmd_compare(args) -> _Plan:
     grid = _parse_grid(args.grid)
     jobs = _resolve_jobs(args)
     try:
-        # the seeds and signal settings run_comparison will use, checked
-        # before any work
-        seeds = list(comparison_seeds(args.seeds, args.base_seed))
+        # the run count, seeds and signal settings run_comparison will
+        # use, checked before any work or any list sized by them
+        seeds = list(comparison_runs(len(pairs), len(methods), args.seeds, args.base_seed))
         scale = clean_scale_for(args.clean_power, args.ami)
         for m, n in pairs:
             SynthesisSpec(m=m, n=n, ami=args.ami, duration=args.dur, fs=args.fs,

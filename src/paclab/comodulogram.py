@@ -10,7 +10,7 @@ import math
 import numbers
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .synthesis import (
     BENCHMARK_DURATION,
     BENCHMARK_FS,
     BENCHMARK_NOISE_POWER,
+    BENCHMARK_PAIRS,
     SynthesisSpec,
     clean_scale_for,
     synth_pac,
@@ -51,6 +52,13 @@ MAX_GRID_CELLS = 10**7
 # weeks of compute; an unbounded count would size the seed list, and the
 # manifest that records it, from unchecked input.
 MAX_SEEDS = 10_000
+
+# Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
+# seeds of the four benchmark pairs under all five methods. Each run is a
+# matrix, and `pac-lab compare --matrix-dir` names one output file per run
+# in its manifest, so an unbounded pair count would size that list from
+# unchecked input.
+MAX_RUNS = MAX_SEEDS * len(BENCHMARK_PAIRS) * len(METHODS)
 
 
 @dataclass(frozen=True)
@@ -284,6 +292,17 @@ def comparison_seeds(n_seeds: int, base_seed: int) -> range:
     return range(base_seed, base_seed + n_seeds)
 
 
+def comparison_runs(n_pairs: int, n_methods: int, n_seeds: int, base_seed: int) -> range:
+    """comparison_seeds(n_seeds, base_seed), once the comparison's run
+    count n_pairs x n_seeds x n_methods is checked against MAX_RUNS."""
+    seeds = comparison_seeds(n_seeds, base_seed)
+    if n_pairs * n_seeds * n_methods > MAX_RUNS:
+        raise InvalidInputError(
+            f"{n_pairs} pairs x {n_seeds} seeds x {n_methods} methods exceed the limit of "
+            f"{MAX_RUNS} runs")
+    return seeds
+
+
 def run_comparison(
     pairs,
     methods=METHODS,
@@ -303,9 +322,11 @@ def run_comparison(
 ) -> PacReport:
     """Synthesize each pair over seeds, run every method, collect errors.
 
-    matrix_sink, when given, receives (matrix, pair, method, seed) for
-    each normalized matrix; results are deterministic for a fixed
-    base_seed regardless of jobs.
+    Each (pair, seed) signal is synthesized in the task that runs its
+    methods, so at most `jobs` signals are alive at once. matrix_sink,
+    when given, receives (matrix, pair, method, seed) for each normalized
+    matrix, in the order pair, seed, method; results are deterministic
+    for a fixed base_seed regardless of jobs.
     """
     pairs = [tuple(p) for p in pairs]
     methods = list(methods)
@@ -314,41 +335,44 @@ def run_comparison(
     for meth in methods:
         if meth not in _CELL_FACTORIES:
             raise InvalidMethodError(f"unknown method {meth!r}")
-    seeds = comparison_seeds(n_seeds, base_seed)
+    seeds = comparison_runs(len(pairs), len(methods), n_seeds, base_seed)
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
     scale = clean_scale_for(clean_power, ami) if clean_scale is None else clean_scale
+    # one spec per pair, checked before any work; each task sets its seed
+    specs = {
+        pair: SynthesisSpec(m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
+                            noise_power=noise_power, clean_scale=scale)
+        for pair in pairs
+    }
 
-    tasks = []
-    for pair in pairs:
-        for seed in seeds:
-            spec = SynthesisSpec(
-                m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
-                noise_power=noise_power, clean_scale=scale, seed=seed,
-            )
-            x = synth_pac(spec).composite
-            for meth in methods:
-                tasks.append((pair, meth, seed, x))
+    def run_seed(task):
+        pair, seed = task
+        x = synth_pac(replace(specs[pair], seed=seed)).composite
+        outcomes = []
+        for meth in methods:
+            mat = normalize(compute_matrix(x, meth, grid, cfg))
+            found = argmax(mat)
+            err = localization_error(found, pair)
+            peak = 0.0 if found is None else found[2]
+            outcomes.append((ComparisonRun(pair, meth, seed, found, peak, err), mat))
+        return outcomes
 
-    def run_one(task):
-        pair, meth, seed, x = task
-        mat = normalize(compute_matrix(x, meth, grid, cfg))
-        found = argmax(mat)
-        err = localization_error(found, pair)
-        peak = 0.0 if found is None else found[2]
-        return ComparisonRun(pair, meth, seed, found, peak, err), mat
+    tasks = [(pair, seed) for pair in pairs for seed in seeds]
+    runs = []
+
+    def collect(groups):
+        for group in groups:
+            for run, mat in group:
+                runs.append(run)
+                if matrix_sink is not None:
+                    matrix_sink(mat, run.pair, run.method, run.seed)
 
     if jobs and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_one, tasks))
+            collect(pool.map(run_seed, tasks))
     else:
-        outcomes = [run_one(t) for t in tasks]
-
-    runs = []
-    for run, mat in outcomes:
-        runs.append(run)
-        if matrix_sink is not None:
-            matrix_sink(mat, run.pair, run.method, run.seed)
+        collect(map(run_seed, tasks))
 
     aggregates: dict = {}
     for meth in methods:

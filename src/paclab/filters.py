@@ -7,7 +7,9 @@ on scipy.fft: rfft/irfft for the real Gabor taps, fft/ifft for the
 complex Morlet taps, at the transform lengths and slices of
 scipy.signal.fftconvolve(..., "valid"), so each band is bitwise what
 fftconvolve gives without importing scipy.signal. A kernel's length is
-checked against the signal before any tap is built."""
+checked against the signal before any tap is built. The padded signal's
+rfft depends on the kernel's length alone, so the filter bank takes it
+once per Gabor kernel length and shares it across its bands."""
 
 from __future__ import annotations
 
@@ -183,28 +185,25 @@ class ReflectedSpectrum:
         return full[self.n_taps - 1:self.n_taps - 1 + self.n_samples]
 
 
-def _apply(samples: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    if not np.iscomplexobj(taps):
-        padded = ReflectedSpectrum(samples, len(taps))
-        return padded.filter(rfft(taps, padded.nfft))
-    # complex taps: fftconvolve's complex path, fft/ifft at its
-    # complex-friendly length, sliced like ReflectedSpectrum.filter; the
-    # caller checked that the kernel fits before building it
-    n_samples, n_taps = len(samples), len(taps)
-    nfft = next_fast_len(n_samples + 2 * (n_taps - 1), False)
-    padded = np.pad(samples, (n_taps - 1) // 2, mode="reflect")
-    full = ifft(fft(padded, nfft) * fft(taps, nfft))
-    return full[n_taps - 1:n_taps - 1 + n_samples]
-
-
-def bandpass(x: Signal, spec: FilterSpec) -> Signal:
+def bandpass(x: Signal, spec: FilterSpec, *, padded: ReflectedSpectrum | None = None) -> Signal:
     """Zero-phase narrow-band filtering with reflection-padded edges.
 
     Same-length output; the symmetric kernel introduces no group delay.
+    `padded`, when given, is x's ReflectedSpectrum for this kernel's
+    length, which serves every kernel of that length: the band is then
+    one kernel rfft, one product and one irfft away, bit for bit the band
+    without it. A spectrum of another sample or tap count raises
+    InvalidInputError.
     """
-    _gabor_half(spec, x.fs, len(x))  # refuses a kernel longer than x before any tap
+    n_taps = 2 * _gabor_half(spec, x.fs, len(x)) + 1  # refuses a kernel longer than x
+    if padded is None:
+        padded = ReflectedSpectrum(x.samples, n_taps)
+    elif (padded.n_samples, padded.n_taps) != (len(x), n_taps):
+        raise InvalidInputError(
+            f"spectrum of {padded.n_samples} samples for {padded.n_taps} taps cannot "
+            f"serve a {n_taps}-tap kernel on {len(x)} samples")
     k = gabor_kernel(spec, x.fs)
-    return Signal(_apply(x.samples, k.taps), x.fs)
+    return Signal(padded.filter(rfft(k.taps, padded.nfft)), x.fs)
 
 
 def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSeries:
@@ -217,8 +216,14 @@ def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSer
     (a unit cosine at the center comes out with envelope 1).
     """
     _morlet_half(center, cycles, x.fs, len(x))  # as in bandpass
-    k = morlet_kernel(center, cycles, x.fs)
-    return ComplexSeries(2.0 * _apply(x.samples, k.taps), x.fs)
+    taps = morlet_kernel(center, cycles, x.fs).taps
+    # fftconvolve's complex path: fft/ifft at its complex-friendly
+    # length, sliced like ReflectedSpectrum.filter
+    n_samples, n_taps = len(x), len(taps)
+    nfft = next_fast_len(n_samples + 2 * (n_taps - 1), False)
+    padded = np.pad(x.samples, (n_taps - 1) // 2, mode="reflect")
+    full = ifft(fft(padded, nfft) * fft(taps, nfft))
+    return ComplexSeries(2.0 * full[n_taps - 1:n_taps - 1 + n_samples], x.fs)
 
 
 def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
@@ -251,10 +256,13 @@ class _Memo:
     that key wait for it instead of computing it again. A compute that
     raises stores nothing and wakes the waiters, which retry on their own.
     compute() may ask the memo for other keys, never for its own.
+    `n_computed` counts the computes that returned, values dropped from
+    `values` since included.
     """
 
     def __init__(self):
         self.values: dict = {}
+        self.n_computed = 0
         self._filling: dict = {}
         self._lock = threading.Lock()
 
@@ -273,7 +281,9 @@ class _Memo:
             done.wait()
         try:
             out = compute()
-            self.values[key] = out
+            with self._lock:
+                self.values[key] = out
+                self.n_computed += 1
             return out
         finally:
             with self._lock:
@@ -289,9 +299,12 @@ class FilterBank:
     and the others wait for its result. A bank lives as long as its owner
     keeps it: compute_matrix shares one across a whole grid, a measure
     called without one uses a fresh bank for that call only.
+    Every Gabor band is filled from one ReflectedSpectrum of the signal
+    per kernel length, taken on the first fill of that length. A band read
+    only for its power is reduced by `gabor_power` and not kept.
     Values the measures derive from one band (its phase, a gate on it,
     a kernel spectrum) are kept by `derived` under the same rules, apart
-    from the bands.
+    from the bands. `n_filterings` counts fills, kept or not.
     """
 
     def __init__(self, x: Signal):
@@ -307,9 +320,26 @@ class FilterBank:
         return self._derived.get(key, compute)
 
     def gabor(self, center: float, bw: float) -> np.ndarray:
-        return self._cache.get(
-            ("gabor", float(center), float(bw)),
-            lambda: bandpass(self.x, FilterSpec(center=center, bw_hz=bw)).samples)
+        def fill():
+            spec = FilterSpec(center=center, bw_hz=bw)
+            n_taps = 2 * _gabor_half(spec, self.x.fs, len(self.x)) + 1
+            padded = self.derived(("signal_spectrum", n_taps),
+                                  lambda: ReflectedSpectrum(self.x.samples, n_taps))
+            return bandpass(self.x, spec, padded=padded).samples
+
+        return self._cache.get(("gabor", float(center), float(bw)), fill)
+
+    def gabor_power(self, center: float, bw: float, tr: int) -> float:
+        """Mean square of the Gabor band at center without tr samples at
+        each edge, kept in `derived`. The band is filled through `gabor`
+        for this alone and dropped from the bank once reduced."""
+        def reduce():
+            band = self.gabor(center, bw)
+            self._cache.values.pop(("gabor", float(center), float(bw)), None)
+            kept = band[tr:band.size - tr]
+            return float(np.mean(kept * kept))
+
+        return self.derived(("gabor_power", float(center), float(bw), int(tr)), reduce)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
         return self._cache.get(
@@ -326,4 +356,5 @@ class FilterBank:
 
     @property
     def n_filterings(self) -> int:
-        return len(self._cache.values)
+        """Bands filled so far, including those read only for their power."""
+        return self._cache.n_computed

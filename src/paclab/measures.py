@@ -279,7 +279,7 @@ def _slow_weight(bank, m: float, bw: float, tr: int, x_ref: float):
     if _rms(xm_t) <= SLOW_BAND_FLOOR_REL * x_ref:
         return None
     p1 = float(np.mean(xm_t * xm_t))
-    p2 = float(np.mean(_trimmed(bank.gabor(m, 2.0 * bw), tr) ** 2))
+    p2 = bank.gabor_power(m, 2.0 * bw, tr)
     s_est = 2.0 * p1 - p2
     if s_est <= 0.0:
         return None
@@ -302,7 +302,10 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     The slow-band weight and the slow band's phase depend on m alone, so
     they are kept in the bank for the whole matrix, the phase only once a
     cell of that m needs it; so are each band's trimmed RMS and each
-    envelope kernel's spectrum. Each cell keeps its own triplet envelope.
+    envelope kernel's spectrum. The 2·bw bands behind the slow-band
+    weight and the capture are read only for their trimmed power, which
+    the bank keeps in place of the band. Each cell keeps its own triplet
+    envelope.
     """
     fs = x.fs
     bw = cfg.mca_bw
@@ -339,7 +342,7 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
                                lambda: np.angle(hilbert(bank.gabor(m, bw))))
         value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
 
-        r_wide = _band_rms(bank, n, 2.0 * bw, tr)
+        r_wide = math.sqrt(bank.gabor_power(n, 2.0 * bw, tr))
         capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
 
         big = max(r_lo, r_hi)

@@ -238,6 +238,22 @@ class TestPac:
         assert "Traceback" not in proc.stderr
         assert out.exists() == (code == EXIT_OK)
 
+    def test_compare_run_count_is_bounded_before_any_path_is_built(self, tmp_path):
+        # every pair m:n with n < 58 at MAX_SEEDS seeds and all five
+        # methods: about 8e7 --matrix-dir paths, more than the limit
+        # admits, so the count is refused before any of them is named
+        pairs = ",".join(f"{m}:{n}" for n in range(2, 58) for m in range(1, n))
+        assert pairs.count(":") == 1596
+        out = tmp_path / "x.json"
+        argv = ["compare", "--pairs", pairs, "--seeds", "10000",
+                "--matrix-dir", str(tmp_path / "mm"), "--dry-run", "-o", str(out)]
+        proc = run_fresh(["-m", "paclab.cli", *argv], limit_mb=1500)
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "runs" in proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
+
     def test_too_short_signal_is_numeric_error(self, tmp_path):
         sig = tmp_path / "short.csv"
         assert main(["synth", "--m", "8", "--n", "45", "--dur", "2",
@@ -362,6 +378,8 @@ INVALID_CASES = {
                                    "-o", "{d}/out.json"],
     "compare-seeds-over-max": ["compare", "--pairs", "8:45", "--methods", "kld",
                                "--seeds", "10001", "--grid", GRID, "-o", "{d}/out.json"],
+    "compare-runs-over-max": ["compare", "--pairs", "8:45,12:45,20:45,30:45,10:40",
+                              "--seeds", "10000", "--grid", GRID, "-o", "{d}/out.json"],
 }
 
 

@@ -34,7 +34,8 @@ from paclab import (
     run_comparison,
     synth_pac,
 )
-from paclab.comodulogram import MAX_SEEDS, comparison_seeds
+from paclab.comodulogram import MAX_RUNS, MAX_SEEDS, METHODS, comparison_runs, comparison_seeds
+from paclab.synthesis import BENCHMARK_PAIRS
 from paclab.measures import _ZERO_CELL_ERRORS
 
 FS = 1000.0
@@ -135,6 +136,46 @@ class TestFilterBank:
 
         assert FilterBank is paclab.filters.FilterBank
         assert paclab.comodulogram.FilterBank is paclab.filters.FilterBank
+
+
+class TestBankHoldsWhatIsRead:
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_shared_spectra_and_power_only_wide_bands(self, monkeypatch, jobs):
+        spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
+        x = synth_pac(spec).composite
+        banks, spectra, fills = [], [], []
+        lock = threading.Lock()
+
+        class RecordingBank(FilterBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+        class RecordingSpectrum(paclab.filters.ReflectedSpectrum):
+            def __init__(self, samples, n_taps):
+                with lock:
+                    spectra.append((samples is x.samples, n_taps))
+                super().__init__(samples, n_taps)
+
+        real_bandpass = paclab.filters.bandpass
+
+        def counting(*args, **kwargs):
+            with lock:
+                fills.append(1)
+            return real_bandpass(*args, **kwargs)
+
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        monkeypatch.setattr(paclab.filters, "ReflectedSpectrum", RecordingSpectrum)
+        monkeypatch.setattr(paclab.filters, "bandpass", counting)
+        mat = compute_matrix(x, "mca", GridSpec(1, 12, 30, 50), jobs=jobs)
+        (bank,) = banks
+        widths = {key[2] for key in bank._cache.values if key[0] == "gabor"}
+        assert widths == {1.0}  # no 2 * bw band is held
+        signal_spectra = [n_taps for own, n_taps in spectra if own]
+        assert sorted(signal_spectra) == sorted(set(signal_spectra))
+        assert len(signal_spectra) == 2  # one per kernel length: bw and 2 * bw
+        assert mat.meta["cached_filterings"] == len(fills) == bank.n_filterings
+        assert len(fills) > len(bank._cache.values)
 
 
 class TestComputeMatrix:
@@ -426,6 +467,50 @@ class TestRunComparison:
         monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
         with pytest.raises(InvalidInputError):
             run_comparison([(8, 45)], methods=("mca",), **{"n_seeds": 1, **kw})
+
+    def test_each_signal_runs_its_methods_before_the_next(self, monkeypatch):
+        calls = []
+        real_synth = paclab.comodulogram.synth_pac
+        real_compute = paclab.comodulogram.compute_matrix
+
+        def synth(spec):
+            calls.append(("synth", spec.m, spec.seed))
+            return real_synth(spec)
+
+        def compute(x, method, *args, **kwargs):
+            calls.append(("compute", method))
+            return real_compute(x, method, *args, **kwargs)
+
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", synth)
+        monkeypatch.setattr(paclab.comodulogram, "compute_matrix", compute)
+        sunk = {}
+        for jobs in (None, 2):
+            sunk[jobs] = []
+            calls.clear()
+            run_comparison([(8, 45), (12, 45)], methods=("kld", "mvl"), n_seeds=2, grid=SMALL,
+                           jobs=jobs, matrix_sink=lambda mat, *key, _s=sunk[jobs]:
+                           _s.append((key, mat.values)))
+            if jobs is None:
+                assert calls == [
+                    step for m in (8, 12) for seed in (0, 1)
+                    for step in (("synth", m, seed), ("compute", "kld"), ("compute", "mvl"))
+                ]
+        assert [key for key, _ in sunk[2]] == [key for key, _ in sunk[None]] == [
+            ((m, 45), meth, seed) for m in (8, 12) for seed in (0, 1) for meth in ("kld", "mvl")
+        ]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(sunk[None], sunk[2]))
+
+    def test_run_count_is_bounded_before_any_work(self, monkeypatch):
+        def no_synthesis(spec):
+            raise AssertionError("synthesized before the run count was checked")
+
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
+        pairs = [(m, 45) for m in range(1, 6)]
+        with pytest.raises(InvalidInputError, match="runs"):
+            run_comparison(pairs, n_seeds=MAX_SEEDS)
+        # the stock comparison at its largest seed count stays admitted
+        assert len(comparison_runs(len(BENCHMARK_PAIRS), len(METHODS), MAX_SEEDS, 0)) == MAX_SEEDS
+        assert MAX_RUNS == MAX_SEEDS * len(BENCHMARK_PAIRS) * len(METHODS)
 
     def test_comparison_seeds(self):
         assert comparison_seeds(3, 5) == range(5, 8)
