@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import __version__, io
 from .comodulogram import (
+    MAX_JOBS,
     METHODS,
     GridSpec,
     argmax,
@@ -58,21 +59,22 @@ class _IoError(Exception):
     pass
 
 
-def _jobs_default():
-    raw = os.environ.get("PAC_LAB_JOBS")
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-        if v < 1:
-            raise ValueError
-        return v
-    except ValueError:
-        raise _UsageError(f"PAC_LAB_JOBS must be a positive integer, got {raw!r}")
-
-
 def _resolve_jobs(args):
-    return args.jobs if args.jobs is not None else _jobs_default()
+    """The worker count of --jobs, else of PAC_LAB_JOBS, else None: an
+    integer in [1, MAX_JOBS]."""
+    if args.jobs is not None:
+        source, raw = "--jobs", args.jobs
+    else:
+        source, raw = "PAC_LAB_JOBS", os.environ.get("PAC_LAB_JOBS")
+        if raw is None:
+            return None
+    try:
+        jobs = int(raw)
+        if 1 <= jobs <= MAX_JOBS:
+            return jobs
+    except ValueError:
+        pass
+    raise _UsageError(f"{source} must be an integer in [1, {MAX_JOBS}], got {raw!r}")
 
 
 class _Plan(NamedTuple):
@@ -275,11 +277,16 @@ def cmd_compare(args) -> _Plan:
     }
 
     def run():
-        written = []
+        if matrices:
+            mdir = Path(args.matrix_dir)
+            try:
+                mdir.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise _IoError(f"cannot create {mdir}: {e}")
 
         def sink(mat, *key):
-            if matrices:
-                written.append((matrices[key], mat))
+            # written as it arrives, so no matrix outlives its run
+            _write(io.write_matrix_csv, matrices[key], mat)
 
         report = run_comparison(
             pairs,
@@ -294,16 +301,8 @@ def cmd_compare(args) -> _Plan:
             cfg=cfg,
             jobs=jobs,
             base_seed=args.base_seed,
-            matrix_sink=sink,
+            matrix_sink=sink if matrices else None,
         )
-        if matrices:
-            mdir = Path(args.matrix_dir)
-            try:
-                mdir.mkdir(parents=True, exist_ok=True)
-            except OSError as e:
-                raise _IoError(f"cannot create {mdir}: {e}")
-        for mpath, mat in written:
-            _write(io.write_matrix_csv, mpath, mat)
         doc = {"schema": 1, "params": parameters}
         doc.update(report.as_dict())
         _write(io.write_json, out, doc)
@@ -348,7 +347,7 @@ def _add_common(p):
     p.add_argument("--dry-run", action="store_true",
                    help="print the run manifest and exit without computing")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: PAC_LAB_JOBS or serial)")
+                   help=f"worker threads, 1 to {MAX_JOBS} (default: PAC_LAB_JOBS or serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -53,6 +53,12 @@ MAX_GRID_CELLS = 10**7
 # manifest that records it, from unchecked input.
 MAX_SEEDS = 10_000
 
+# Most worker threads compute_matrix and run_comparison accept. A thread
+# pool starts up to one thread per task, and a comparison has up to
+# MAX_RUNS of them; past the cores of any machine this runs on, more
+# threads only hold more signals and banks in memory at once.
+MAX_JOBS = 256
+
 # Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
 # seeds of the four benchmark pairs under all five methods. Each run is a
 # matrix, and `pac-lab compare --matrix-dir` names one output file per run
@@ -139,7 +145,8 @@ def compute_matrix(
     serial order because every column is a pure function. With
     use_cache=False every cell is a one-cell column on a fresh bank. A
     grid reaching Nyquist, in m or in n, or holding more than
-    MAX_GRID_CELLS cells is refused before any work.
+    MAX_GRID_CELLS cells, and jobs above MAX_JOBS are refused before any
+    work.
     """
     if method not in _CELL_FACTORIES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
@@ -155,6 +162,7 @@ def compute_matrix(
         raise InvalidInputError(
             f"grid of {rows}x{cols} cells exceeds the limit of {MAX_GRID_CELLS} cells"
         )
+    _check_jobs(jobs)
     cells = _CELL_FACTORIES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
@@ -281,6 +289,13 @@ def _aggregate(errors: list) -> dict:
     return agg
 
 
+def _check_jobs(jobs: Optional[int]) -> None:
+    """Refuse jobs unless it is None or an integer of at most MAX_JOBS.
+    None and counts below 2 run serially."""
+    if jobs is not None and not (isinstance(jobs, numbers.Integral) and jobs <= MAX_JOBS):
+        raise InvalidInputError(f"jobs must be an integer of at most {MAX_JOBS} (or None)")
+
+
 def comparison_seeds(n_seeds: int, base_seed: int) -> range:
     """The seeds of a comparison: n_seeds of them from base_seed on,
     checked before any is used. n_seeds must be an integer in
@@ -336,6 +351,7 @@ def run_comparison(
         if meth not in _CELL_FACTORIES:
             raise InvalidMethodError(f"unknown method {meth!r}")
     seeds = comparison_runs(len(pairs), len(methods), n_seeds, base_seed)
+    _check_jobs(jobs)
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
     scale = clean_scale_for(clean_power, ami) if clean_scale is None else clean_scale

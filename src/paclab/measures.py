@@ -9,8 +9,10 @@ cfg, bank) returns the measure on the column at n as a function of m.
 Work that depends on n alone is done once per column. The work that
 depends on m alone is kept in the filter bank for as long as the bank
 lives: mca's slow-band weight and phase, mvl's unit phasor of the slow
-band, kld's phase-bin index and its bin counts per trim. eps takes the
-slow band's phase in each cell; kept per m it measured no faster.
+band, kld's phase-bin index and its bin counts per trim. eps scores the
+PLV from unit phasors, |mean(z_m/|z_m| * conj(z_env/|z_env|))|, in each
+cell, with no angle and no complex exp; kept per m, the slow band's
+phasor measured no faster.
 compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
 on a one-call bank through _cell and raises instead. The public helpers
@@ -184,6 +186,15 @@ class _Envelope:
         return self._padded.filter(kernel)
 
 
+def _analytic_envelope(env: _Envelope, m: float, bw: float) -> np.ndarray:
+    """Analytic signal of the envelope's band at m Hz; DegeneratePhaseError
+    when that band sits at the kernel's floor."""
+    filtered = env.bandpass(m, bw)
+    if _rms(filtered) <= ENVELOPE_FLOOR_REL * max(env.ref, 1e-300):
+        raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
+    return hilbert(filtered)
+
+
 def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     """Phase of an amplitude envelope's component at m Hz.
 
@@ -195,11 +206,7 @@ def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     """
     if not isinstance(env, _Envelope):
         env = _Envelope(env.samples, FilterBank(env))
-    filtered = env.bandpass(m, bw)
-    if _rms(filtered) <= ENVELOPE_FLOOR_REL * max(env.ref, 1e-300):
-        raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
-    z = hilbert(filtered)
-    p = np.angle(z)
+    p = np.angle(_analytic_envelope(env, m, bw))
     p = np.where(p == np.pi, -np.pi, p)
     return Signal(p, env.fs)
 
@@ -409,12 +416,32 @@ def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     def cell(m):
         zm, amp_n, tr = inputs(m)
         try:
-            ph_env = envelope_phase(envelope(amp_n), m, cfg.mca_bw)
+            z_env = _analytic_envelope(envelope(amp_n), m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
-        return plv(_trimmed(np.angle(zm), tr), _trimmed(ph_env.samples, tr))
+        # the PLV of the two phases, as the mean of one unit phasor times
+        # the other's conjugate: no angle and no complex exp per cell
+        locked = _unit(_trimmed(zm, tr))
+        env_phasor = _unit(_trimmed(z_env, tr))
+        locked *= np.conjugate(env_phasor, out=env_phasor)
+        return float(np.abs(np.mean(locked)))
 
     return cell
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    """z/|z| as a new array, and 1 where |z| == 0: the phasor of angle(0)
+    == 0, so a zero sample is a phase like any other, not a NaN."""
+    r = np.abs(z)
+    zero = r == 0
+    r[zero] = 1.0
+    # each part over the real modulus, one rounding each: a complex
+    # division by r as a complex number would round twice
+    u = np.empty_like(z)
+    np.divide(z.real, r, out=u.real)
+    np.divide(z.imag, r, out=u.imag)
+    u[zero] = 1.0
+    return u
 
 
 def _unit_phasor(z: np.ndarray) -> np.ndarray:

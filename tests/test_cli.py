@@ -11,8 +11,22 @@ import numpy as np
 import pytest
 
 import paclab
-from paclab import Signal, read_json, read_matrix_csv, read_signal_csv, write_signal_csv
+import paclab.comodulogram
+from paclab import (
+    GridSpec,
+    Signal,
+    benchmark_spec,
+    compute_matrix,
+    normalize,
+    read_json,
+    read_matrix_csv,
+    read_signal_csv,
+    synth_pac,
+    write_matrix_csv,
+    write_signal_csv,
+)
 from paclab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from paclab.comodulogram import MAX_JOBS
 
 GRID = "m=6:10,n=42:48"
 
@@ -380,6 +394,12 @@ INVALID_CASES = {
                                "--seeds", "10001", "--grid", GRID, "-o", "{d}/out.json"],
     "compare-runs-over-max": ["compare", "--pairs", "8:45,12:45,20:45,30:45,10:40",
                               "--seeds", "10000", "--grid", GRID, "-o", "{d}/out.json"],
+    "pac-zero-jobs": ["pac", "--method", "mca", "-i", "{d}/sig.csv", "-o", "{d}/out.csv",
+                      "--grid", GRID, "--jobs", "0"],
+    "pac-negative-jobs": ["pac", "--method", "mca", "-i", "{d}/sig.csv", "-o", "{d}/out.csv",
+                          "--grid", GRID, "--jobs", "-5"],
+    "compare-jobs-over-max": ["compare", "--pairs", "8:45", "--methods", "kld", "--seeds", "1",
+                              "--grid", GRID, "--jobs", "1000000000", "-o", "{d}/out.json"],
 }
 
 
@@ -410,6 +430,14 @@ class TestJobsEnv:
                    "-o", str(tmp_path / "out.csv"), "--grid", GRID])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("raw", ["0", "-5", str(MAX_JOBS + 1)])
+    def test_env_outside_range_is_usage_error(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv("PAC_LAB_JOBS", raw)
+        sig = synth_file(tmp_path)
+        rc = main(["pac", "--method", "mca", "-i", str(sig),
+                   "-o", str(tmp_path / "out.csv"), "--grid", GRID, "--dry-run"])
+        assert rc == EXIT_USAGE
+
     def test_flag_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PAC_LAB_JOBS", "many")
         sig = synth_file(tmp_path)
@@ -434,6 +462,36 @@ class TestCompare:
         for seed in (0, 1):
             mat = read_matrix_csv(mdir / f"mca_m8_n45_seed{seed}.csv")
             assert mat.normalized
+
+    def test_matrix_files_are_the_run_matrices(self, tmp_path):
+        # matrices are written from the run's sink as they arrive; under
+        # the run pool each file must still hold its own (pair, method, seed)
+        mdir = tmp_path / "mats"
+        assert main(["compare", "--pairs", "8:45,12:45", "--methods", "kld,mvl",
+                     "--seeds", "2", "--grid", "m=6:13,n=42:46", "--jobs", "2",
+                     "--matrix-dir", str(mdir), "-o", str(tmp_path / "r.json")]) == EXIT_OK
+        assert len(list(mdir.iterdir())) == 8
+        grid = GridSpec(6, 13, 42, 46)
+        for (m, n), seed in [((8, 45), 0), ((8, 45), 1), ((12, 45), 0), ((12, 45), 1)]:
+            x = synth_pac(benchmark_spec((m, n), seed=seed)).composite
+            for method in ("kld", "mvl"):
+                want = tmp_path / "want.csv"
+                write_matrix_csv(want, normalize(compute_matrix(x, method, grid)))
+                got = mdir / f"{method}_m{m}_n{n}_seed{seed}.csv"
+                assert got.read_bytes() == want.read_bytes()
+
+    def test_uncreatable_matrix_dir_is_io_error_before_any_matrix(self, tmp_path, monkeypatch):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("a matrix was computed before the directory was made")
+
+        monkeypatch.setattr(paclab.comodulogram, "compute_matrix", no_matrix)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        out = tmp_path / "r.json"
+        rc = main(["compare", "--pairs", "8:45", "--methods", "kld", "--seeds", "1",
+                   "--grid", GRID, "--matrix-dir", str(blocker / "mats"), "-o", str(out)])
+        assert rc == EXIT_IO
+        assert not out.exists()
 
     def test_bad_pairs_are_usage_errors(self, tmp_path):
         out = str(tmp_path / "r.json")

@@ -34,7 +34,14 @@ from paclab import (
     run_comparison,
     synth_pac,
 )
-from paclab.comodulogram import MAX_RUNS, MAX_SEEDS, METHODS, comparison_runs, comparison_seeds
+from paclab.comodulogram import (
+    MAX_JOBS,
+    MAX_RUNS,
+    MAX_SEEDS,
+    METHODS,
+    comparison_runs,
+    comparison_seeds,
+)
 from paclab.synthesis import BENCHMARK_PAIRS
 from paclab.measures import _ZERO_CELL_ERRORS
 
@@ -515,6 +522,21 @@ class TestRunComparison:
     def test_comparison_seeds(self):
         assert comparison_seeds(3, 5) == range(5, 8)
         assert len(comparison_seeds(MAX_SEEDS, 0)) == MAX_SEEDS
+
+    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 10**9, 2.5])
+    def test_worker_count_is_bounded_before_any_pool(self, jobs, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was built before jobs was checked")
+
+        def no_synthesis(spec):
+            raise AssertionError("synthesized before jobs was checked")
+
+        monkeypatch.setattr(paclab.comodulogram, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
+        with pytest.raises(InvalidInputError, match="jobs"):
+            run_comparison([(8, 45)], methods=("kld",), n_seeds=1, grid=SMALL, jobs=jobs)
+        with pytest.raises(InvalidInputError, match="jobs"):
+            compute_matrix(coupled(seed=0), "kld", SMALL, jobs=jobs)
 
     def test_jobs_do_not_change_results(self):
         kw = dict(methods=("mca",), n_seeds=2, grid=SMALL)

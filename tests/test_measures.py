@@ -438,6 +438,69 @@ class TestReferenceMeasures:
                 fn(x, 8, 600)
 
 
+def angle_eps(x, m, n, cfg):
+    """eps by the PLV's angle formula: plv(angle(z_m), envelope_phase(|z_n|))
+    over the trimmed samples, 0 where the envelope has no m component."""
+    cycles = cfg.morlet_cycles
+    tr = cfg.edge_trim
+    if tr is None:
+        tr = max(morlet_half_length(m, cycles, FS), morlet_half_length(n, cycles, FS),
+                 gabor_half_length(cfg.mca_bw, FS))
+    keep = slice(tr, len(x) - tr)
+    zm = morlet_bandpass(x, m, cycles).values
+    amp = Signal(np.abs(morlet_bandpass(x, n, cycles).values), FS)
+    ph_env = phase_or_error(lambda: envelope_phase(amp, m, cfg.mca_bw).samples)
+    if isinstance(ph_env, str):
+        return 0.0
+    return plv(np.angle(zm)[keep], ph_env[keep])
+
+
+class TestEpsPhasorPlv:
+    """eps scores the PLV as |mean(unit(z_m) * conj(unit(z_env)))|; it must
+    agree with the angle formula to rounding."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ami=st.sampled_from([0.0, 0.25, 0.9]),
+           noise=st.sampled_from([0.0, 6250.0]),
+           m=st.integers(1, 20),
+           dn=st.integers(1, 80),
+           cfg=st.sampled_from([MeasureConfig(), MeasureConfig(edge_trim=0),
+                                MeasureConfig(morlet_cycles=6.0, mca_bw=2.0)]))
+    def test_equals_the_angle_formula(self, seed, ami, noise, m, dn, cfg):
+        x = coupled_signal(ami=ami, seed=seed, noise=noise)
+        got = eps(x, m, m + dn, cfg)
+        assert abs(got - angle_eps(x, m, m + dn, cfg)) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_zeros_of_the_analytic_envelope(self, monkeypatch):
+        import paclab.measures
+
+        real = paclab.measures.hilbert
+        zeroed = []
+
+        def with_zeros(a):
+            z = real(a)
+            z[::7] = 0.0
+            zeroed.append(z)
+            return z
+
+        monkeypatch.setattr(paclab.measures, "hilbert", with_zeros)
+        x = coupled_signal(noise=6250.0, seed=3)
+        got = eps(x, 8, 45)
+        assert len(zeroed) == 1 and not zeroed[0][::7].any()
+        assert math.isfinite(got)
+        assert abs(got - angle_eps(x, 8, 45, MeasureConfig())) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_unit_phasor_of_zero_is_one(self):
+        from paclab.measures import _unit
+
+        z = np.array([0j, 3 + 4j, -2.0, 1e-300j])
+        assert np.array_equal(_unit(z), [1, 0.6 + 0.8j, -1, 1j])
+        assert np.array_equal(z, [0j, 3 + 4j, -2.0, 1e-300j])
+
+
 ALL_MEASURES = (mca_pac, eps, mvl, cv, kld)
 
 

@@ -9,8 +9,10 @@ kld_bins=18 with morlet_cycles=6; and three ways of running, jobs None
 and jobs 2 on the default grid and use_cache=False on GridSpec(1, 20, 1,
 50). Every matrix and its meta["cached_filterings"] must be
 np.array_equal between the trees, or both trees must raise the same
-error. The script prints the count of equal results and exits 1 on any
-difference. It takes a few minutes per tree on two cores.
+error. The script prints the count of equal results and, for each result
+that differs, how far it moved: the largest absolute cell difference and
+the parent matrix's maximum. It exits 1 on any difference. It takes a few
+minutes per tree on two cores.
 """
 
 from __future__ import annotations
@@ -76,6 +78,20 @@ def _same(a, b) -> bool:
     return np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
+def _moved(a, b) -> str:
+    """How result b differs from result a, for a line of the report."""
+    if a[0] != "ok" or b[0] != "ok":
+        said = ["ok" if r[0] == "ok" else f"raised {r[1]}: {r[2]}" for r in (a, b)]
+        return f"parent {said[0]}; change {said[1]}"
+    if a[1].shape != b[1].shape:
+        return f"shape {a[1].shape} against {b[1].shape}"
+    moved = f"max |cell difference| {np.max(np.abs(a[1] - b[1])):.3g}, " \
+            f"matrix max {np.max(a[1]):.3g}"
+    if a[2] != b[2]:
+        moved += f", cached_filterings {a[2]} against {b[2]}"
+    return moved
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -100,7 +116,7 @@ def main(argv=None) -> int:
     print(f"{len(keys) - len(differ)} of {len(keys)} results equal "
           f"({raised} of them the same error in both trees)")
     for k in differ:
-        print("differs:", *k)
+        print("differs:", *k, "|", _moved(parent[k], change[k]) if k in change else "missing")
     return 1 if differ or set(change) != set(parent) else 0
 
 
