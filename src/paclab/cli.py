@@ -25,6 +25,7 @@ from .comodulogram import (
     GridSpec,
     argmax,
     comparison_runs,
+    comparison_specs,
     compute_matrix,
     normalize,
     run_comparison,
@@ -248,10 +249,7 @@ def cmd_compare(args) -> _Plan:
         # the run count, seeds and signal settings run_comparison will
         # use, checked before any work or any list sized by them
         seeds = list(comparison_runs(len(pairs), len(methods), args.seeds, args.base_seed))
-        scale = clean_scale_for(args.clean_power, args.ami)
-        for m, n in pairs:
-            SynthesisSpec(m=m, n=n, ami=args.ami, duration=args.dur, fs=args.fs,
-                          noise_power=args.noise_power, clean_scale=scale)
+        comparison_specs(pairs, args.ami, args.dur, args.fs, args.noise_power, args.clean_power)
     except InvalidInputError as e:
         raise _UsageError(str(e))
     out = Path(args.output)
@@ -325,7 +323,7 @@ def cmd_heatmap(args) -> _Plan:
     return _Plan("heatmap", {}, [inp], [out], None, run)
 
 
-def _add_measure_flags(p):
+def _add_matrix_flags(p):
     cfg = MeasureConfig()
     p.add_argument("--mca-bw", type=float, default=cfg.mca_bw,
                    help=f"narrowband filter width in Hz (default {cfg.mca_bw:g})")
@@ -341,13 +339,13 @@ def _add_measure_flags(p):
                    help=f"Welch window length for cv (default {cfg.welch.window_len})")
     p.add_argument("--welch-overlap", type=float, default=cfg.welch.overlap,
                    help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
+    p.add_argument("--jobs", type=int, default=None,
+                   help=f"worker threads, 1 to {MAX_JOBS} (default: PAC_LAB_JOBS or serial)")
 
 
 def _add_common(p):
     p.add_argument("--dry-run", action="store_true",
                    help="print the run manifest and exit without computing")
-    p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker threads, 1 to {MAX_JOBS} (default: PAC_LAB_JOBS or serial)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluation grid (default m=1:50,n=1:50)")
     p.add_argument("--no-cache", action="store_true",
                    help="disable the per-signal filter cache")
-    _add_measure_flags(p)
+    _add_matrix_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_pac)
 
@@ -418,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix-dir", default=None,
                    help="also write every normalized matrix into this directory")
     p.add_argument("-o", "--output", required=True, help="report JSON path")
-    _add_measure_flags(p)
+    _add_matrix_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_compare)
 

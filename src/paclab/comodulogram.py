@@ -182,13 +182,11 @@ def compute_matrix(
             return i, measures._column(cells, x, n, ms, cfg, bank)
         return i, [measures._column(cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, columns))
-    else:
-        results = [one(c) for c in columns]
-    for i, values in results:
+    def put(result):
+        i, values = result
         out[i, :len(values)] = values
+
+    _each(one, columns, jobs, put)
 
     meta = {
         "fs": x.fs,
@@ -296,6 +294,18 @@ def _check_jobs(jobs: Optional[int]) -> None:
         raise InvalidInputError(f"jobs must be an integer of at most {MAX_JOBS} (or None)")
 
 
+def _each(fn, tasks, jobs: Optional[int], take: Callable) -> None:
+    """take(fn(task)) for each task, in order: serially below 2 jobs, else
+    on a pool of `jobs` threads that cancels its queued tasks on an error."""
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
+    try:
+        for result in (map if pool is None else pool.map)(fn, tasks):
+            take(result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def comparison_seeds(n_seeds: int, base_seed: int) -> range:
     """The seeds of a comparison: n_seeds of them from base_seed on,
     checked before any is used. n_seeds must be an integer in
@@ -318,6 +328,14 @@ def comparison_runs(n_pairs: int, n_methods: int, n_seeds: int, base_seed: int) 
     return seeds
 
 
+def comparison_specs(pairs, ami: float, duration: float, fs: float, noise_power: float,
+                     clean_power: Optional[float]) -> dict:
+    """The SynthesisSpec of each (m, n) pair, checked; each run sets its seed."""
+    scale = clean_scale_for(clean_power, ami)
+    return {pair: SynthesisSpec(m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
+                                noise_power=noise_power, clean_scale=scale) for pair in pairs}
+
+
 def run_comparison(
     pairs,
     methods=METHODS,
@@ -328,7 +346,6 @@ def run_comparison(
     fs: float = BENCHMARK_FS,
     noise_power: float = BENCHMARK_NOISE_POWER,
     clean_power: Optional[float] = BENCHMARK_CLEAN_POWER,
-    clean_scale: Optional[float] = None,
     grid: GridSpec | None = None,
     cfg: MeasureConfig | None = None,
     jobs: Optional[int] = None,
@@ -354,13 +371,7 @@ def run_comparison(
     _check_jobs(jobs)
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
-    scale = clean_scale_for(clean_power, ami) if clean_scale is None else clean_scale
-    # one spec per pair, checked before any work; each task sets its seed
-    specs = {
-        pair: SynthesisSpec(m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
-                            noise_power=noise_power, clean_scale=scale)
-        for pair in pairs
-    }
+    specs = comparison_specs(pairs, ami, duration, fs, noise_power, clean_power)
 
     def run_seed(task):
         pair, seed = task
@@ -377,18 +388,13 @@ def run_comparison(
     tasks = [(pair, seed) for pair in pairs for seed in seeds]
     runs = []
 
-    def collect(groups):
-        for group in groups:
-            for run, mat in group:
-                runs.append(run)
-                if matrix_sink is not None:
-                    matrix_sink(mat, run.pair, run.method, run.seed)
+    def collect(group):
+        for run, mat in group:
+            runs.append(run)
+            if matrix_sink is not None:
+                matrix_sink(mat, run.pair, run.method, run.seed)
 
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            collect(pool.map(run_seed, tasks))
-    else:
-        collect(map(run_seed, tasks))
+    _each(run_seed, tasks, jobs, collect)
 
     aggregates: dict = {}
     for meth in methods:

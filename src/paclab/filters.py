@@ -32,29 +32,19 @@ MORLET_TRUNCATION = 4.0
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Band-pass configuration.
-
-    mode "constant": Gaussian-envelope cosine kernel whose -3 dB full width
-    of the magnitude response is bw_hz at any center frequency.
-    mode "proportional": complex Morlet kernel with a fixed cycle count, so
-    bandwidth grows with the center frequency.
-    """
+    """Gabor band-pass configuration: a Gaussian-envelope cosine kernel
+    whose magnitude response has -3 dB full width bw_hz at any center.
+    Morlet bands take a cycle count instead, in morlet_bandpass."""
 
     center: float
     bw_hz: float = 1.0
-    cycles: float = 4.0
-    mode: str = "constant"
     truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if not (self.center > 0):
             raise InvalidInputError("center frequency must be positive")
-        if self.mode not in ("constant", "proportional"):
-            raise InvalidInputError(f"unknown filter mode: {self.mode!r}")
-        if self.mode == "constant" and not (self.bw_hz > 0):
+        if not (self.bw_hz > 0):
             raise InvalidInputError("bw_hz must be positive")
-        if self.mode == "proportional" and not (self.cycles >= 1):
-            raise InvalidInputError("cycles must be at least 1")
         if not (self.truncation > 0):
             raise InvalidInputError("truncation must be positive")
 
@@ -234,16 +224,18 @@ def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
     modulation at full depth while everything outside the three bands is
     rejected.
     """
+    _check_triplet(m, n, x.fs)
+    return Signal(FilterBank(x).triplet(m, n, bw), x.fs)
+
+
+def _check_triplet(m: float, n: float, fs: float) -> None:
+    """OutOfBandError unless m >= 1 and the bands n-m, n+m lie in [1 Hz, Nyquist)."""
     if not (m >= 1):
         raise OutOfBandError("modulating frequency must be at least 1 Hz")
     if n - m < 1:
         raise OutOfBandError(f"lower band {n - m} Hz falls under 1 Hz")
-    if n + m >= x.fs / 2:
+    if n + m >= fs / 2:
         raise OutOfBandError(f"upper band {n + m} Hz reaches Nyquist")
-    lo = bandpass(x, FilterSpec(center=n - m, bw_hz=bw))
-    mid = bandpass(x, FilterSpec(center=n, bw_hz=bw))
-    hi = bandpass(x, FilterSpec(center=n + m, bw_hz=bw))
-    return Signal(lo.samples + 2.0 * mid.samples + hi.samples, x.fs)
 
 
 _MISSING = object()
@@ -340,6 +332,10 @@ class FilterBank:
             return float(np.mean(kept * kept))
 
         return self.derived(("gabor_power", float(center), float(bw), int(tr)), reduce)
+
+    def triplet(self, m: float, n: float, bw: float) -> np.ndarray:
+        """lo + 2·mid + hi of the Gabor bands at n-m, n and n+m, unchecked."""
+        return self.gabor(n - m, bw) + 2.0 * self.gabor(n, bw) + self.gabor(n + m, bw)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
         return self._cache.get(

@@ -8,11 +8,10 @@ Each measure is written once, as a cell factory: _<name>_cells(x, n,
 cfg, bank) returns the measure on the column at n as a function of m.
 Work that depends on n alone is done once per column. The work that
 depends on m alone is kept in the filter bank for as long as the bank
-lives: mca's slow-band weight and phase, mvl's unit phasor of the slow
-band, kld's phase-bin index and its bin counts per trim. eps scores the
-PLV from unit phasors, |mean(z_m/|z_m| * conj(z_env/|z_env|))|, in each
-cell, with no angle and no complex exp; kept per m, the slow band's
-phasor measured no faster.
+lives: mca's slow-band weight and unit phasor, mvl's unit phasor of the
+slow band, kld's phase-bin index and its bin counts per trim. mca and eps
+score the PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|,
+with no angle and no complex exp; eps makes its slow phasor per cell.
 compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
 on a one-call bank through _cell and raises instead. The public helpers
@@ -41,6 +40,7 @@ from .filters import (
     FilterBank,
     FilterSpec,
     ReflectedSpectrum,
+    _check_triplet,
     _gabor_half,
     conv_size,
     gabor_half_length,
@@ -201,14 +201,20 @@ def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     A strictly positive envelope is DC-dominated, so its raw analytic
     phase is meaningless; band-passing at the modulation frequency first
     isolates the oscillation whose phase matters. Raises when the envelope
-    has no usable m Hz content. The measures pass a prepared _Envelope,
-    which band-passes one envelope at many m from one spectrum.
+    has no usable m Hz content.
     """
-    if not isinstance(env, _Envelope):
-        env = _Envelope(env.samples, FilterBank(env))
-    p = np.angle(_analytic_envelope(env, m, bw))
+    p = np.angle(_analytic_envelope(_Envelope(env.samples, FilterBank(env)), m, bw))
     p = np.where(p == np.pi, -np.pi, p)
     return Signal(p, env.fs)
+
+
+def _phase_locking(slow: np.ndarray, z_env: np.ndarray) -> float:
+    """|mean(slow * conj(_unit(z_env)))| for unit phasors `slow`:
+    plv(angle(slow), angle(z_env)) to rounding."""
+    env = _unit(z_env)
+    np.conjugate(env, out=env)
+    np.multiply(slow, env, out=env)
+    return float(np.abs(np.mean(env)))
 
 
 def _column(cells, x: Signal, n: float, m_values, cfg: MeasureConfig,
@@ -306,13 +312,13 @@ def _band_rms(bank, center: float, bw: float, tr: int) -> float:
 def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     """mca_pac of the column at n, as a function of m.
 
-    The slow-band weight and the slow band's phase depend on m alone, so
-    they are kept in the bank for the whole matrix, the phase only once a
-    cell of that m needs it; so are each band's trimmed RMS and each
-    envelope kernel's spectrum. The 2·bw bands behind the slow-band
-    weight and the capture are read only for their trimmed power, which
-    the bank keeps in place of the band. Each cell keeps its own triplet
-    envelope.
+    The triplet is checked and summed by filters.triplet's rule. The
+    slow-band weight and unit phasor depend on m alone, so they are kept
+    in the bank for the whole matrix, the phasor only once a cell of that
+    m needs it; so are each band's trimmed RMS and each envelope kernel's
+    spectrum. The 2·bw bands behind the slow-band weight and the capture
+    are read only for their trimmed power, which the bank keeps in place
+    of the band. Each cell keeps its own triplet envelope.
     """
     fs = x.fs
     bw = cfg.mca_bw
@@ -320,8 +326,7 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     x_ref = _rms(x.samples)
 
     def cell(m):
-        if not (m >= 1) or n - m < 1 or n + m >= fs / 2:
-            raise OutOfBandError(f"triplet bands for ({m}, {n}) Hz leave the valid range")
+        _check_triplet(m, n, fs)
         _check_trim(len(x), tr)
         slow_weight = bank.derived(("mca_slow_weight", float(m), float(bw), tr, x_ref),
                                    lambda: _slow_weight(bank, m, bw, tr, x_ref))
@@ -338,16 +343,14 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
             return 0.0
         if max(r_lo, r_hi) <= TRIPLET_FLOOR_REL * x_ref:
             return 0.0
-        trip = bank.gabor(n - m, bw) + 2.0 * bank.gabor(n, bw) + bank.gabor(n + m, bw)
-
-        env = np.abs(hilbert(trip))
+        env = np.abs(hilbert(bank.triplet(m, n, bw)))
         try:
-            ph_env = envelope_phase(_Envelope(env, bank), m, bw)
+            z_env = _analytic_envelope(_Envelope(env, bank), m, bw)
         except DegeneratePhaseError:
             return 0.0
-        ph_slow = bank.derived(("mca_slow_phase", float(m), float(bw)),
-                               lambda: np.angle(hilbert(bank.gabor(m, bw))))
-        value = plv(_trimmed(ph_slow, tr), _trimmed(ph_env.samples, tr))
+        slow = bank.derived(("mca_slow_phasor", float(m), float(bw)),
+                            lambda: _unit(hilbert(bank.gabor(m, bw))))
+        value = _phase_locking(_trimmed(slow, tr), _trimmed(z_env, tr))
 
         r_wide = math.sqrt(bank.gabor_power(n, 2.0 * bw, tr))
         capture = 1.0 if r_wide == 0.0 else min(1.0, r_mid / r_wide)
@@ -419,12 +422,7 @@ def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
             z_env = _analytic_envelope(envelope(amp_n), m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
-        # the PLV of the two phases, as the mean of one unit phasor times
-        # the other's conjugate: no angle and no complex exp per cell
-        locked = _unit(_trimmed(zm, tr))
-        env_phasor = _unit(_trimmed(z_env, tr))
-        locked *= np.conjugate(env_phasor, out=env_phasor)
-        return float(np.abs(np.mean(locked)))
+        return _phase_locking(_unit(_trimmed(zm, tr)), _trimmed(z_env, tr))
 
     return cell
 

@@ -400,6 +400,10 @@ INVALID_CASES = {
                           "--grid", GRID, "--jobs", "-5"],
     "compare-jobs-over-max": ["compare", "--pairs", "8:45", "--methods", "kld", "--seeds", "1",
                               "--grid", GRID, "--jobs", "1000000000", "-o", "{d}/out.json"],
+    # only pac and compare run workers, so only they take --jobs
+    "synth-jobs": ["synth", "--m", "8", "--n", "45", "--jobs", "2", "-o", "{d}/out.csv"],
+    "psd-jobs": ["psd", "-i", "{d}/sig.csv", "-o", "{d}/out.csv", "--jobs", "2"],
+    "heatmap-jobs": ["heatmap", "-i", "{d}/sig.csv", "-o", "{d}/out.pgm", "--jobs", "2"],
 }
 
 

@@ -538,6 +538,25 @@ class TestRunComparison:
         with pytest.raises(InvalidInputError, match="jobs"):
             compute_matrix(coupled(seed=0), "kld", SMALL, jobs=jobs)
 
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_sink_error_stops_the_queued_runs(self, jobs, monkeypatch):
+        real_synth = paclab.comodulogram.synth_pac
+        synthesized = []
+
+        def synth(spec):
+            synthesized.append(spec.seed)
+            return real_synth(spec)
+
+        def sink(mat, pair, method, seed):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", synth)
+        with pytest.raises(OSError, match="disk full"):
+            run_comparison([(8, 45)], methods=("kld",), n_seeds=12, jobs=jobs, grid=SMALL,
+                           matrix_sink=sink)
+        # the runs already started finish; the queued ones never start
+        assert 1 <= len(synthesized) < 12
+
     def test_jobs_do_not_change_results(self):
         kw = dict(methods=("mca",), n_seeds=2, grid=SMALL)
         serial = run_comparison([(8, 45)], **kw)

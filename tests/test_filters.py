@@ -417,6 +417,18 @@ class TestTriplet:
         single = triplet(x, 8, 45)
         assert np.allclose(doubled.samples, 2.0 * single.samples, atol=1e-12)
 
+    @pytest.mark.parametrize("m,n,bw", [(8, 45, 1.0), (1, 2, 0.5), (12, 30, 2.0), (20, 470, 1.0)])
+    def test_equals_the_bank_triplet_and_three_bandpasses(self, m, n, bw):
+        # one rule: the public triplet is the bank's sum, bit for bit, and
+        # both are the three separately filtered bands of the definition
+        x = Signal(np.random.default_rng(4).standard_normal(6000), FS)
+        got = triplet(x, m, n, bw).samples
+        bank = FilterBank(x)
+        bank.gabor(n, 2.0 * bw)  # a band of another kernel length, read first
+        assert np.array_equal(got, bank.triplet(m, n, bw))
+        bands = [bandpass(x, FilterSpec(center=c, bw_hz=bw)).samples for c in (n - m, n, n + m)]
+        assert np.array_equal(got, bands[0] + 2.0 * bands[1] + bands[2])
+
 
 def test_default_truncation_meets_stopband():
     # the 4-sigma cut leaks ~7e-6 at 8 Hz detune; the default must not

@@ -37,8 +37,14 @@ from paclab import (
     synth_pac,
     vector_length,
 )
-from paclab.filters import gabor_half_length, gabor_kernel, morlet_half_length
-from paclab.measures import _ZERO_CELL_ERRORS, ENVELOPE_FLOOR_REL, MAX_KLD_BINS, _Envelope
+from paclab.filters import bandpass, gabor_half_length, gabor_kernel, morlet_half_length, triplet
+from paclab.measures import (
+    _ZERO_CELL_ERRORS,
+    ENVELOPE_FLOOR_REL,
+    MAX_KLD_BINS,
+    _analytic_envelope,
+    _Envelope,
+)
 
 FS = 1000.0
 PAIR = (8, 45)
@@ -117,16 +123,22 @@ class TestEnvelopePhase:
         assert plv(got, ref_b) < 0.3
 
 
-def reference_envelope_phase(env, m, bw):
-    """envelope_phase written with fftconvolve on the reflection-padded
-    envelope: the band-pass every cached spectrum must reproduce bit for bit."""
+def reference_analytic_envelope(env, m, bw):
+    """The analytic envelope band written with fftconvolve on the
+    reflection-padded envelope: the band-pass every cached spectrum must
+    reproduce bit for bit."""
     taps = gabor_kernel(FilterSpec(center=m, bw_hz=bw), env.fs).taps
     half = (len(taps) - 1) // 2
     filtered = fftconvolve(np.pad(env.samples, half, mode="reflect"), taps, mode="valid")
     ref = np.sqrt(np.mean(env.samples**2))
     if np.sqrt(np.mean(filtered**2)) <= ENVELOPE_FLOOR_REL * max(ref, 1e-300):
         raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
-    p = np.angle(hilbert(filtered))
+    return hilbert(filtered)
+
+
+def reference_envelope_phase(env, m, bw):
+    """envelope_phase from reference_analytic_envelope."""
+    p = np.angle(reference_analytic_envelope(env, m, bw))
     return np.where(p == np.pi, -np.pi, p)
 
 
@@ -154,11 +166,12 @@ class TestEnvelopeFromSpectra:
         got = phase_or_error(lambda: envelope_phase(env, m, bw).samples)
         assert type(got) is type(want)
         assert np.array_equal(got, want)
-        # one prepared envelope, several kernels, a kernel spectrum reused
+        # one prepared envelope, several kernels, a kernel spectrum reused:
+        # the analytic band the measures read
         prepared = _Envelope(env.samples, FilterBank(env))
         for center in (m, 1.0, m):
-            want = phase_or_error(reference_envelope_phase, env, center, bw)
-            got = phase_or_error(lambda: envelope_phase(prepared, center, bw).samples)
+            want = phase_or_error(reference_analytic_envelope, env, center, bw)
+            got = phase_or_error(_analytic_envelope, prepared, center, bw)
             assert type(got) is type(want)
             assert np.array_equal(got, want)
 
@@ -168,7 +181,7 @@ class TestEnvelopeFromSpectra:
         with pytest.raises(SignalTooShortError):
             envelope_phase(env, 8.0)
         with pytest.raises(SignalTooShortError):
-            envelope_phase(_Envelope(env.samples, FilterBank(env)), 8.0, 1.0)
+            _analytic_envelope(_Envelope(env.samples, FilterBank(env)), 8.0, 1.0)
 
     def test_center_at_nyquist_is_aliasing(self):
         env = Signal(np.full(3000, 2.0), FS)
@@ -218,6 +231,27 @@ class TestSlowBandForms:
         # 65 cells over m = 1..10 (n = 1 has none with m < n)
         compute_matrix(x, method, GridSpec(1, 10, 1, 12), jobs=jobs)
         assert len(calls) == 10
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_mca_slow_phasor_is_computed_once_per_m(self, monkeypatch, jobs):
+        # the phasor is the bank's derived value under this key; count its
+        # computes, not its reads
+        real = FilterBank.derived
+        computed = []
+
+        def counting(self, key, compute):
+            def counted():
+                computed.append(key)
+                return compute()
+            return real(self, key, counted if key[0] == "mca_slow_phasor" else compute)
+
+        monkeypatch.setattr(FilterBank, "derived", counting)
+        x = coupled_signal(seed=0, noise=6250.0)
+        mat = compute_matrix(x, "mca", GridSpec(1, 10, 30, 50), jobs=jobs)
+        # made only for an m with a cell past the gates, and each such cell scores above 0
+        scored = np.count_nonzero(mat.values.any(axis=0))
+        assert 0 < scored < 10
+        assert len(computed) == len(set(computed)) == scored
 
     @pytest.mark.parametrize("cfg", [
         MeasureConfig(),
@@ -499,6 +533,79 @@ class TestEpsPhasorPlv:
         z = np.array([0j, 3 + 4j, -2.0, 1e-300j])
         assert np.array_equal(_unit(z), [1, 0.6 + 0.8j, -1, 1j])
         assert np.array_equal(z, [0j, 3 + 4j, -2.0, 1e-300j])
+
+
+def angle_mca(x, m, n, cfg):
+    """mca_pac with its PLV term by the angle formula,
+    plv(angle(slow), envelope_phase(|triplet|)), over the trimmed samples:
+    the slow band's analytic angle and the triplet envelope's phase come
+    from the public functions, the weights and gates from mca itself."""
+    import paclab.measures
+
+    def angle_plv(slow, z_env):
+        bw = cfg.mca_bw
+        tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, FS)
+        keep = slice(tr, len(x) - tr)
+        ph_slow = np.angle(hilbert(bandpass(x, FilterSpec(center=m, bw_hz=bw)).samples))
+        env = Signal(np.abs(hilbert(triplet(x, m, n, bw).samples)), FS)
+        return plv(ph_slow[keep], envelope_phase(env, m, bw).samples[keep])
+
+    real = paclab.measures._phase_locking
+    paclab.measures._phase_locking = angle_plv
+    try:
+        return mca_pac(x, m, n, cfg)
+    finally:
+        paclab.measures._phase_locking = real
+
+
+class TestMcaPhasorPlv:
+    """mca scores its PLV through the phase-locking kernel eps uses,
+    |mean(unit(z_slow) * conj(unit(z_env)))|; it must agree with the angle
+    formula to rounding."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ami=st.sampled_from([0.0, 0.25, 0.9]),
+           noise=st.sampled_from([0.0, 6250.0]),
+           m=st.integers(1, 20),
+           n=st.integers(35, 55),
+           cfg=st.sampled_from([MeasureConfig(), MeasureConfig(edge_trim=0),
+                                MeasureConfig(mca_bw=2.0)]))
+    def test_equals_the_angle_formula(self, seed, ami, noise, m, n, cfg):
+        # cells around the 45 Hz carrier, where about a third of the noisy
+        # ones pass every gate and reach the kernel
+        x = coupled_signal(ami=ami, seed=seed, noise=noise)
+        got = mca_pac(x, m, n, cfg)
+        assert abs(got - angle_mca(x, m, n, cfg)) <= 1e-15
+
+    def test_scores_the_coupled_cell(self):
+        # the agreement above is not all zeros: the true cell reaches the kernel
+        x = coupled_signal(noise=6250.0, seed=3)
+        got = mca_pac(x, 8, 45)
+        assert got > 0.5
+        assert abs(got - angle_mca(x, 8, 45, MeasureConfig())) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_zeros_of_the_analytic_envelope(self, monkeypatch):
+        import paclab.measures
+
+        real = paclab.measures._analytic_envelope
+        zeroed = []
+
+        def with_zeros(env, m, bw):
+            z = real(env, m, bw)
+            z[::7] = 0.0
+            zeroed.append(z)
+            return z
+
+        monkeypatch.setattr(paclab.measures, "_analytic_envelope", with_zeros)
+        x = coupled_signal(noise=6250.0, seed=3)
+        got = mca_pac(x, 8, 45)
+        assert len(zeroed) == 1 and not zeroed[0][::7].any()
+        assert math.isfinite(got) and got > 0.0
+        # the reference's mca_pac and its envelope_phase read the same zeroed band
+        assert abs(got - angle_mca(x, 8, 45, MeasureConfig())) <= 1e-15
+        assert len(zeroed) == 3
 
 
 ALL_MEASURES = (mca_pac, eps, mvl, cv, kld)
