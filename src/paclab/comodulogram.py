@@ -32,16 +32,18 @@ from .synthesis import (
     synth_pac,
 )
 
-# One cell factory per method: cells(x, n, cfg, bank) returns the measure
-# on the column at n as a function of m; measures._column scores a column.
-_CELL_FACTORIES = {
-    "mca": measures._mca_cells,
-    "eps": measures._eps_cells,
-    "mvl": measures._mvl_cells,
-    "cv": measures._cv_cells,
-    "kld": measures._kld_cells,
+# One cell factory per method, with the bands its columns read:
+# cells(x, n, cfg, bank) returns the measure on the column at n as a
+# function of m, and measures._column scores a column; reads(n, m_values,
+# cfg) returns (bands read directly, bands read only to be reduced).
+_MEASURES = {
+    "mca": (measures._mca_cells, measures._mca_reads),
+    "eps": (measures._eps_cells, measures._morlet_reads),
+    "mvl": (measures._mvl_cells, measures._morlet_reads),
+    "cv": (measures._cv_cells, measures._cv_reads),
+    "kld": (measures._kld_cells, measures._morlet_reads),
 }
-METHODS = tuple(_CELL_FACTORIES)
+METHODS = tuple(_MEASURES)
 
 # Largest grid compute_matrix accepts: its matrix alone takes 80 MB, and a
 # grid bounded only by Nyquist would let a high-rate input ask for any size.
@@ -114,8 +116,9 @@ class PacMatrix:
             raise InvalidInputError(f"values shape {v.shape} does not match grid {self.grid.shape}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise InvalidInputError("matrix values must be finite and nonnegative")
-        mm, nn = np.meshgrid(self.grid.m_values, self.grid.n_values)
-        if np.any(v[mm >= nn] != 0.0):
+        # broadcast, so the check costs two boolean matrices, not two int grids
+        upper = self.grid.m_values[None, :] >= self.grid.n_values[:, None]
+        if np.any((v != 0.0) & upper):
             raise InvalidInputError("cells with m >= n must be zero")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -140,7 +143,9 @@ def compute_matrix(
     so the result is always a complete triangular matrix. The measure runs
     one n column at a time, so work that depends on n alone is done once
     per column (and for mca, mvl and kld, work that depends on m alone
-    once per matrix, kept in the shared filter bank). With jobs > 1
+    once per matrix, kept in the shared filter bank). The bank holds a
+    band only until every column that reads it has returned, by a read
+    plan made from the grid, and fills no band twice. With jobs > 1
     columns are evaluated by a thread pool; results are identical to the
     serial order because every column is a pure function. With
     use_cache=False every cell is a one-cell column on a fresh bank. A
@@ -148,7 +153,7 @@ def compute_matrix(
     MAX_GRID_CELLS cells, and jobs above MAX_JOBS are refused before any
     work.
     """
-    if method not in _CELL_FACTORIES:
+    if method not in _MEASURES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
@@ -163,7 +168,7 @@ def compute_matrix(
             f"grid of {rows}x{cols} cells exceeds the limit of {MAX_GRID_CELLS} cells"
         )
     _check_jobs(jobs)
-    cells = _CELL_FACTORIES[method]
+    cells, reads = _MEASURES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
@@ -176,6 +181,9 @@ def compute_matrix(
         if m_vals[0] < n
     ]
 
+    if bank is not None:
+        _plan(bank, reads, columns, cfg)
+
     def one(col):
         i, n, ms = col
         if bank is not None:
@@ -185,6 +193,9 @@ def compute_matrix(
     def put(result):
         i, values = result
         out[i, :len(values)] = values
+        # the bands the final column read go with the bank
+        if bank is not None and i != columns[-1][0]:
+            bank.done(i)
 
     _each(one, columns, jobs, put)
 
@@ -195,6 +206,18 @@ def compute_matrix(
         "cached_filterings": bank.n_filterings if bank is not None else None,
     }
     return PacMatrix(out, method, False, grid, meta)
+
+
+def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
+    """Give the bank the read plan of columns (i, n, m_values) ascending
+    in i: the last column that reads each band directly, and the bands
+    read only to be reduced."""
+    last, reduced = {}, set()
+    for i, n, ms in columns:
+        direct, to_reduce = reads(n, ms, cfg)
+        last.update(dict.fromkeys(direct, i))
+        reduced.update(to_reduce)
+    bank.plan(last, reduced)
 
 
 def normalize(mat: PacMatrix) -> PacMatrix:
@@ -365,7 +388,7 @@ def run_comparison(
     if not pairs:
         raise InvalidInputError("need at least one (m, n) pair")
     for meth in methods:
-        if meth not in _CELL_FACTORIES:
+        if meth not in _MEASURES:
             raise InvalidMethodError(f"unknown method {meth!r}")
     seeds = comparison_runs(len(pairs), len(methods), n_seeds, base_seed)
     _check_jobs(jobs)

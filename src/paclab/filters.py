@@ -248,8 +248,8 @@ class _Memo:
     that key wait for it instead of computing it again. A compute that
     raises stores nothing and wakes the waiters, which retry on their own.
     compute() may ask the memo for other keys, never for its own.
-    `n_computed` counts the computes that returned, values dropped from
-    `values` since included.
+    `n_computed` counts the computes that returned, values dropped since
+    included.
     """
 
     def __init__(self):
@@ -282,27 +282,70 @@ class _Memo:
                 del self._filling[key]
             done.set()
 
+    def drop(self, key) -> None:
+        """Forget key's value, if any; a later get computes it again."""
+        with self._lock:
+            self.values.pop(key, None)
+
+
+def _gabor_key(center: float, bw: float) -> tuple:
+    """FilterBank's key of the Gabor band at center with -3 dB width bw."""
+    return ("gabor", float(center), float(bw))
+
+
+def _morlet_key(center: float, cycles: float) -> tuple:
+    """FilterBank's key of the Morlet band at center of `cycles` cycles."""
+    return ("morlet", float(center), float(cycles))
+
 
 class FilterBank:
     """Cached band outputs of one input signal.
 
-    Keyed by (family, center, bandwidth-or-cycles). Each band is filtered
-    once: when concurrent columns miss the same band, one thread fills it
-    and the others wait for its result. A bank lives as long as its owner
-    keeps it: compute_matrix shares one across a whole grid, a measure
-    called without one uses a fresh bank for that call only.
+    Keyed by _gabor_key or _morlet_key. Each band is filtered once: when
+    concurrent columns miss the same band, one thread fills it and the
+    others wait for its result. A bank lives as long as its owner keeps
+    it: compute_matrix shares one across a whole grid, a measure called
+    without one uses a fresh bank for that call only.
     Every Gabor band is filled from one ReflectedSpectrum of the signal
-    per kernel length, taken on the first fill of that length. A band read
-    only for its power is reduced by `gabor_power` and not kept.
+    per kernel length, taken on the first fill of that length.
     Values the measures derive from one band (its phase, a gate on it,
-    a kernel spectrum) are kept by `derived` under the same rules, apart
-    from the bands. `n_filterings` counts fills, kept or not.
+    a kernel spectrum) are kept by `derived` for the bank's lifetime.
+
+    A bank holds a band until no column can read it again. Without a
+    plan that is the bank's lifetime. Given a read plan (`plan`), a band
+    is dropped once every column that reads it directly has returned
+    (`done`). A band read only to be reduced (`reduce`, `gabor_power`)
+    is dropped once reduced, unless a pending column reads it directly;
+    no column reads a 2·bw band directly. No band is filled twice.
+    `n_filterings` counts fills, kept or not.
     """
 
     def __init__(self, x: Signal):
         self.x = x
         self._cache = _Memo()
         self._derived = _Memo()
+        self._lock = threading.Lock()
+        self._last = None  # band key -> index of the last column reading it directly
+        self._unreduced: set = set()  # bands a pending reduction may still read
+        self._done = -1  # every column up to this index has returned
+
+    def plan(self, last: dict, reduced) -> None:
+        """Read plan of a sweep whose columns return in ascending index
+        order: last[key] is the index of the last column that reads band
+        `key` directly, and `reduced` holds the bands the columns read
+        only through `reduce`. A band in neither is read by no column."""
+        with self._lock:
+            self._last = dict(last)
+            self._unreduced = set(reduced)
+
+    def done(self, column: int) -> None:
+        """Every column up to index `column` has returned: drop the bands
+        no later column reads, directly or to reduce them."""
+        with self._lock:
+            self._done = column
+            for key in list(self._cache.values):
+                if key not in self._unreduced and self._last.get(key, -1) <= column:
+                    self._cache.drop(key)
 
     def derived(self, key: tuple, compute):
         """compute(), worked out once per key for the bank's lifetime.
@@ -310,6 +353,22 @@ class FilterBank:
         None is a valid result and is kept like any other.
         """
         return self._derived.get(key, compute)
+
+    def reduce(self, key: tuple, center: float, bw: float, fn):
+        """fn(band) of the Gabor band at center, worked out once and kept in
+        `derived` under key. The band is dropped once reduced unless a
+        pending column reads it directly; a bank without a plan keeps it."""
+        band_key = _gabor_key(center, bw)
+
+        def compute():
+            out = fn(self.gabor(center, bw))
+            with self._lock:
+                self._unreduced.discard(band_key)
+                if self._last is not None and self._last.get(band_key, -1) <= self._done:
+                    self._cache.drop(band_key)
+            return out
+
+        return self.derived(key, compute)
 
     def gabor(self, center: float, bw: float) -> np.ndarray:
         def fill():
@@ -319,28 +378,27 @@ class FilterBank:
                                   lambda: ReflectedSpectrum(self.x.samples, n_taps))
             return bandpass(self.x, spec, padded=padded).samples
 
-        return self._cache.get(("gabor", float(center), float(bw)), fill)
+        return self._cache.get(_gabor_key(center, bw), fill)
 
     def gabor_power(self, center: float, bw: float, tr: int) -> float:
         """Mean square of the Gabor band at center without tr samples at
         each edge, kept in `derived`. The band is filled through `gabor`
-        for this alone and dropped from the bank once reduced."""
-        def reduce():
+        for this alone and dropped once reduced, with or without a plan."""
+        def power():
             band = self.gabor(center, bw)
-            self._cache.values.pop(("gabor", float(center), float(bw)), None)
+            self._cache.drop(_gabor_key(center, bw))
             kept = band[tr:band.size - tr]
             return float(np.mean(kept * kept))
 
-        return self.derived(("gabor_power", float(center), float(bw), int(tr)), reduce)
+        return self.derived(("gabor_power", float(center), float(bw), int(tr)), power)
 
     def triplet(self, m: float, n: float, bw: float) -> np.ndarray:
         """lo + 2·mid + hi of the Gabor bands at n-m, n and n+m, unchecked."""
         return self.gabor(n - m, bw) + 2.0 * self.gabor(n, bw) + self.gabor(n + m, bw)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
-        return self._cache.get(
-            ("morlet", float(center), float(cycles)),
-            lambda: morlet_bandpass(self.x, center, cycles).values)
+        return self._cache.get(_morlet_key(center, cycles),
+                               lambda: morlet_bandpass(self.x, center, cycles).values)
 
     def gabor_spectrum(self, center: float, bw: float, nfft: int) -> np.ndarray:
         """rfft at nfft of the Gabor kernel at center, kept in `derived`:
@@ -354,3 +412,8 @@ class FilterBank:
     def n_filterings(self) -> int:
         """Bands filled so far, including those read only for their power."""
         return self._cache.n_computed
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the bands the bank holds now."""
+        return sum(band.nbytes for band in list(self._cache.values.values()))

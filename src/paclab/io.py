@@ -18,6 +18,9 @@ SPACING_TOL_REL = 1e-9
 # fs landing this close to an integer is treated as that integer, so the
 # common 1/fs=0.001 grid round-trips to exactly 1000.0
 FS_SNAP_REL = 1e-6
+# signal CSV rows formatted per write, so a long recording's file text
+# is never held whole (about 35 bytes a row)
+_ROWS_PER_WRITE = 4096
 
 
 def fmt(v: float) -> str:
@@ -26,13 +29,14 @@ def fmt(v: float) -> str:
 
 def write_signal_csv(path, x: Signal) -> None:
     """Two-column CSV; 17 significant digits so parsing returns the same
-    float64 values bitwise."""
-    path = Path(path)
+    float64 values bitwise. Rows are written _ROWS_PER_WRITE at a time."""
     fs = x.fs
-    lines = [SIGNAL_HEADER]
-    for i, v in enumerate(x.samples):
-        lines.append(f"{fmt(i / fs)},{fmt(v)}")
-    path.write_text("\n".join(lines) + "\n")
+    samples = x.samples
+    with Path(path).open("w") as f:
+        f.write(SIGNAL_HEADER + "\n")
+        for start in range(0, len(samples), _ROWS_PER_WRITE):
+            chunk = samples[start:start + _ROWS_PER_WRITE]
+            f.write("".join(f"{fmt(i / fs)},{fmt(v)}\n" for i, v in enumerate(chunk, start)))
 
 
 def read_signal_csv(path) -> Signal:
@@ -43,12 +47,14 @@ def read_signal_csv(path) -> Signal:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as e:
         raise InvalidInputError(f"cannot read signal file {path}: {e}") from e
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != SIGNAL_HEADER:
+    # (line number in the file, line) of the non-blank lines
+    rows = ((k, ln) for k, ln in enumerate(raw.splitlines(), start=1) if ln.strip())
+    header = next(rows, None)
+    if header is None or header[1].strip() != SIGNAL_HEADER:
         raise InvalidInputError(f"{path}: expected header {SIGNAL_HEADER!r}")
     times = []
     values = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in rows:
         parts = ln.split(",")
         if len(parts) != 2:
             raise InvalidInputError(f"{path}:{k}: expected two columns")

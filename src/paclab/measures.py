@@ -6,6 +6,9 @@ phase-locking value and phase-binning support they build on.
 
 Each measure is written once, as a cell factory: _<name>_cells(x, n,
 cfg, bank) returns the measure on the column at n as a function of m.
+Next to the factories, a reads function (_mca_reads, _morlet_reads for
+eps, mvl and kld, _cv_reads) names the filter-bank bands a column reads,
+from which compute_matrix plans how long the bank holds each band.
 Work that depends on n alone is done once per column. The work that
 depends on m alone is kept in the filter bank for as long as the bank
 lives: mca's slow-band weight and unit phasor, mvl's unit phasor of the
@@ -42,6 +45,8 @@ from .filters import (
     ReflectedSpectrum,
     _check_triplet,
     _gabor_half,
+    _gabor_key,
+    _morlet_key,
     conv_size,
     gabor_half_length,
     morlet_half_length,
@@ -285,10 +290,22 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> 
     return _cell(_mca_cells, x, m, n, cfg)
 
 
-def _slow_weight(bank, m: float, bw: float, tr: int, x_ref: float):
-    """Slow-band credibility of mca_pac at m, or None when the band is
-    empty or all noise (the cell scores 0)."""
-    xm_t = _trimmed(bank.gabor(m, bw), tr)
+def _slow_band(xm, bank, m: float, bw: float, tr: int, x_ref: float):
+    """(weight, unit phasor) of mca_pac's slow band xm at m: (None, None)
+    when the band is empty or all noise (the cell scores 0), so the
+    phasor is worked out only for a band that can score. The phasor
+    depends on m and bw alone and is kept in the bank under that key."""
+    weight = _slow_weight(xm, bank, m, bw, tr, x_ref)
+    if weight is None:
+        return None, None
+    return weight, bank.derived(("mca_slow_phasor", float(m), float(bw)),
+                                lambda: _unit(hilbert(xm)))
+
+
+def _slow_weight(xm, bank, m: float, bw: float, tr: int, x_ref: float):
+    """Slow-band credibility of mca_pac at m, or None when the band xm is
+    empty or all noise."""
+    xm_t = _trimmed(xm, tr)
     if _rms(xm_t) <= SLOW_BAND_FLOOR_REL * x_ref:
         return None
     p1 = float(np.mean(xm_t * xm_t))
@@ -314,11 +331,11 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
 
     The triplet is checked and summed by filters.triplet's rule. The
     slow-band weight and unit phasor depend on m alone, so they are kept
-    in the bank for the whole matrix, the phasor only once a cell of that
-    m needs it; so are each band's trimmed RMS and each envelope kernel's
-    spectrum. The 2·bw bands behind the slow-band weight and the capture
-    are read only for their trimmed power, which the bank keeps in place
-    of the band. Each cell keeps its own triplet envelope.
+    in the bank for the whole matrix as one reduction of the slow band;
+    so are each band's trimmed RMS and each envelope kernel's spectrum.
+    The 2·bw bands behind the slow-band weight and the capture are read
+    only for their trimmed power, which the bank keeps in place of the
+    band. Each cell keeps its own triplet envelope.
     """
     fs = x.fs
     bw = cfg.mca_bw
@@ -328,8 +345,9 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     def cell(m):
         _check_triplet(m, n, fs)
         _check_trim(len(x), tr)
-        slow_weight = bank.derived(("mca_slow_weight", float(m), float(bw), tr, x_ref),
-                                   lambda: _slow_weight(bank, m, bw, tr, x_ref))
+        slow_weight, slow = bank.reduce(
+            ("mca_slow", float(m), float(bw), tr, x_ref), m, bw,
+            lambda xm: _slow_band(xm, bank, m, bw, tr, x_ref))
         if slow_weight is None:
             return 0.0
 
@@ -348,8 +366,6 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
             z_env = _analytic_envelope(_Envelope(env, bank), m, bw)
         except DegeneratePhaseError:
             return 0.0
-        slow = bank.derived(("mca_slow_phasor", float(m), float(bw)),
-                            lambda: _unit(hilbert(bank.gabor(m, bw))))
         value = _phase_locking(_trimmed(slow, tr), _trimmed(z_env, tr))
 
         r_wide = math.sqrt(bank.gabor_power(n, 2.0 * bw, tr))
@@ -361,6 +377,15 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
         return value * capture * slow_weight * balance
 
     return cell
+
+
+def _mca_reads(n: float, m_values, cfg: MeasureConfig):
+    """Bank bands the mca column at n reads: (those read directly, the
+    triplet bands of its cells; those read only to be reduced, the slow
+    bands at its m)."""
+    bw = cfg.mca_bw
+    triplets = [_gabor_key(c, bw) for m in m_values for c in (n - m, n, n + m)]
+    return triplets, [_gabor_key(m, bw) for m in m_values]
 
 
 def _check_band(m: float, n: float, fs: float) -> None:
@@ -398,6 +423,13 @@ def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
         return zm, amp_n, tr
 
     return inputs
+
+
+def _morlet_reads(n: float, m_values, cfg: MeasureConfig):
+    """Bank bands an eps, mvl or kld column at n reads, all of them
+    directly: the Morlet band at each m and at n."""
+    cycles = cfg.morlet_cycles
+    return [_morlet_key(c, cycles) for c in (*m_values, n)], ()
 
 
 def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
@@ -496,6 +528,12 @@ def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
         return spectrum(amp_n, tr).value_at(m)
 
     return cell
+
+
+def _cv_reads(n: float, m_values, cfg: MeasureConfig):
+    """Bank bands the cv column at n reads, all of them directly: the
+    Morlet band at n."""
+    return [_morlet_key(n, cfg.morlet_cycles)], ()
 
 
 def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistribution:

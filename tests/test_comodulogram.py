@@ -1,9 +1,11 @@
 """Grid evaluation, matrix containers, peak readout, and method comparison."""
 
+import collections
 import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,45 @@ class TestPacMatrix:
         vals[0, 1] = 0.5  # m=2, n=2
         with pytest.raises(InvalidInputError):
             PacMatrix(vals, "mca", False, self.grid())
+
+    @pytest.mark.parametrize("grid", [
+        GridSpec(1, 3, 2, 4), GridSpec(5, 9, 1, 3), GridSpec(3, 8, 2, 9),
+        GridSpec(1, 12, 30, 50), GridSpec(4, 4, 4, 4),
+    ], ids=str)
+    def test_triangle_rule_is_the_meshgrid_rule(self, grid):
+        # the rule as it was written, on two int64 index grids
+        mm, nn = np.meshgrid(grid.m_values, grid.n_values)
+        upper = np.argwhere(mm >= nn)
+        rng = np.random.default_rng(0)
+        outcomes = set()
+        for trial in range(40):
+            vals = np.where(rng.random(grid.shape) < 0.3, rng.random(grid.shape), 0.0)
+            if trial % 2:
+                vals[mm >= nn] = 0.0
+            if trial % 4 == 3 and len(upper):
+                vals[tuple(upper[trial % len(upper)])] = 0.5
+            accepted = not np.any(vals[mm >= nn] != 0.0)
+            try:
+                PacMatrix(vals, "mca", False, grid)
+            except InvalidInputError:
+                assert not accepted
+            else:
+                assert accepted
+            outcomes.add(accepted)
+        assert outcomes == ({True, False} if len(upper) else {True})
+
+    def test_triangle_check_allocates_no_index_grids(self):
+        grid = GridSpec(1, 1000, 1, 1000)
+        vals = np.zeros(grid.shape)
+        tracemalloc.start()
+        try:
+            PacMatrix(vals, "mca", False, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 8 MB copy of the values and 1 MB per boolean matrix; two int64
+        # index grids would add 16 MB
+        assert peak < 12e6
 
     def test_values_are_readonly(self):
         mat = PacMatrix(np.zeros((3, 3)), "mca", False, self.grid())
@@ -353,6 +394,109 @@ class TestColumnProtocol:
             compute_matrix(x, "cv", grid, jobs=jobs)
             # n = 1 has no cell with m < n; n = 2..12 each have at least one
             assert len(calls) == 11
+
+
+# the stock and Nyquist grids of TestColumnProtocol, the benchmark's long
+# grid, whose slow bands (m 1..12) no column reads as a triplet band, and
+# a grid from m = 5 where a column reads the band at c as its mid band
+# before the next column reduces it as the slow band at m = c
+LIVENESS_CASES = dict(COLUMN_CASES, narrow=(lambda: coupled(seed=0), GridSpec(1, 12, 30, 50)),
+                      mid=(lambda: coupled(seed=0), GridSpec(5, 12, 1, 14)))
+
+
+def _record_fills(monkeypatch):
+    """Counter of the bank keys filled through paclab.filters from now on."""
+    fills = collections.Counter()
+    lock = threading.Lock()
+    real_bandpass = paclab.filters.bandpass
+    real_morlet = paclab.filters.morlet_bandpass
+
+    def bandpass(x, spec, **kwargs):
+        with lock:
+            fills[paclab.filters._gabor_key(spec.center, spec.bw_hz)] += 1
+        return real_bandpass(x, spec, **kwargs)
+
+    def morlet_bandpass(x, center, cycles):
+        with lock:
+            fills[paclab.filters._morlet_key(center, cycles)] += 1
+        return real_morlet(x, center, cycles)
+
+    monkeypatch.setattr(paclab.filters, "bandpass", bandpass)
+    monkeypatch.setattr(paclab.filters, "morlet_bandpass", morlet_bandpass)
+    return fills
+
+
+class TestBandLiveness:
+    @pytest.mark.parametrize("case", sorted(LIVENESS_CASES))
+    @pytest.mark.parametrize("method", sorted(CELL_FNS))
+    def test_no_band_is_filled_twice(self, monkeypatch, case, method):
+        make, grid = LIVENESS_CASES[case]
+        x = make()
+        fills = _record_fills(monkeypatch)
+        want = None
+        for jobs in (None, 2, 8):
+            fills.clear()
+            interval = sys.getswitchinterval()
+            if jobs == 8:  # switch threads as often as possible
+                sys.setswitchinterval(1e-6)
+            try:
+                mat = compute_matrix(x, method, grid, jobs=jobs)
+            finally:
+                sys.setswitchinterval(interval)
+            assert fills and max(fills.values()) == 1
+            assert mat.meta["cached_filterings"] == sum(fills.values())
+            if want is None:
+                want = mat.values
+            assert np.array_equal(mat.values, want)
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_bank_holds_the_bands_pending_columns_read(self, monkeypatch, jobs):
+        spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
+        x = synth_pac(spec).composite
+        grid = GridSpec(1, 12, 30, 50)
+        m_max = grid.m_stop
+        # (last column returned, Gabor band centres held, derived keys)
+        # after each fill and each column
+        held = []
+        banks = []
+
+        class RecordingBank(FilterBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+            def _record(self):
+                centres = {k[1] for k in list(self._cache.values) if k[0] == "gabor"}
+                held.append((self._done, centres, set(list(self._derived.values))))
+
+            def gabor(self, center, bw):
+                band = super().gabor(center, bw)
+                self._record()
+                return band
+
+            def done(self, column):
+                super().done(column)
+                self._record()
+
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        compute_matrix(x, "mca", grid, jobs=jobs)
+        (bank,) = banks
+        # past the sweep the bank holds only bands the final column read
+        final = {k[1] for k in bank._cache.values if k[0] == "gabor"}
+        assert final and min(final) >= grid.n_stop - m_max
+        assert bank.nbytes == len(final) * x.samples.nbytes
+        slow = set(grid.m_values.astype(float))
+        for done, centres, derived in held:
+            # the first column left to return is n = n_start + done + 1
+            pending = grid.n_start + done + 1
+            triplets = centres - slow
+            if jobs is None:
+                assert len(triplets) <= 2 * m_max + 1
+            # a triplet band no pending column reads is gone
+            assert all(c >= pending - m_max for c in triplets)
+            # a slow band, once reduced, is gone: no column reads it directly
+            reduced = {k[1] for k in derived if k[0] == "mca_slow"}
+            assert not centres & reduced
 
 
 class TestNormalize:

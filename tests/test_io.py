@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import paclab.io
 from paclab import (
     GridSpec,
     InvalidInputError,
@@ -100,6 +102,28 @@ class TestSignalCsv:
         p.write_bytes(b"time_s,value\n\xff,1\n")
         with pytest.raises(InvalidInputError):
             read_signal_csv(p)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("time_s,value\n\n\n0,1\n0.001,2\n0.002,x\n", 6, "non-numeric field"),
+        ("\ntime_s,value\n0,1\n  \n0.001,2,3\n", 5, "expected two columns"),
+        ("time_s,value\n0,1\n0.001,y\n", 3, "non-numeric field"),
+    ], ids=["blank-lines-before-bad-row", "blank-lines-around-header", "no-blank-lines"])
+    def test_errors_name_the_file_line(self, tmp_path, text, line, message):
+        # blank lines are skipped, but still counted in the line number
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(str(p))}:{line}: {message}$"):
+            read_signal_csv(p)
+
+    def test_chunked_writes_equal_the_whole_text(self, tmp_path):
+        # more rows than several writes hold, and a partial last write
+        n = 3 * paclab.io._ROWS_PER_WRITE + 17
+        x = pink_noise(n, 250.0, 1.0, seed=3)
+        p = tmp_path / "sig.csv"
+        write_signal_csv(p, x)
+        fmt = paclab.io.fmt
+        lines = ["time_s,value"] + [f"{fmt(i / x.fs)},{fmt(v)}" for i, v in enumerate(x.samples)]
+        assert p.read_bytes() == ("\n".join(lines) + "\n").encode()
 
 
 class TestMatrixCsv:

@@ -5,11 +5,13 @@
 Each tree's `src` is imported in a fresh interpreter, which computes a
 fixed set of comodulograms: the stock signal benchmark_spec((8, 45)) with
 seeds 0 and 7; all five methods; the configs default, edge_trim=0 and
-kld_bins=18 with morlet_cycles=6; and three ways of running, jobs None
-and jobs 2 on the default grid and use_cache=False on GridSpec(1, 20, 1,
-50). Every matrix and its meta["cached_filterings"] must be
-np.array_equal between the trees, or both trees must raise the same
-error. The script prints the count of equal results and, for each result
+kld_bins=18 with morlet_cycles=6; and five ways of running: jobs None
+and jobs 2 on the default grid, jobs None and jobs 2 on GridSpec(1, 12,
+30, 50), and use_cache=False on GridSpec(1, 20, 1, 50). On the default
+grid nearly every band is read until the sweep ends; on the narrow one
+the filter bank drops bands while columns are still pending. Every
+matrix and its meta["cached_filterings"] must be np.array_equal between
+the trees, or both trees must raise the same error. The script prints the count of equal results and, for each result
 that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -42,6 +44,8 @@ CONFIGS = {
 RUNS = {
     "jobs=None": dict(jobs=None),
     "jobs=2": dict(jobs=2),
+    "narrow,jobs=None": dict(jobs=None, grid=GridSpec(1, 12, 30, 50)),
+    "narrow,jobs=2": dict(jobs=2, grid=GridSpec(1, 12, 30, 50)),
     "use_cache=False": dict(use_cache=False, grid=GridSpec(1, 20, 1, 50)),
 }
 out = {"paclab": paclab.__file__}
