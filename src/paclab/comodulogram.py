@@ -147,7 +147,9 @@ def compute_matrix(
     band only until every column that reads it has returned, by a read
     plan made from the grid, and fills no band twice. With jobs > 1
     columns are evaluated by a thread pool; results are identical to the
-    serial order because every column is a pure function. With
+    serial order because every column is a pure function. Pooled
+    columns start at staggered m and wrap around, and a pooled column
+    that raises raises the error of serial order. With
     use_cache=False every cell is a one-cell column on a fresh bank. A
     grid reaching Nyquist, in m or in n, or holding more than
     MAX_GRID_CELLS cells, and jobs above MAX_JOBS are refused before any
@@ -187,7 +189,10 @@ def compute_matrix(
     def one(col):
         i, n, ms = col
         if bank is not None:
-            return i, measures._column(cells, x, n, ms, cfg, bank)
+            # pooled columns start at staggered m, so concurrent columns
+            # fill different per-m bank entries instead of waiting on one
+            start = (i % jobs) * len(ms) // jobs if jobs and jobs > 1 else 0
+            return i, measures._column(cells, x, n, ms, cfg, bank, start)
         return i, [measures._column(cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
     def put(result):

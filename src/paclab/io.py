@@ -21,6 +21,12 @@ FS_SNAP_REL = 1e-6
 # signal CSV rows formatted per write, so a long recording's file text
 # is never held whole (about 35 bytes a row)
 _ROWS_PER_WRITE = 4096
+# characters of signal CSV rows numpy parses per call (about 30000 rows),
+# so the parse holds one slice's lines and rows, not the whole file's
+_PARSE_CHARS = 1 << 20
+# deletes, by str.translate, the characters of rows of plain numbers,
+# the only rows read_signal_csv hands to numpy
+_DROP_PLAIN_ROW_CHARS = str.maketrans("", "", "0123456789.eE+-,\n")
 
 
 def fmt(v: float) -> str:
@@ -29,20 +35,82 @@ def fmt(v: float) -> str:
 
 def write_signal_csv(path, x: Signal) -> None:
     """Two-column CSV; 17 significant digits so parsing returns the same
-    float64 values bitwise. Rows are written _ROWS_PER_WRITE at a time."""
+    float64 values bitwise. Rows are written _ROWS_PER_WRITE at a time,
+    each batch formatted by one %-format; np.arange(a, b) / fs is i / fs
+    bitwise."""
     fs = x.fs
     samples = x.samples
     with Path(path).open("w") as f:
         f.write(SIGNAL_HEADER + "\n")
-        for start in range(0, len(samples), _ROWS_PER_WRITE):
-            chunk = samples[start:start + _ROWS_PER_WRITE]
-            f.write("".join(f"{fmt(i / fs)},{fmt(v)}\n" for i, v in enumerate(chunk, start)))
+        for a in range(0, len(samples), _ROWS_PER_WRITE):
+            b = min(a + _ROWS_PER_WRITE, len(samples))
+            rows = np.column_stack((np.arange(a, b) / fs, samples[a:b]))
+            f.write(("%.17g,%.17g\n" * (b - a)) % tuple(rows.ravel().tolist()))
 
 
 def read_signal_csv(path) -> Signal:
     """Parse a signal CSV; fs is inferred from the (validated uniform)
-    time column."""
+    time column.
+
+    A file of the exact header and rows of plain numbers is parsed by
+    numpy, _PARSE_CHARS characters of rows at a time. Any other file, and
+    any file numpy refuses or that holds a non-finite value, is parsed by
+    the line loop, which gives the errors and their line numbers."""
     path = Path(path)
+    try:
+        columns = _read_plain_rows(path)
+    except (OSError, UnicodeDecodeError):
+        columns = None  # the line loop reads the file again and reports it
+    t, values = columns if columns is not None else _read_rows(path)
+    return Signal(values, _sample_rate(path, t))
+
+
+def _read_plain_rows(path: Path):
+    """(times, values) of a file whose first line is exactly the header and
+    whose other characters are all digits, '.', 'e', 'E', '+', '-', ','
+    or '\\n', parsed by np.loadtxt in slices of whole lines; None for any
+    other file, or where loadtxt refuses a slice or finds a non-finite
+    value. That alphabet has no whitespace, '_', 'inf', 'nan', '\\r' or
+    '#', so within it loadtxt accepts the same fields as float(), with the
+    same values.
+
+    The text is read whole, as one string. Read in chunks instead, the
+    largest block the reader frees is its result, and glibc's malloc,
+    which lifts its mmap threshold to the largest mapped block freed,
+    then maps and unmaps the FFT temporaries of the matrix computed next:
+    on a 300 s recording, on a 2-vCPU VM, that took 2-3 times the page
+    faults and made the matrices 7-18% slower."""
+    with path.open(newline="") as f:
+        if f.readline() != SIGNAL_HEADER + "\n":
+            return None
+        body = f.read()
+    parts = []
+    start = 0
+    while start < len(body):
+        end = body.find("\n", start + _PARSE_CHARS)
+        end = len(body) if end < 0 else end + 1
+        text = body[start:end]
+        start = end
+        # an all-blank slice has no data, which loadtxt warns about
+        if text.translate(_DROP_PLAIN_ROW_CHARS) or not text.strip("\n"):
+            return None
+        try:
+            rows = np.loadtxt(text.splitlines(True), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if rows.shape[1] != 2 or not np.isfinite(rows).all():
+            return None
+        parts.append(rows)
+    if not parts:
+        return None
+    rows = np.concatenate(parts)
+    return rows[:, 0], rows[:, 1]
+
+
+def _read_rows(path: Path):
+    """(times, values) by a loop over the file's lines, naming the line of
+    the first row with two fields that float() does not take, or takes as
+    a non-finite value."""
     try:
         raw = path.read_text()
     except (OSError, UnicodeDecodeError) as e:
@@ -59,15 +127,21 @@ def read_signal_csv(path) -> Signal:
         if len(parts) != 2:
             raise InvalidInputError(f"{path}:{k}: expected two columns")
         try:
-            times.append(float(parts[0]))
-            values.append(float(parts[1]))
+            t, v = float(parts[0]), float(parts[1])
         except ValueError as e:
             raise InvalidInputError(f"{path}:{k}: non-numeric field") from e
-    if len(values) < 2:
+        if not (math.isfinite(t) and math.isfinite(v)):
+            raise InvalidInputError(f"{path}:{k}: non-finite value")
+        times.append(t)
+        values.append(v)
+    return np.array(times), np.array(values)
+
+
+def _sample_rate(path: Path, t: np.ndarray) -> float:
+    """The rate of the finite time column t: at least 2 samples, increasing
+    with uniform spacing, and snapped to a near integer."""
+    if len(t) < 2:
         raise InvalidInputError(f"{path}: need at least 2 samples")
-    t = np.array(times)
-    if not np.all(np.isfinite(t)):
-        raise InvalidInputError(f"{path}: time column must be finite")
     with np.errstate(over="ignore"):
         dt = np.diff(t)
         dt0 = float(np.mean(dt))
@@ -80,7 +154,7 @@ def read_signal_csv(path) -> Signal:
         raise InvalidInputError(f"{path}: sample spacing {dt0!r} s gives no finite rate")
     if abs(fs - round(fs)) <= FS_SNAP_REL * fs:
         fs = float(round(fs))
-    return Signal(np.array(values), fs)
+    return fs
 
 
 def grid_str(g: GridSpec) -> str:

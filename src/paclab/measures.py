@@ -223,16 +223,23 @@ def _phase_locking(slow: np.ndarray, z_env: np.ndarray) -> float:
 
 
 def _column(cells, x: Signal, n: float, m_values, cfg: MeasureConfig,
-            bank: FilterBank) -> np.ndarray:
+            bank: FilterBank, start: int = 0) -> np.ndarray:
     """cells(x, n, cfg, bank)(m) for each m of a column; a cell with
-    nothing to score is 0."""
+    nothing to score is 0. Cells are evaluated from index `start` on,
+    wrapping around, and each value lands at its own index. A column
+    that raises from a later start is evaluated again from 0, so it
+    raises the error of its first failing m, as in ascending order."""
     cell = cells(x, n, cfg, bank)
     out = np.zeros(len(m_values))
-    for j, m in enumerate(m_values):
+    for j in [*range(start, len(m_values)), *range(start)]:
         try:
-            out[j] = cell(m)
+            out[j] = cell(m_values[j])
         except _ZERO_CELL_ERRORS:
             pass
+        except PacError:
+            if start == 0:
+                raise
+            return _column(cells, x, n, m_values, cfg, bank)
     return out
 
 

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -497,6 +498,76 @@ class TestBandLiveness:
             # a slow band, once reduced, is gone: no column reads it directly
             reduced = {k[1] for k in derived if k[0] == "mca_slow"}
             assert not centres & reduced
+
+
+class TestPooledColumnOrder:
+    """Pooled columns start at staggered m, so the first wave fills
+    different per-m entries; serial columns walk m in ascending order."""
+
+    @staticmethod
+    def _cell_order(monkeypatch, method, x, grid, jobs):
+        """The m values each column evaluated, in order, by n."""
+        order = collections.defaultdict(list)
+        lock = threading.Lock()
+        cells, reads = paclab.comodulogram._MEASURES[method]
+
+        def logging_cells(x, n, cfg, bank):
+            cell = cells(x, n, cfg, bank)
+
+            def logged(m):
+                with lock:
+                    order[n].append(m)
+                return cell(m)
+
+            return logged
+
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, method, (logging_cells, reads))
+        compute_matrix(x, method, grid, jobs=jobs)
+        return order
+
+    @pytest.mark.parametrize("method", ["mca", "eps"])
+    def test_pooled_columns_start_at_staggered_m(self, monkeypatch, method):
+        grid = GridSpec(1, 8, 30, 35)
+        ms = [int(m) for m in grid.m_values]
+        x = coupled(seed=0)
+        serial = self._cell_order(monkeypatch, method, x, grid, None)
+        assert all(serial[n] == ms for n in grid.n_values)
+        pooled = self._cell_order(monkeypatch, method, x, grid, 2)
+        first, second = (pooled[n] for n in grid.n_values[:2])
+        assert first[0] != second[0]
+        # each column is a rotation of m ascending: every cell once
+        for n in grid.n_values:
+            s = ms.index(pooled[n][0])
+            assert pooled[n] == ms[s:] + ms[:s]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pooled_errors_are_the_serial_errors(self, method):
+        # 1.5 s: the Morlet kernels of the low m do not fit, and their
+        # length, in the message, depends on m
+        x = pink_noise(1500, 1000.0, 1.0, seed=0)
+        grid = GridSpec(1, 12, 20, 40)
+        with pytest.raises(paclab.PacError) as serial:
+            compute_matrix(x, method, grid)
+        for jobs in (2, 8):
+            with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
+                compute_matrix(x, method, grid, jobs=jobs)
+
+    @pytest.mark.parametrize("method", ["eps", "mvl", "kld"])
+    def test_a_column_raises_its_first_failing_m(self, method):
+        # a column started at m = 2 still reports the kernel of m = 1, not
+        # that of m = 2, which does not fit either
+        x = pink_noise(1500, 1000.0, 1.0, seed=0)
+        cells = paclab.comodulogram._MEASURES[method][0]
+        cfg = MeasureConfig()
+        ms = list(range(1, 13))
+        with pytest.raises(paclab.SignalTooShortError) as ascending:
+            paclab.measures._column(cells, x, 20, ms, cfg, FilterBank(x))
+        with pytest.raises(paclab.SignalTooShortError) as rotated:
+            paclab.measures._column(cells, x, 20, ms, cfg, FilterBank(x), start=1)
+        assert str(rotated.value) == str(ascending.value)
+        with pytest.raises(paclab.SignalTooShortError) as from_two:
+            paclab.measures._column(cells, x, 20, ms[1:], cfg, FilterBank(x))
+        assert str(from_two.value) != str(ascending.value)
 
 
 class TestNormalize:

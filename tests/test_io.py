@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,7 +108,9 @@ class TestSignalCsv:
         ("time_s,value\n\n\n0,1\n0.001,2\n0.002,x\n", 6, "non-numeric field"),
         ("\ntime_s,value\n0,1\n  \n0.001,2,3\n", 5, "expected two columns"),
         ("time_s,value\n0,1\n0.001,y\n", 3, "non-numeric field"),
-    ], ids=["blank-lines-before-bad-row", "blank-lines-around-header", "no-blank-lines"])
+        ("time_s,value\n0,1\n0.001,1e999\n0.002,3\n", 3, "non-finite value"),
+    ], ids=["blank-lines-before-bad-row", "blank-lines-around-header", "no-blank-lines",
+            "non-finite-value"])
     def test_errors_name_the_file_line(self, tmp_path, text, line, message):
         # blank lines are skipped, but still counted in the line number
         p = tmp_path / "bad.csv"
@@ -393,3 +396,131 @@ class TestHostileText:
     def test_any_text_after_the_header_parses_or_is_invalid(self, text):
         for reader, head in ((read_signal_csv, "time_s,value\n"), (read_matrix_csv, "")):
             _parse_text(reader, head + text)
+
+
+def reference_read_signal_csv(path) -> Signal:
+    """The line-loop reader as it stood before plain files went through
+    numpy, with one change: a non-finite field names its line."""
+    path = Path(path)
+    try:
+        raw = path.read_text()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InvalidInputError(f"cannot read signal file {path}: {e}") from e
+    rows = ((k, ln) for k, ln in enumerate(raw.splitlines(), start=1) if ln.strip())
+    header = next(rows, None)
+    if header is None or header[1].strip() != "time_s,value":
+        raise InvalidInputError(f"{path}: expected header {'time_s,value'!r}")
+    times = []
+    values = []
+    for k, ln in rows:
+        parts = ln.split(",")
+        if len(parts) != 2:
+            raise InvalidInputError(f"{path}:{k}: expected two columns")
+        try:
+            times.append(float(parts[0]))
+            values.append(float(parts[1]))
+        except ValueError as e:
+            raise InvalidInputError(f"{path}:{k}: non-numeric field") from e
+        # the one change
+        if not (math.isfinite(times[-1]) and math.isfinite(values[-1])):
+            raise InvalidInputError(f"{path}:{k}: non-finite value")
+    if len(values) < 2:
+        raise InvalidInputError(f"{path}: need at least 2 samples")
+    t = np.array(times)
+    if not np.all(np.isfinite(t)):
+        raise InvalidInputError(f"{path}: time column must be finite")
+    with np.errstate(over="ignore"):
+        dt = np.diff(t)
+        dt0 = float(np.mean(dt))
+    if not dt0 > 0:
+        raise InvalidInputError(f"{path}: time column must be increasing")
+    if not (math.isfinite(dt0) and np.max(np.abs(dt - dt0)) <= 1e-9 * dt0):
+        raise InvalidInputError(f"{path}: sample spacing is not uniform")
+    fs = 1.0 / dt0
+    if not math.isfinite(fs):
+        raise InvalidInputError(f"{path}: sample spacing {dt0!r} s gives no finite rate")
+    if abs(fs - round(fs)) <= 1e-6 * fs:
+        fs = float(round(fs))
+    return Signal(np.array(values), fs)
+
+
+# one edit of a written file's lines; k is a row index (line 0 is the header)
+EDITS = {
+    "none": lambda lines, k, f: lines,
+    "spaces": lambda lines, k, f: _set(lines, k, f" {lines[k]} "),
+    "tab-in-field": lambda lines, k, f: _set(lines, k, lines[k].replace(",", ",\t")),
+    "field": lambda lines, k, f: _set(lines, k, lines[k].split(",")[0] + "," + f),
+    "before-comma": lambda lines, k, f: _set(lines, k, lines[k].replace(",", f + ",")),
+    "time-field": lambda lines, k, f: _set(lines, k, f + "," + lines[k].split(",")[1]),
+    "three-columns": lambda lines, k, f: _set(lines, k, lines[k] + ",0"),
+    "one-column": lambda lines, k, f: _set(lines, k, lines[k].split(",")[0]),
+    "blank-before": lambda lines, k, f: ["", "  "] + lines,
+    "blank-inside": lambda lines, k, f: lines[:k] + ["", ""] + lines[k:],
+    "blank-after": lambda lines, k, f: lines + ["", " "],
+    "bare-header": lambda lines, k, f: lines[:1],
+    "header-spaces": lambda lines, k, f: [" time_s,value "] + lines[1:],
+}
+EDITED_FIELDS = st.sampled_from([
+    "1_000", "infinity", "-Infinity", "nan", "1e999", "-1e999", "+1", ".5", "1.", "-.5e-3",
+    "", " ", "1e", "--1", "1e-400", "0x10", "1,5",
+    # whitespace to numpy, line breaks to str.splitlines
+    "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\xa0"])
+
+
+def _set(lines, k, line):
+    return lines[:k] + [line] + lines[k + 1:]
+
+
+class TestReaderMatchesLineLoop:
+    """read_signal_csv against the reference line loop: the same values
+    bit for bit and the same rate, or the same error type and message."""
+
+    @staticmethod
+    def _outcome(reader, path):
+        try:
+            x = reader(path)
+        except InvalidInputError as e:
+            return type(e), str(e)
+        return x.samples.tobytes(), x.fs
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(n=st.integers(0, 120),
+           fs=st.one_of(st.sampled_from([250.0, 1000.0, 1000.0 / 3]), st.floats(1e-3, 1e5),
+                        st.floats(1e300, 1e308)),
+           data=st.data(),
+           edit=st.sampled_from(sorted(EDITS)),
+           field=EDITED_FIELDS,
+           newline=st.sampled_from(["\n", "\n", "\r\n"]),
+           final_newline=st.booleans(),
+           chars=st.one_of(st.none(), st.integers(1, 400)))
+    def test_same_values_or_same_error(self, n, fs, data, edit, field, newline,
+                                       final_newline, chars):
+        samples = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=n, max_size=n))
+        with tempfile.TemporaryDirectory() as d:
+            p = Path(d) / "input.csv"
+            if n:
+                write_signal_csv(p, Signal(np.array(samples), fs))
+                lines = p.read_text().splitlines()
+            else:
+                lines = ["time_s,value"]
+            k = data.draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+            lines = EDITS[edit](lines, k, field)
+            text = newline.join(lines) + (newline if final_newline else "")
+            p.write_bytes(text.encode())
+            # a small slice puts slice boundaries next to the edited row
+            chars = paclab.io._PARSE_CHARS if chars is None else chars
+            with mock.patch.object(paclab.io, "_PARSE_CHARS", chars):
+                got = self._outcome(read_signal_csv, p)
+            assert got == self._outcome(reference_read_signal_csv, p)
+
+    def test_written_file_is_bitwise_and_read_by_numpy(self, tmp_path, monkeypatch):
+        # more rows than a slice holds: every slice goes through numpy
+        x = pink_noise(5000, 1000.0 / 3, 1.0, seed=4)
+        p = tmp_path / "sig.csv"
+        write_signal_csv(p, x)
+        monkeypatch.setattr(paclab.io, "_PARSE_CHARS", 4096)
+        monkeypatch.setattr(paclab.io, "_read_rows", None)  # the loop is never reached
+        y = read_signal_csv(p)
+        assert np.array_equal(y.samples, x.samples)
+        assert y.fs == reference_read_signal_csv(p).fs

@@ -11,7 +11,16 @@ and jobs 2 on the default grid, jobs None and jobs 2 on GridSpec(1, 12,
 grid nearly every band is read until the sweep ends; on the narrow one
 the filter bank drops bands while columns are still pending. Every
 matrix and its meta["cached_filterings"] must be np.array_equal between
-the trees, or both trees must raise the same error. The script prints the count of equal results and, for each result
+the trees, or both trees must raise the same error.
+
+A second fresh interpreter per tree runs the CLI in an empty directory:
+`synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
+unset and at 2, and `psd`, on that CSV. Every exit code and output file
+must be the same byte for byte, and every manifest the same apart from
+its duration_s. This covers the signal CSV writer and reader, which the
+matrices above never touch.
+
+The script prints the count of equal results and, for each result
 that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -64,26 +73,81 @@ with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
 
+# runs inside each tree's interpreter, in an empty directory: argv[1] is
+# the pickle to write
+_CLI_CHILD = r"""
+import json, pickle, sys
+from pathlib import Path
+import paclab
+from paclab import cli
 
-def _start(tree: Path, dump: Path) -> subprocess.Popen:
+RUNS = {
+    "synth": ["synth", "--paper-pair", "1", "--dur", "30", "-o", "sig.csv"],
+    "pac": ["pac", "--method", "mca", "-i", "sig.csv", "-o", "mca.csv"],
+    "pac --jobs 2": ["pac", "--method", "mca", "--jobs", "2", "-i", "sig.csv",
+                     "-o", "mca_jobs2.csv"],
+    "psd": ["psd", "-i", "sig.csv", "-o", "psd.csv"],
+}
+out = {"paclab": paclab.__file__}
+for name, argv in RUNS.items():
+    out[("cli", name, "exit code")] = ("exit", cli.main(argv))
+for p in sorted(Path(".").iterdir()):
+    if p.name.endswith(".manifest.json"):
+        doc = json.loads(p.read_text())
+        doc.pop("duration_s", None)
+        out[("cli", p.name)] = ("manifest", doc)
+    else:
+        out[("cli", p.name)] = ("file", p.read_bytes())
+with open(sys.argv[1], "wb") as f:
+    pickle.dump(out, f)
+"""
+
+
+def _start(tree: Path, child: str, dump: Path, cwd: Path) -> subprocess.Popen:
     src = tree / "src"
     if not (src / "paclab" / "__init__.py").is_file():
         raise SystemExit(f"{tree} has no src/paclab")
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    return subprocess.Popen([sys.executable, "-c", _CHILD, str(dump)], env=env, cwd=src)
+    env.pop("PAC_LAB_JOBS", None)  # --jobs unset means unset
+    return subprocess.Popen([sys.executable, "-c", child, str(dump)], env=env, cwd=cwd)
+
+
+def _run_trees(trees, child: str, tmp: Path, name: str, in_src: bool):
+    """child's dump from each tree, run in parallel: in the tree's src, or
+    in an empty directory of its own; None if a run failed."""
+    dumps, procs = [], []
+    for i, tree in enumerate(trees):
+        dumps.append(tmp / f"{name}{i}.pkl")
+        cwd = tree / "src" if in_src else tmp / f"{name}{i}"
+        cwd.mkdir(exist_ok=True)
+        procs.append(_start(tree, child, dumps[-1], cwd))
+    codes = [p.wait() for p in procs]
+    if any(codes):
+        print(f"a tree's {name} run failed (exit codes {codes})", file=sys.stderr)
+        return None
+    return [pickle.loads(d.read_bytes()) for d in dumps]
 
 
 def _same(a, b) -> bool:
     if a[0] != b[0]:
         return False
-    if a[0] == "raised":
+    if a[0] != "ok":
         return a == b
     return np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
 def _moved(a, b) -> str:
     """How result b differs from result a, for a line of the report."""
+    if a[0] == b[0] == "manifest":
+        keys = sorted(k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k))
+        return f"manifest keys {keys} differ"
+    if a[0] == b[0] == "file":
+        at = next((i for i, (p, q) in enumerate(zip(a[1], b[1])) if p != q),
+                  min(len(a[1]), len(b[1])))
+        return f"{len(a[1])} against {len(b[1])} bytes, first difference at byte {at}"
+    if a[0] == b[0] == "exit":
+        return f"exit code {a[1]} against {b[1]}"
     if a[0] != "ok" or b[0] != "ok":
         said = ["ok" if r[0] == "ok" else f"raised {r[1]}: {r[2]}" for r in (a, b)]
         return f"parent {said[0]}; change {said[1]}"
@@ -102,18 +166,19 @@ def main(argv=None) -> int:
         print("usage: python3 tools/same_numbers.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
         return 2
     trees = [Path(a).resolve() for a in args]
+    results = [{}, {}]
     with tempfile.TemporaryDirectory() as tmp:
-        dumps = [Path(tmp) / f"tree{i}.pkl" for i in range(2)]
-        procs = [_start(t, d) for t, d in zip(trees, dumps)]
-        codes = [p.wait() for p in procs]
-        if any(codes):
-            print(f"a tree's run failed (exit codes {codes})", file=sys.stderr)
-            return 1
-        parent, change = (pickle.loads(d.read_bytes()) for d in dumps)
-    for tree, res in zip(trees, (parent, change)):
-        if not Path(res.pop("paclab")).is_relative_to(tree):
-            print(f"the run for {tree} imported paclab from elsewhere", file=sys.stderr)
-            return 1
+        for child, name, in_src in ((_CHILD, "matrices", True), (_CLI_CHILD, "cli", False)):
+            dumps = _run_trees(trees, child, Path(tmp), name, in_src)
+            if dumps is None:
+                return 1
+            for tree, res, dump in zip(trees, results, dumps):
+                if not Path(dump.pop("paclab")).is_relative_to(tree):
+                    print(f"the {name} run for {tree} imported paclab from elsewhere",
+                          file=sys.stderr)
+                    return 1
+                res.update(dump)
+    parent, change = results
     keys = sorted(parent, key=repr)
     differ = [k for k in keys if k not in change or not _same(parent[k], change[k])]
     raised = sum(1 for k in keys if parent[k][0] == "raised")
