@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,14 +23,14 @@ from .comodulogram import (
     MAX_JOBS,
     METHODS,
     GridSpec,
+    _check_jobs,
     argmax,
-    comparison_runs,
-    comparison_specs,
+    comparison_plan,
     compute_matrix,
     normalize,
     run_comparison,
 )
-from .errors import InvalidInputError, PacError
+from .errors import InvalidInputError, InvalidMethodError, PacError
 from .measures import MeasureConfig
 from .spectral import WelchSpec, welch_psd
 from .synthesis import (
@@ -58,24 +58,6 @@ class _UsageError(Exception):
 
 class _IoError(Exception):
     pass
-
-
-def _resolve_jobs(args):
-    """The worker count of --jobs, else of PAC_LAB_JOBS, else None: an
-    integer in [1, MAX_JOBS]."""
-    if args.jobs is not None:
-        source, raw = "--jobs", args.jobs
-    else:
-        source, raw = "PAC_LAB_JOBS", os.environ.get("PAC_LAB_JOBS")
-        if raw is None:
-            return None
-    try:
-        jobs = int(raw)
-        if 1 <= jobs <= MAX_JOBS:
-            return jobs
-    except ValueError:
-        pass
-    raise _UsageError(f"{source} must be an integer in [1, {MAX_JOBS}], got {raw!r}")
 
 
 class _Plan(NamedTuple):
@@ -114,35 +96,20 @@ def _parse_pairs(text: str):
         if len(parts) != 2:
             raise _UsageError(f"pair {chunk!r} is not of the form m:n")
         try:
-            m, n = int(parts[0]), int(parts[1])
+            pairs.append((int(parts[0]), int(parts[1])))
         except ValueError:
             raise _UsageError(f"pair {chunk!r} is not of the form m:n")
-        if not (1 <= m < n):
-            raise _UsageError(f"pair {chunk!r} needs 1 <= m < n")
-        pairs.append((m, n))
-    if not pairs:
-        raise _UsageError("need at least one m:n pair")
     return pairs
 
 
-def _parse_grid(text: str) -> GridSpec:
-    try:
-        return io.parse_grid(text)
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
-
-
 def _measure_config(args) -> MeasureConfig:
-    try:
-        return MeasureConfig(
-            mca_bw=args.mca_bw,
-            morlet_cycles=args.morlet_cycles,
-            kld_bins=args.kld_bins,
-            edge_trim=args.edge_trim,
-            welch=WelchSpec(window_len=args.welch_window, overlap=args.welch_overlap),
-        )
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
+    return MeasureConfig(
+        mca_bw=args.mca_bw,
+        morlet_cycles=args.morlet_cycles,
+        kld_bins=args.kld_bins,
+        edge_trim=args.edge_trim,
+        welch=WelchSpec(window_len=args.welch_window, overlap=args.welch_overlap),
+    )
 
 
 def cmd_synth(args) -> _Plan:
@@ -159,12 +126,8 @@ def cmd_synth(args) -> _Plan:
         raise _UsageError("need --m and --n (or --paper-pair)")
     else:
         preset, clean = None, args.clean_power
-    try:
-        spec = dataclasses.replace(preset, **given) if preset else SynthesisSpec(**given)
-        spec = dataclasses.replace(spec, clean_scale=clean_scale_for(clean, spec.ami),
-                                   seed=args.seed)
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
+    spec = dataclasses.replace(preset, **given) if preset else SynthesisSpec(**given)
+    spec = dataclasses.replace(spec, clean_scale=clean_scale_for(clean, spec.ami), seed=args.seed)
     parameters = {
         "m": spec.m, "n": spec.n, "ami": spec.ami, "duration": spec.duration,
         "fs": spec.fs, "noise_power": spec.noise_power, "clean_power": clean,
@@ -180,8 +143,8 @@ def cmd_synth(args) -> _Plan:
 
 def cmd_pac(args) -> _Plan:
     cfg = _measure_config(args)
-    grid = _parse_grid(args.grid)
-    jobs = _resolve_jobs(args)
+    grid = io.parse_grid(args.grid)
+    _check_jobs(args.jobs)
     inp = Path(args.input)
     out = Path(args.output)
     meta_out = Path(str(out) + ".meta.json")
@@ -189,15 +152,12 @@ def cmd_pac(args) -> _Plan:
         "method": args.method,
         "grid": io.grid_str(grid),
         **cfg.as_dict(),
-        "jobs": jobs,
-        "cache": not args.no_cache,
+        "jobs": args.jobs,
     }
 
     def run():
         x = _read(io.read_signal_csv, inp)
-        mat = normalize(
-            compute_matrix(x, args.method, grid, cfg, jobs=jobs, use_cache=not args.no_cache)
-        )
+        mat = normalize(compute_matrix(x, args.method, grid, cfg, jobs=args.jobs))
         peak = argmax(mat)
         _write(io.write_matrix_csv, out, mat)
         meta = {
@@ -219,10 +179,7 @@ def cmd_psd(args) -> _Plan:
         "window": args.window,
         "overlap": args.overlap,
     }
-    try:
-        spec = WelchSpec(window_len=args.window, overlap=args.overlap)
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
+    spec = WelchSpec(window_len=args.window, overlap=args.overlap)
 
     def run():
         psd = welch_psd(_read(io.read_signal_csv, inp), spec)
@@ -237,21 +194,12 @@ def cmd_psd(args) -> _Plan:
 def cmd_compare(args) -> _Plan:
     pairs = _parse_pairs(args.pairs)
     methods = [mth.strip() for mth in args.methods.split(",") if mth.strip()]
-    for mth in methods:
-        if mth not in METHODS:
-            raise _UsageError(f"unknown method {mth!r}; pick from {METHODS}")
-    if not methods:
-        raise _UsageError("need at least one method")
     cfg = _measure_config(args)
-    grid = _parse_grid(args.grid)
-    jobs = _resolve_jobs(args)
-    try:
-        # the run count, seeds and signal settings run_comparison will
-        # use, checked before any work or any list sized by them
-        seeds = list(comparison_runs(len(pairs), len(methods), args.seeds, args.base_seed))
-        comparison_specs(pairs, args.ami, args.dur, args.fs, args.noise_power, args.clean_power)
-    except InvalidInputError as e:
-        raise _UsageError(str(e))
+    grid = io.parse_grid(args.grid)
+    _check_jobs(args.jobs)
+    # run_comparison's own checks, made here so --dry-run makes them too
+    seeds, _ = comparison_plan(pairs, methods, args.seeds, args.base_seed, args.ami,
+                               args.dur, args.fs, args.noise_power, args.clean_power)
     out = Path(args.output)
     parameters = {
         "pairs": [f"{m}:{n}" for m, n in pairs],
@@ -264,7 +212,7 @@ def cmd_compare(args) -> _Plan:
         "noise_power": args.noise_power,
         "clean_power": args.clean_power,
         "grid": io.grid_str(grid),
-        "jobs": jobs,
+        "jobs": args.jobs,
         "matrix_dir": args.matrix_dir,
     }
     # run_comparison hands the matrices over in this order: pair, seed, method
@@ -297,7 +245,7 @@ def cmd_compare(args) -> _Plan:
             clean_power=args.clean_power,
             grid=grid,
             cfg=cfg,
-            jobs=jobs,
+            jobs=args.jobs,
             base_seed=args.base_seed,
             matrix_sink=sink if matrices else None,
         )
@@ -305,7 +253,7 @@ def cmd_compare(args) -> _Plan:
         doc.update(report.as_dict())
         _write(io.write_json, out, doc)
 
-    return _Plan("compare", parameters, [], [out, *matrices.values()], seeds, run)
+    return _Plan("compare", parameters, [], [out, *matrices.values()], list(seeds), run)
 
 
 def cmd_heatmap(args) -> _Plan:
@@ -340,7 +288,7 @@ def _add_matrix_flags(p):
     p.add_argument("--welch-overlap", type=float, default=cfg.welch.overlap,
                    help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker threads, 1 to {MAX_JOBS} (default: PAC_LAB_JOBS or serial)")
+                   help=f"worker threads, 1 to {MAX_JOBS} (default: serial)")
 
 
 def _add_common(p):
@@ -357,22 +305,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pac-lab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # an unset synth flag keeps SynthesisSpec's default
+    spec = SynthesisSpec(*BENCHMARK_PAIRS[0])
     p = sub.add_parser("synth", help="write a synthetic coupled signal as CSV")
     p.add_argument("--m", type=int, default=None, help="slow frequency in Hz")
     p.add_argument("--n", type=int, default=None, help="fast frequency in Hz")
     p.add_argument("--ami", type=float, default=None,
-                   help="amplitude modulation index (default 0.25)")
-    p.add_argument("--dur", type=float, default=None, help="duration in s (default 10)")
+                   help=f"amplitude modulation index (default {spec.ami:g})")
+    p.add_argument("--dur", type=float, default=None,
+                   help=f"duration in s (default {spec.duration:g})")
     p.add_argument("--fs", type=float, default=None,
-                   help="sampling rate in Hz (default 1000)")
+                   help=f"sampling rate in Hz (default {spec.fs:g})")
     p.add_argument("--noise-power", type=float, default=None,
-                   help="pink-noise power (default 0)")
+                   help=f"pink-noise power (default {spec.noise_power:g})")
     p.add_argument("--clean-power", type=float, default=None,
                    help="rescale the clean part to this power (default: no rescale)")
     p.add_argument("--seed", type=int, default=0, help="noise RNG seed (default 0)")
+    presets = " ".join(f"({m},{n})" for m, n in BENCHMARK_PAIRS)
     p.add_argument("--paper-pair", type=int, default=None, metavar="K",
-                   help="benchmark preset 1..4: (8,45) (12,45) (20,45) (30,45) "
-                        "with ami 0.25, 10 s, 1 kHz, noise 6250, clean power 630")
+                   help=f"benchmark preset 1..{len(BENCHMARK_PAIRS)}: {presets} with ami "
+                        f"{BENCHMARK_AMI:g}, {BENCHMARK_DURATION:g} s, {BENCHMARK_FS:g} Hz, "
+                        f"noise {BENCHMARK_NOISE_POWER:g}, clean power {BENCHMARK_CLEAN_POWER:g}")
     p.add_argument("-o", "--output", required=True, help="signal CSV path")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
@@ -381,10 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("-i", "--input", required=True, help="signal CSV path")
     p.add_argument("-o", "--output", required=True, help="matrix CSV path")
-    p.add_argument("--grid", default="m=1:50,n=1:50",
-                   help="evaluation grid (default m=1:50,n=1:50)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="disable the per-signal filter cache")
+    grid = io.grid_str(GridSpec())
+    p.add_argument("--grid", default=grid, help=f"evaluation grid (default {grid})")
     _add_matrix_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_pac)
@@ -405,14 +356,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated m:n pairs, e.g. 8:45,12:45")
     p.add_argument("--methods", default=",".join(METHODS),
                    help=f"comma-separated subset of {','.join(METHODS)}")
-    p.add_argument("--seeds", type=int, default=10, help="seeds per pair (default 10)")
+    seeds = inspect.signature(run_comparison).parameters["n_seeds"].default
+    p.add_argument("--seeds", type=int, default=seeds, help=f"seeds per pair (default {seeds})")
     p.add_argument("--base-seed", type=int, default=0, help="first seed (default 0)")
     p.add_argument("--ami", type=float, default=BENCHMARK_AMI)
     p.add_argument("--dur", type=float, default=BENCHMARK_DURATION)
     p.add_argument("--fs", type=float, default=BENCHMARK_FS)
     p.add_argument("--noise-power", type=float, default=BENCHMARK_NOISE_POWER)
     p.add_argument("--clean-power", type=float, default=BENCHMARK_CLEAN_POWER)
-    p.add_argument("--grid", default="m=1:50,n=1:50")
+    p.add_argument("--grid", default=grid, help=f"evaluation grid (default {grid})")
     p.add_argument("--matrix-dir", default=None,
                    help="also write every normalized matrix into this directory")
     p.add_argument("-o", "--output", required=True, help="report JSON path")
@@ -438,6 +390,11 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         plan = args.func(args)
+    except (_UsageError, InvalidInputError, InvalidMethodError) as e:
+        # a plan is made from the arguments alone, so what it refuses is usage
+        print(f"pac-lab: error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         if args.dry_run:
             doc = io.manifest_doc(plan.command, plan.parameters, plan.inputs,
                                   plan.outputs, plan.seeds, None, __version__)
@@ -449,9 +406,6 @@ def main(argv=None) -> int:
                plan.inputs, plan.outputs, plan.seeds, time.perf_counter() - started,
                __version__)
         return EXIT_OK
-    except _UsageError as e:
-        print(f"pac-lab: error: {e}", file=sys.stderr)
-        return EXIT_USAGE
     except _IoError as e:
         print(f"pac-lab: I/O error: {e}", file=sys.stderr)
         return EXIT_IO

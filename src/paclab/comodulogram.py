@@ -152,8 +152,8 @@ def compute_matrix(
     that raises raises the error of serial order. With
     use_cache=False every cell is a one-cell column on a fresh bank. A
     grid reaching Nyquist, in m or in n, or holding more than
-    MAX_GRID_CELLS cells, and jobs above MAX_JOBS are refused before any
-    work.
+    MAX_GRID_CELLS cells, and jobs other than None or an integer in
+    [1, MAX_JOBS] are refused before any work.
     """
     if method not in _MEASURES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
@@ -316,10 +316,9 @@ def _aggregate(errors: list) -> dict:
 
 
 def _check_jobs(jobs: Optional[int]) -> None:
-    """Refuse jobs unless it is None or an integer of at most MAX_JOBS.
-    None and counts below 2 run serially."""
-    if jobs is not None and not (isinstance(jobs, numbers.Integral) and jobs <= MAX_JOBS):
-        raise InvalidInputError(f"jobs must be an integer of at most {MAX_JOBS} (or None)")
+    """Refuse jobs unless it is None (serial) or an integer in [1, MAX_JOBS]."""
+    if jobs is not None and not (isinstance(jobs, numbers.Integral) and 1 <= jobs <= MAX_JOBS):
+        raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
 
 
 def _each(fn, tasks, jobs: Optional[int], take: Callable) -> None:
@@ -334,34 +333,45 @@ def _each(fn, tasks, jobs: Optional[int], take: Callable) -> None:
             pool.shutdown(cancel_futures=True)
 
 
-def comparison_seeds(n_seeds: int, base_seed: int) -> range:
-    """The seeds of a comparison: n_seeds of them from base_seed on,
-    checked before any is used. n_seeds must be an integer in
-    [1, MAX_SEEDS] and base_seed an integer >= 0."""
+def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
+                    duration: float, fs: float, noise_power: float,
+                    clean_power: Optional[float]) -> tuple[range, dict]:
+    """The seeds of a comparison and the SynthesisSpec of each (m, n)
+    pair, in the order of pairs; each run sets its seed.
+
+    Everything is checked before any work or any list sized by it: pairs
+    (each two frequencies) and methods must be non-empty and free of
+    repeats, and methods known; n_seeds must be an integer in
+    [1, MAX_SEEDS] and base_seed one >= 0; pairs x seeds x methods must
+    not exceed MAX_RUNS; and each pair's signal settings must make a
+    valid SynthesisSpec.
+    """
+    pairs = [tuple(p) for p in pairs]
+    if not pairs:
+        raise InvalidInputError("need at least one (m, n) pair")
+    if any(len(p) != 2 for p in pairs):
+        raise InvalidInputError("each pair must be two frequencies (m, n)")
+    if len(set(pairs)) < len(pairs):
+        raise InvalidInputError("each (m, n) pair may be given only once")
+    for meth in methods:
+        if meth not in _MEASURES:
+            raise InvalidMethodError(f"unknown method {meth!r}; pick from {METHODS}")
+    if not methods:
+        raise InvalidInputError("need at least one method")
+    if len(set(methods)) < len(methods):
+        raise InvalidInputError("each method may be given only once")
     if not (isinstance(n_seeds, numbers.Integral) and 1 <= n_seeds <= MAX_SEEDS):
         raise InvalidInputError(f"seeds per pair must be an integer in [1, {MAX_SEEDS}]")
     if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
         raise InvalidInputError("base seed must be an integer >= 0")
-    return range(base_seed, base_seed + n_seeds)
-
-
-def comparison_runs(n_pairs: int, n_methods: int, n_seeds: int, base_seed: int) -> range:
-    """comparison_seeds(n_seeds, base_seed), once the comparison's run
-    count n_pairs x n_seeds x n_methods is checked against MAX_RUNS."""
-    seeds = comparison_seeds(n_seeds, base_seed)
-    if n_pairs * n_seeds * n_methods > MAX_RUNS:
+    if len(pairs) * n_seeds * len(methods) > MAX_RUNS:
         raise InvalidInputError(
-            f"{n_pairs} pairs x {n_seeds} seeds x {n_methods} methods exceed the limit of "
-            f"{MAX_RUNS} runs")
-    return seeds
-
-
-def comparison_specs(pairs, ami: float, duration: float, fs: float, noise_power: float,
-                     clean_power: Optional[float]) -> dict:
-    """The SynthesisSpec of each (m, n) pair, checked; each run sets its seed."""
+            f"{len(pairs)} pairs x {n_seeds} seeds x {len(methods)} methods exceed the limit "
+            f"of {MAX_RUNS} runs")
     scale = clean_scale_for(clean_power, ami)
-    return {pair: SynthesisSpec(m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
-                                noise_power=noise_power, clean_scale=scale) for pair in pairs}
+    specs = {pair: SynthesisSpec(m=pair[0], n=pair[1], ami=ami, duration=duration, fs=fs,
+                                 noise_power=noise_power, clean_scale=scale) for pair in pairs}
+    return range(base_seed, base_seed + n_seeds), specs
 
 
 def run_comparison(
@@ -388,18 +398,12 @@ def run_comparison(
     matrix, in the order pair, seed, method; results are deterministic
     for a fixed base_seed regardless of jobs.
     """
-    pairs = [tuple(p) for p in pairs]
     methods = list(methods)
-    if not pairs:
-        raise InvalidInputError("need at least one (m, n) pair")
-    for meth in methods:
-        if meth not in _MEASURES:
-            raise InvalidMethodError(f"unknown method {meth!r}")
-    seeds = comparison_runs(len(pairs), len(methods), n_seeds, base_seed)
+    seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,
+                                   noise_power, clean_power)
     _check_jobs(jobs)
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
-    specs = comparison_specs(pairs, ami, duration, fs, noise_power, clean_power)
 
     def run_seed(task):
         pair, seed = task
@@ -413,7 +417,7 @@ def run_comparison(
             outcomes.append((ComparisonRun(pair, meth, seed, found, peak, err), mat))
         return outcomes
 
-    tasks = [(pair, seed) for pair in pairs for seed in seeds]
+    tasks = [(pair, seed) for pair in specs for seed in seeds]
     runs = []
 
     def collect(group):
@@ -427,7 +431,7 @@ def run_comparison(
     aggregates: dict = {}
     for meth in methods:
         aggregates[meth] = {}
-        for pair in pairs:
+        for pair in specs:
             errs = [r.error for r in runs if r.method == meth and r.pair == pair]
             aggregates[meth][f"{pair[0]}:{pair[1]}"] = _aggregate(errs)
     return PacReport(runs, aggregates)

@@ -23,7 +23,7 @@ from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 from .errors import AliasingError, InvalidInputError, OutOfBandError, SignalTooShortError
 from .signal_core import ComplexSeries, Signal
 
-# Envelope extent of truncated kernels, in Gaussian standard deviations.
+# Envelope extent of every Gabor kernel, in Gaussian standard deviations.
 # 4 leaves ~7e-6 stopband ripple at 8 Hz detune for a 1 Hz band; 5 gets
 # below 1e-6, which the narrow-band rejection contract requires.
 DEFAULT_TRUNCATION = 5.0
@@ -33,20 +33,18 @@ MORLET_TRUNCATION = 4.0
 @dataclass(frozen=True)
 class FilterSpec:
     """Gabor band-pass configuration: a Gaussian-envelope cosine kernel
-    whose magnitude response has -3 dB full width bw_hz at any center.
+    whose magnitude response has -3 dB full width bw_hz at any center,
+    cut at DEFAULT_TRUNCATION standard deviations of its envelope.
     Morlet bands take a cycle count instead, in morlet_bandpass."""
 
     center: float
     bw_hz: float = 1.0
-    truncation: float = DEFAULT_TRUNCATION
 
     def __post_init__(self):
         if not (self.center > 0):
             raise InvalidInputError("center frequency must be positive")
         if not (self.bw_hz > 0):
             raise InvalidInputError("bw_hz must be positive")
-        if not (self.truncation > 0):
-            raise InvalidInputError("truncation must be positive")
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,10 @@ def _check_nyquist(center: float, fs: float) -> None:
         raise AliasingError(f"center {center} Hz at or above Nyquist {fs / 2} Hz")
 
 
-def gabor_half_length(bw_hz: float, fs: float, truncation: float = DEFAULT_TRUNCATION) -> int:
+def gabor_half_length(bw_hz: float, fs: float) -> int:
     beta = gabor_beta(bw_hz)
     sigma_t = 1.0 / (beta * math.sqrt(2.0))
-    return _half_length(truncation * sigma_t * fs)
+    return _half_length(DEFAULT_TRUNCATION * sigma_t * fs)
 
 
 def _gabor_half(spec: FilterSpec, fs: float, n_samples: int | None) -> int:
@@ -98,7 +96,7 @@ def _gabor_half(spec: FilterSpec, fs: float, n_samples: int | None) -> int:
     the kernel fits that many samples: a caller filtering a signal calls
     this before any tap is built."""
     _check_nyquist(spec.center, fs)
-    half = gabor_half_length(spec.bw_hz, fs, spec.truncation)
+    half = gabor_half_length(spec.bw_hz, fs)
     if n_samples is not None:
         _check_fits(n_samples, 2 * half + 1)
     return half

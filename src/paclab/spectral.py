@@ -21,13 +21,18 @@ from .errors import (
 from .signal_core import Signal
 
 
+# The taper of every Welch segment.
+WINDOW = "hann"
+
+
 @dataclass(frozen=True)
 class WelchSpec:
-    """Segmentation settings for Welch-type estimates."""
+    """Segmentation settings for Welch-type estimates: segments of
+    window_len samples that overlap by the fraction `overlap`. Every
+    segment is tapered by WINDOW."""
 
     window_len: int = 4096
     overlap: float = 0.25
-    window: str = "hann"
 
     def __post_init__(self):
         if self.window_len < 8:
@@ -90,7 +95,7 @@ def welch_psd(x: Signal, spec: WelchSpec | None = None) -> Spectrum:
     freqs, psd = scipy.signal.welch(
         x.samples,
         fs=x.fs,
-        window=spec.window,
+        window=WINDOW,
         nperseg=win,
         noverlap=int(win * spec.overlap),
         detrend="constant",
@@ -120,7 +125,7 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
 
     # scipy.signal.coherence's own steps, so that a spectrum without power
     # raises instead of dividing 0 by 0
-    welch_args = dict(fs=x.fs, window=spec.window, nperseg=win,
+    welch_args = dict(fs=x.fs, window=WINDOW, nperseg=win,
                       noverlap=int(win * spec.overlap), detrend="constant")
     freqs, pxx = scipy.signal.welch(x.samples, **welch_args)
     _, pyy = scipy.signal.welch(y.samples, **welch_args)

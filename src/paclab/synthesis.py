@@ -35,9 +35,9 @@ class SynthesisSpec:
 
     m: float
     n: float
-    ami: float = 0.25
-    duration: float = 10.0
-    fs: float = 1000.0
+    ami: float = BENCHMARK_AMI
+    duration: float = BENCHMARK_DURATION
+    fs: float = BENCHMARK_FS
     noise_power: float = 0.0
     clean_scale: float = 1.0
     seed: Optional[int] = None
@@ -145,8 +145,10 @@ def benchmark_spec(pair: int | tuple, seed=None) -> SynthesisSpec:
     """Stock benchmark preset for one of the four (m, n) pairs.
 
     `pair` is a 1-based index into BENCHMARK_PAIRS or an explicit (m, n)
-    tuple. The deterministic part is rescaled to 630 W against 6250 W of
-    pink noise (SNR about 0.1).
+    tuple. The signal takes SynthesisSpec's defaults, which are
+    BENCHMARK_AMI, BENCHMARK_DURATION and BENCHMARK_FS; its deterministic
+    part is rescaled to BENCHMARK_CLEAN_POWER against
+    BENCHMARK_NOISE_POWER of pink noise.
     """
     if isinstance(pair, int):
         if not 1 <= pair <= len(BENCHMARK_PAIRS):
@@ -157,9 +159,6 @@ def benchmark_spec(pair: int | tuple, seed=None) -> SynthesisSpec:
     return SynthesisSpec(
         m=m,
         n=n,
-        ami=BENCHMARK_AMI,
-        duration=BENCHMARK_DURATION,
-        fs=BENCHMARK_FS,
         noise_power=BENCHMARK_NOISE_POWER,
         clean_scale=clean_scale_for(BENCHMARK_CLEAN_POWER, BENCHMARK_AMI),
         seed=seed,

@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, exit codes, sidecar files."""
 
+import inspect
 import json
 import os
 import resource
@@ -25,8 +26,8 @@ from paclab import (
     write_matrix_csv,
     write_signal_csv,
 )
-from paclab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from paclab.comodulogram import MAX_JOBS
+from paclab.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from paclab.comodulogram import run_comparison
 
 GRID = "m=6:10,n=42:48"
 
@@ -400,6 +401,15 @@ INVALID_CASES = {
                           "--grid", GRID, "--jobs", "-5"],
     "compare-jobs-over-max": ["compare", "--pairs", "8:45", "--methods", "kld", "--seeds", "1",
                               "--grid", GRID, "--jobs", "1000000000", "-o", "{d}/out.json"],
+    # a repeated pair or method would run twice and count twice in its
+    # aggregate, and write one --matrix-dir file twice
+    "compare-repeated-pair": ["compare", "--pairs", "8:45,8:45", "--methods", "kld",
+                              "--seeds", "1", "--grid", GRID, "-o", "{d}/out.json"],
+    "compare-repeated-method": ["compare", "--pairs", "8:45", "--methods", "kld,kld",
+                                "--seeds", "1", "--grid", GRID, "--matrix-dir", "{d}/mats",
+                                "-o", "{d}/out.json"],
+    "compare-no-method": ["compare", "--pairs", "8:45", "--methods", ",", "--seeds", "1",
+                          "--grid", GRID, "-o", "{d}/out.json"],
     # only pac and compare run workers, so only they take --jobs
     "synth-jobs": ["synth", "--m", "8", "--n", "45", "--jobs", "2", "-o", "{d}/out.csv"],
     "psd-jobs": ["psd", "-i", "{d}/sig.csv", "-o", "{d}/out.csv", "--jobs", "2"],
@@ -417,37 +427,6 @@ class TestDryRunValidatesLikeRun:
         output = Path(argv[argv.index("-o") + 1])
         assert not output.exists()
         assert capsys.readouterr().out == ""
-
-
-class TestJobsEnv:
-    def test_env_sets_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAC_LAB_JOBS", "2")
-        sig = synth_file(tmp_path)
-        rc = main(["pac", "--method", "mca", "-i", str(sig),
-                   "-o", str(tmp_path / "out.csv"), "--grid", GRID])
-        assert rc == EXIT_OK
-
-    def test_invalid_env_is_usage_error(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAC_LAB_JOBS", "many")
-        sig = synth_file(tmp_path)
-        rc = main(["pac", "--method", "mca", "-i", str(sig),
-                   "-o", str(tmp_path / "out.csv"), "--grid", GRID])
-        assert rc == EXIT_USAGE
-
-    @pytest.mark.parametrize("raw", ["0", "-5", str(MAX_JOBS + 1)])
-    def test_env_outside_range_is_usage_error(self, tmp_path, monkeypatch, raw):
-        monkeypatch.setenv("PAC_LAB_JOBS", raw)
-        sig = synth_file(tmp_path)
-        rc = main(["pac", "--method", "mca", "-i", str(sig),
-                   "-o", str(tmp_path / "out.csv"), "--grid", GRID, "--dry-run"])
-        assert rc == EXIT_USAGE
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PAC_LAB_JOBS", "many")
-        sig = synth_file(tmp_path)
-        rc = main(["pac", "--method", "mca", "-i", str(sig), "--jobs", "1",
-                   "-o", str(tmp_path / "out.csv"), "--grid", GRID])
-        assert rc == EXIT_OK
 
 
 class TestCompare:
@@ -541,6 +520,13 @@ class TestParser:
 
     def test_no_arguments_exits_two(self):
         assert main([]) == EXIT_USAGE
+
+    def test_defaults_have_one_home(self):
+        parser = build_parser()
+        pac = parser.parse_args(["pac", "--method", "mca", "-i", "x", "-o", "y"])
+        compare = parser.parse_args(["compare", "--pairs", "8:45", "-o", "y"])
+        assert pac.grid == compare.grid == paclab.io.grid_str(GridSpec())
+        assert compare.seeds == inspect.signature(run_comparison).parameters["n_seeds"].default
 
 
 def test_commands_without_spectra_never_import_scipy_signal(tmp_path):

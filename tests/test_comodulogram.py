@@ -20,6 +20,7 @@ from paclab import (
     InvalidInputError,
     InvalidMethodError,
     MeasureConfig,
+    PacAnalyzer,
     PacMatrix,
     Signal,
     SynthesisSpec,
@@ -42,13 +43,23 @@ from paclab.comodulogram import (
     MAX_RUNS,
     MAX_SEEDS,
     METHODS,
-    comparison_runs,
-    comparison_seeds,
+    comparison_plan,
 )
-from paclab.synthesis import BENCHMARK_PAIRS
+from paclab.synthesis import (
+    BENCHMARK_AMI,
+    BENCHMARK_CLEAN_POWER,
+    BENCHMARK_DURATION,
+    BENCHMARK_FS,
+    BENCHMARK_NOISE_POWER,
+    BENCHMARK_PAIRS,
+)
 from paclab.measures import _ZERO_CELL_ERRORS
 
 FS = 1000.0
+
+# comparison_plan's signal settings: the benchmark's
+STOCK_SIGNAL = (BENCHMARK_AMI, BENCHMARK_DURATION, BENCHMARK_FS, BENCHMARK_NOISE_POWER,
+                BENCHMARK_CLEAN_POWER)
 
 # tight window around the (8, 45) benchmark cell keeps grid tests fast
 SMALL = GridSpec(m_start=6, m_stop=10, n_start=42, n_stop=48)
@@ -731,14 +742,37 @@ class TestRunComparison:
         with pytest.raises(InvalidInputError, match="runs"):
             run_comparison(pairs, n_seeds=MAX_SEEDS)
         # the stock comparison at its largest seed count stays admitted
-        assert len(comparison_runs(len(BENCHMARK_PAIRS), len(METHODS), MAX_SEEDS, 0)) == MAX_SEEDS
+        seeds, _ = comparison_plan(BENCHMARK_PAIRS, METHODS, MAX_SEEDS, 0, *STOCK_SIGNAL)
+        assert len(seeds) == MAX_SEEDS
         assert MAX_RUNS == MAX_SEEDS * len(BENCHMARK_PAIRS) * len(METHODS)
 
     def test_comparison_seeds(self):
-        assert comparison_seeds(3, 5) == range(5, 8)
-        assert len(comparison_seeds(MAX_SEEDS, 0)) == MAX_SEEDS
+        seeds, specs = comparison_plan([[8, 45], (12, 45)], ["mca"], 3, 5, *STOCK_SIGNAL)
+        assert seeds == range(5, 8)
+        assert specs == {pair: dataclasses.replace(benchmark_spec(pair), seed=None)
+                         for pair in [(8, 45), (12, 45)]}
+        seeds, _ = comparison_plan([(8, 45)], ["mca"], MAX_SEEDS, 0, *STOCK_SIGNAL)
+        assert len(seeds) == MAX_SEEDS
 
-    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 10**9, 2.5])
+    @pytest.mark.parametrize("pairs,methods", [
+        ([(8, 45), (8, 45)], ("kld",)),
+        ([(8, 45), [8, 45]], ("kld",)),
+        ([(8, 45, 0), (8, 45, 1)], ("kld",)),
+        ([(8, 45), (12, 45)], ("kld", "mvl", "kld")),
+        ([(8, 45)], ()),
+    ], ids=["pair-twice", "pair-twice-as-list", "pair-twice-padded", "method-twice",
+            "no-method"])
+    def test_rejects_repeats_and_empty_methods_before_any_work(self, pairs, methods, monkeypatch):
+        # a repeated pair or method would run twice and count twice in
+        # its aggregate, and write one --matrix-dir file twice
+        def no_synthesis(spec):
+            raise AssertionError("synthesized before the plan was checked")
+
+        monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
+        with pytest.raises(InvalidInputError):
+            run_comparison(pairs, methods=methods, n_seeds=1, grid=SMALL)
+
+    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 10**9, 2.5, 0, -1])
     def test_worker_count_is_bounded_before_any_pool(self, jobs, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built before jobs was checked")
@@ -750,8 +784,11 @@ class TestRunComparison:
         monkeypatch.setattr(paclab.comodulogram, "synth_pac", no_synthesis)
         with pytest.raises(InvalidInputError, match="jobs"):
             run_comparison([(8, 45)], methods=("kld",), n_seeds=1, grid=SMALL, jobs=jobs)
+        x = coupled(seed=0)
         with pytest.raises(InvalidInputError, match="jobs"):
-            compute_matrix(coupled(seed=0), "kld", SMALL, jobs=jobs)
+            compute_matrix(x, "kld", SMALL, jobs=jobs)
+        with pytest.raises(InvalidInputError, match="jobs"):
+            PacAnalyzer("kld", SMALL, jobs=jobs).fit(x)
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_sink_error_stops_the_queued_runs(self, jobs, monkeypatch):

@@ -25,6 +25,7 @@ from paclab import (
 from paclab.filters import (
     DEFAULT_TRUNCATION,
     FilterBank,
+    Kernel,
     ReflectedSpectrum,
     _Memo,
     conv_size,
@@ -66,14 +67,6 @@ class TestGaborKernel:
     def test_stopband_eight_hz_out(self):
         k = gabor_kernel(FilterSpec(center=45, bw_hz=1), FS)
         assert abs(freq_response(k, 37.0)) < 1e-6
-
-    def test_truncation_sets_duration(self):
-        spec = FilterSpec(center=45, bw_hz=1, truncation=4)
-        k = gabor_kernel(spec, FS)
-        beta = np.pi * 1.0 / np.sqrt(2 * np.log(2))
-        sigma_t = 1.0 / (beta * np.sqrt(2))
-        assert len(k.taps) % 2 == 1
-        assert len(k.taps) == 2 * int(np.ceil(4 * sigma_t * FS)) + 1
 
     def test_symmetric_taps(self):
         k = gabor_kernel(FilterSpec(center=20, bw_hz=1), FS)
@@ -433,9 +426,15 @@ class TestTriplet:
 def test_default_truncation_meets_stopband():
     # the 4-sigma cut leaks ~7e-6 at 8 Hz detune; the default must not
     assert DEFAULT_TRUNCATION >= 5.0
-    half4 = gabor_half_length(1.0, FS, truncation=4)
-    half5 = gabor_half_length(1.0, FS)
-    assert half5 > half4
+    beta = np.pi * 1.0 / np.sqrt(2 * np.log(2))
+    half4 = int(np.ceil(4 / (beta * np.sqrt(2)) * FS))
+    t = np.arange(-half4, half4 + 1) / FS
+    taps4 = np.exp(-((beta * t) ** 2)) * np.cos(2 * np.pi * 45 * t)
+    k4 = Kernel(taps4 / np.abs(np.sum(taps4 * np.exp(-2j * np.pi * 45 * t))), FS, 45.0)
+    assert abs(freq_response(k4, 37.0)) > 1e-6
+    k5 = gabor_kernel(FilterSpec(center=45, bw_hz=1), FS)
+    assert abs(freq_response(k5, 37.0)) < 1e-6
+    assert gabor_half_length(1.0, FS) > half4
 
 
 def test_half_lengths_match_kernels():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+import paclab.spectral
 from paclab import (
     DegeneratePhaseError,
     InvalidInputError,
@@ -31,7 +32,7 @@ class TestWelchSpec:
         s = WelchSpec()
         assert s.window_len == 4096
         assert s.overlap == 0.25
-        assert s.window == "hann"
+        assert paclab.spectral.WINDOW == "hann"
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):

@@ -1,5 +1,6 @@
 """Coupled-signal synthesis, pink noise, and power calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from paclab import (
     welch_psd,
 )
 from paclab.spectral import WelchSpec
-from paclab.synthesis import clean_scale_for
+from paclab.synthesis import BENCHMARK_AMI, BENCHMARK_DURATION, BENCHMARK_FS, clean_scale_for
 
 
 class TestSynthesisSpec:
@@ -27,6 +28,13 @@ class TestSynthesisSpec:
         s = SynthesisSpec(m=8, n=45, ami=0.25, duration=10.0, fs=1000.0,
                           noise_power=6250.0, clean_scale=2.0, seed=3)
         assert s.n_samples == 10000
+
+    def test_defaults_are_the_benchmark_settings(self):
+        s = SynthesisSpec(m=8, n=45)
+        assert (s.ami, s.duration, s.fs) == (BENCHMARK_AMI, BENCHMARK_DURATION, BENCHMARK_FS)
+        # the preset differs from the defaults in its noise and scale alone
+        preset = benchmark_spec((8, 45))
+        assert dataclasses.replace(preset, noise_power=0.0, clean_scale=1.0) == s
 
     @pytest.mark.parametrize("kw", [
         dict(m=45, n=8),

@@ -15,10 +15,13 @@ the trees, or both trees must raise the same error.
 
 A second fresh interpreter per tree runs the CLI in an empty directory:
 `synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
-unset and at 2, and `psd`, on that CSV. Every exit code and output file
-must be the same byte for byte, and every manifest the same apart from
-its duration_s. This covers the signal CSV writer and reader, which the
-matrices above never touch.
+unset and at 2, and `psd`, on that CSV; and `compare --pairs 8:45,12:45
+--methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --jobs 2 --matrix-dir
+mats`. Every exit code and output file, the report and each matrix file
+under mats included, must be the same byte for byte, and every manifest
+the same apart from its duration_s. This covers the signal CSV writer
+and reader, which the matrices above never touch, and the comparison's
+run pool and matrix sink.
 
 The script prints the count of equal results and, for each result
 that differs, how far it moved: the largest absolute cell difference and
@@ -87,17 +90,20 @@ RUNS = {
     "pac --jobs 2": ["pac", "--method", "mca", "--jobs", "2", "-i", "sig.csv",
                      "-o", "mca_jobs2.csv"],
     "psd": ["psd", "-i", "sig.csv", "-o", "psd.csv"],
+    "compare": ["compare", "--pairs", "8:45,12:45", "--methods", "mca,kld", "--seeds", "2",
+                "--grid", "m=6:10,n=42:48", "--jobs", "2", "--matrix-dir", "mats",
+                "-o", "compare.json"],
 }
 out = {"paclab": paclab.__file__}
 for name, argv in RUNS.items():
     out[("cli", name, "exit code")] = ("exit", cli.main(argv))
-for p in sorted(Path(".").iterdir()):
-    if p.name.endswith(".manifest.json"):
-        doc = json.loads(p.read_text())
+for f in sorted(p for p in Path(".").rglob("*") if p.is_file()):
+    if f.name.endswith(".manifest.json"):
+        doc = json.loads(f.read_text())
         doc.pop("duration_s", None)
-        out[("cli", p.name)] = ("manifest", doc)
+        out[("cli", f.as_posix())] = ("manifest", doc)
     else:
-        out[("cli", p.name)] = ("file", p.read_bytes())
+        out[("cli", f.as_posix())] = ("file", f.read_bytes())
 with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
@@ -109,7 +115,7 @@ def _start(tree: Path, child: str, dump: Path, cwd: Path) -> subprocess.Popen:
         raise SystemExit(f"{tree} has no src/paclab")
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env.pop("PAC_LAB_JOBS", None)  # --jobs unset means unset
+    env.pop("PAC_LAB_JOBS", None)  # older trees read it as the default of --jobs
     return subprocess.Popen([sys.executable, "-c", child, str(dump)], env=env, cwd=cwd)
 
 
