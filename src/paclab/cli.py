@@ -4,7 +4,8 @@ matrices, run the multi-method comparison, render heatmaps.
 Each command validates its arguments into a plan; main prints the plan's
 manifest under --dry-run, or runs it and writes that manifest.
 
-Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/degenerate input.
+Exit codes: 0 success, 2 usage, 3 I/O, 4 numeric/degenerate input or out
+of memory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
-import json
 import sys
 import time
 from pathlib import Path
@@ -102,6 +102,19 @@ def _parse_pairs(text: str):
     return pairs
 
 
+# argparse's dispatch keys, --dry-run and the paths: not settings of the run
+_UNRECORDED = frozenset({"command", "func", "dry_run", "input", "output"})
+
+
+def _parameters(args, **validated) -> dict:
+    """A manifest's parameters: every setting of the parsed command by its
+    dest, but the paths and --dry-run, with the validated values given
+    here in place of the raw ones."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    parameters.update(validated)
+    return parameters
+
+
 def _measure_config(args) -> MeasureConfig:
     return MeasureConfig(
         mca_bw=args.mca_bw,
@@ -113,9 +126,8 @@ def _measure_config(args) -> MeasureConfig:
 
 
 def cmd_synth(args) -> _Plan:
-    given = {"m": args.m, "n": args.n, "ami": args.ami, "duration": args.dur,
-             "fs": args.fs, "noise_power": args.noise_power}
-    given = {k: v for k, v in given.items() if v is not None}
+    given = {k: getattr(args, k) for k in ("m", "n", "ami", "duration", "fs", "noise_power")
+             if getattr(args, k) is not None}
     # unset flags keep the preset's value, or else SynthesisSpec's default
     if args.paper_pair is not None:
         if not (1 <= args.paper_pair <= len(BENCHMARK_PAIRS)):
@@ -128,11 +140,7 @@ def cmd_synth(args) -> _Plan:
         preset, clean = None, args.clean_power
     spec = dataclasses.replace(preset, **given) if preset else SynthesisSpec(**given)
     spec = dataclasses.replace(spec, clean_scale=clean_scale_for(clean, spec.ami), seed=args.seed)
-    parameters = {
-        "m": spec.m, "n": spec.n, "ami": spec.ami, "duration": spec.duration,
-        "fs": spec.fs, "noise_power": spec.noise_power, "clean_power": clean,
-        "clean_scale": spec.clean_scale,
-    }
+    parameters = _parameters(args, **dataclasses.asdict(spec), clean_power=clean)
     out = Path(args.output)
 
     def run():
@@ -148,12 +156,7 @@ def cmd_pac(args) -> _Plan:
     inp = Path(args.input)
     out = Path(args.output)
     meta_out = Path(str(out) + ".meta.json")
-    parameters = {
-        "method": args.method,
-        "grid": io.grid_str(grid),
-        **cfg.as_dict(),
-        "jobs": args.jobs,
-    }
+    parameters = _parameters(args, grid=io.grid_str(grid))
 
     def run():
         x = _read(io.read_signal_csv, inp)
@@ -175,10 +178,7 @@ def cmd_pac(args) -> _Plan:
 def cmd_psd(args) -> _Plan:
     inp = Path(args.input)
     out = Path(args.output)
-    parameters = {
-        "window": args.window,
-        "overlap": args.overlap,
-    }
+    parameters = _parameters(args)
     spec = WelchSpec(window_len=args.window, overlap=args.overlap)
 
     def run():
@@ -199,22 +199,10 @@ def cmd_compare(args) -> _Plan:
     _check_jobs(args.jobs)
     # run_comparison's own checks, made here so --dry-run makes them too
     seeds, _ = comparison_plan(pairs, methods, args.seeds, args.base_seed, args.ami,
-                               args.dur, args.fs, args.noise_power, args.clean_power)
+                               args.duration, args.fs, args.noise_power, args.clean_power)
     out = Path(args.output)
-    parameters = {
-        "pairs": [f"{m}:{n}" for m, n in pairs],
-        "methods": methods,
-        "seeds": args.seeds,
-        "base_seed": args.base_seed,
-        "ami": args.ami,
-        "duration": args.dur,
-        "fs": args.fs,
-        "noise_power": args.noise_power,
-        "clean_power": args.clean_power,
-        "grid": io.grid_str(grid),
-        "jobs": args.jobs,
-        "matrix_dir": args.matrix_dir,
-    }
+    parameters = _parameters(args, pairs=[f"{m}:{n}" for m, n in pairs], methods=methods,
+                             grid=io.grid_str(grid))
     # run_comparison hands the matrices over in this order: pair, seed, method
     matrices = {} if args.matrix_dir is None else {
         (pair, method, seed):
@@ -239,7 +227,7 @@ def cmd_compare(args) -> _Plan:
             methods,
             n_seeds=args.seeds,
             ami=args.ami,
-            duration=args.dur,
+            duration=args.duration,
             fs=args.fs,
             noise_power=args.noise_power,
             clean_power=args.clean_power,
@@ -268,7 +256,7 @@ def cmd_heatmap(args) -> _Plan:
             # un-normalized cells above 1 cannot be rendered into 8 bits
             raise _IoError(str(e))
 
-    return _Plan("heatmap", {}, [inp], [out], None, run)
+    return _Plan("heatmap", _parameters(args), [inp], [out], None, run)
 
 
 def _add_matrix_flags(p):
@@ -312,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None, help="fast frequency in Hz")
     p.add_argument("--ami", type=float, default=None,
                    help=f"amplitude modulation index (default {spec.ami:g})")
-    p.add_argument("--dur", type=float, default=None,
+    p.add_argument("--dur", dest="duration", type=float, default=None,
                    help=f"duration in s (default {spec.duration:g})")
     p.add_argument("--fs", type=float, default=None,
                    help=f"sampling rate in Hz (default {spec.fs:g})")
@@ -360,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=seeds, help=f"seeds per pair (default {seeds})")
     p.add_argument("--base-seed", type=int, default=0, help="first seed (default 0)")
     p.add_argument("--ami", type=float, default=BENCHMARK_AMI)
-    p.add_argument("--dur", type=float, default=BENCHMARK_DURATION)
+    p.add_argument("--dur", dest="duration", type=float, default=BENCHMARK_DURATION)
     p.add_argument("--fs", type=float, default=BENCHMARK_FS)
     p.add_argument("--noise-power", type=float, default=BENCHMARK_NOISE_POWER)
     p.add_argument("--clean-power", type=float, default=BENCHMARK_CLEAN_POWER)
@@ -398,7 +386,7 @@ def main(argv=None) -> int:
         if args.dry_run:
             doc = io.manifest_doc(plan.command, plan.parameters, plan.inputs,
                                   plan.outputs, plan.seeds, None, __version__)
-            print(json.dumps(doc, indent=2, sort_keys=True))
+            sys.stdout.write(io.json_text(doc))
             return EXIT_OK
         started = time.perf_counter()
         plan.run()
@@ -411,6 +399,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except PacError as e:
         print(f"pac-lab: numeric error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as e:
+        print(f"pac-lab: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_NUMERIC
 
 

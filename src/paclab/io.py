@@ -220,12 +220,7 @@ def read_matrix_csv(path) -> PacMatrix:
     values = np.array(rows)
     method = meta.get("method", "unknown")
     normalized = meta.get("normalized", "false") == "true"
-    try:
-        return PacMatrix(values, method, normalized, grid)
-    except InvalidInputError:
-        raise
-    except Exception as e:
-        raise InvalidInputError(f"{path}: malformed matrix: {e}") from e
+    return PacMatrix(values, method, normalized, grid)
 
 
 def write_pgm(path, mat: PacMatrix) -> None:
@@ -267,11 +262,15 @@ def _json_ready(v):
     return v
 
 
-def write_json(path, doc: dict) -> None:
+def json_text(doc: dict) -> str:
     """Deterministic, strict JSON: sorted keys, fixed layout, trailing
     newline, non-finite floats written as null."""
-    text = json.dumps(_json_ready(doc), indent=2, sort_keys=True, allow_nan=False)
-    Path(path).write_text(text + "\n")
+    return json.dumps(_json_ready(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def write_json(path, doc: dict) -> None:
+    """Write json_text(doc) to path."""
+    Path(path).write_text(json_text(doc))
 
 
 def read_json(path) -> dict:

@@ -1,8 +1,10 @@
 """Command line behavior: subcommands, exit codes, sidecar files."""
 
+import argparse
 import inspect
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -288,6 +290,45 @@ class TestPac:
         assert rc == EXIT_USAGE
 
 
+class TestOutOfMemory:
+    def test_memory_error_exits_numeric_without_traceback(self, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(paclab.cli, "compute_matrix", no_memory)
+        sig = synth_file(tmp_path)
+        out = tmp_path / "mat.csv"
+        capsys.readouterr()
+        rc = main(["pac", "--method", "mca", "-i", str(sig), "-o", str(out), "--grid", GRID])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("pac-lab: out of memory")
+        assert err.count("\n") == 1
+        assert not out.exists()
+        assert not (tmp_path / "mat.csv.meta.json").exists()
+        assert not (tmp_path / "mat.csv.manifest.json").exists()
+
+    def test_address_space_limit_exits_numeric_without_traceback(self, tmp_path):
+        sig = tmp_path / "sig.csv"
+        assert main(["synth", "--m", "8", "--n", "45", "--dur", "100", "--noise-power", "1",
+                     "-o", str(sig)]) == EXIT_OK
+        probe = run_fresh(["-c", "import paclab.cli\n"
+                                 "print(next(ln.split()[1] for ln in open('/proc/self/status')"
+                                 " if ln.startswith('VmPeak:')))"])
+        # 64 MB over a fresh interpreter's size after import: room to read
+        # the 100 s signal (about 10 MB), not for the mvl bank on the
+        # default grid (about 180 MB)
+        limit_mb = int(probe.stdout) // 1024 + 64
+        out = tmp_path / "mat.csv"
+        proc = run_fresh(["-m", "paclab.cli", "pac", "--method", "mvl", "-i", str(sig),
+                          "-o", str(out)], limit_mb=limit_mb)
+        assert proc.returncode == EXIT_NUMERIC, proc.stderr
+        assert proc.stderr.startswith("pac-lab: out of memory")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+        assert not (tmp_path / "mat.csv.manifest.json").exists()
+
+
 class TestDryRun:
     def test_prints_manifest_and_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "sig.csv"
@@ -345,9 +386,13 @@ class TestDryRunMatchesRun:
         argv = [a.format(d=tmp_path) for a in DRY_RUN_CASES[case]]
         capsys.readouterr()
         assert main(argv + ["--dry-run"]) == EXIT_OK
-        printed = _strict_json(capsys.readouterr().out)
+        text = capsys.readouterr().out
+        printed = _strict_json(text)
         assert main(argv) == EXIT_OK
         output = argv[argv.index("-o") + 1]
+        written_text = Path(output + ".manifest.json").read_text()
+        # one serializer: the same text, but for the run's duration
+        assert re.sub(r'"duration_s": [^,\n]+', '"duration_s": null', written_text) == text
         written = read_json(output + ".manifest.json")
         assert printed.pop("duration_s") is None
         assert written.pop("duration_s") >= 0.0
@@ -527,6 +572,134 @@ class TestParser:
         compare = parser.parse_args(["compare", "--pairs", "8:45", "-o", "y"])
         assert pac.grid == compare.grid == paclab.io.grid_str(GridSpec())
         assert compare.seeds == inspect.signature(run_comparison).parameters["n_seeds"].default
+
+
+def subcommands():
+    """build_parser()'s subparsers by command name."""
+    parser = build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def argv_from_manifest(doc):
+    """The argv that reruns the run a manifest records: each parameter
+    under its flag, by the dest-to-option table of build_parser(), lists
+    joined by commas, and the first input and output as -i and -o. Keys
+    no flag sets (derived ones such as synth's clean_scale) and unset
+    (null) values are left out, so a non-finite value, which a manifest
+    records as null, is not rerun."""
+    parser = subcommands()[doc["command"]]
+    options = {a.dest: a.option_strings[-1] for a in parser._actions if a.option_strings}
+    argv = [doc["command"]]
+    for key, value in sorted(doc["parameters"].items()):
+        if key in options and value is not None:
+            argv += [options[key], ",".join(value) if isinstance(value, list) else str(value)]
+    if doc["inputs"]:
+        argv += ["-i", doc["inputs"][0]]
+    return argv + ["-o", doc["outputs"][0]]
+
+
+# the least argv each command accepts; tests vary one flag at a time
+BASE_ARGV = {
+    "synth": ["synth", "--m", "8", "--n", "45", "-o", "out.csv"],
+    "pac": ["pac", "--method", "mca", "-i", "sig.csv", "-o", "out.csv"],
+    "psd": ["psd", "-i", "sig.csv", "-o", "out.csv"],
+    "compare": ["compare", "--pairs", "8:45", "-o", "out.json"],
+    "heatmap": ["heatmap", "-i", "mat.csv", "-o", "out.pgm"],
+}
+# what names a file or steers main, not a setting of the run
+UNRECORDED = {"help", "input", "output", "dry_run"}
+
+
+def settable(command):
+    """The flags of a command that set something its run records."""
+    return [a for a in subcommands()[command]._actions if a.dest not in UNRECORDED]
+
+
+SETTABLE = [(command, a.option_strings[-1]) for command in sorted(BASE_ARGV)
+            for a in settable(command)]
+
+
+def other_values(action, current):
+    """Values other than current, from action's choices or type, likelier
+    to be accepted first: a number one up, halved or doubled; a text with
+    its last integer one down, or its last comma-separated item dropped."""
+    if action.choices:
+        values = list(action.choices)
+    elif action.type in (int, float):
+        base = 1 if current is None else current
+        values = [action.type(v) for v in (base + 1, base / 2, base * 2)]
+    elif current is None:
+        values = ["other"]
+    else:
+        values = [re.sub(r"\d+(?=\D*$)", lambda d: str(int(d.group()) - 1), current),
+                  current.rpartition(",")[0]]
+    return [str(v) for v in values if v not in (current, "")]
+
+
+def dry_run_parameters(argv, capsys):
+    capsys.readouterr()
+    assert main(argv + ["--dry-run"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["parameters"]
+
+
+class TestManifestParameters:
+    @pytest.mark.parametrize("command", sorted(BASE_ARGV))
+    def test_parameters_are_the_settable_flags(self, command, capsys):
+        recorded = dry_run_parameters(BASE_ARGV[command], capsys)
+        derived = {"clean_scale"} if command == "synth" else set()
+        assert set(recorded) == {a.dest for a in settable(command)} | derived
+
+    @pytest.mark.parametrize("command,option", SETTABLE, ids=[" ".join(c) for c in SETTABLE])
+    def test_every_flag_is_recorded(self, command, option, capsys):
+        # no flag can be forgotten: another accepted value of any flag
+        # changes what the --dry-run manifest records
+        argv = BASE_ARGV[command]
+        action = next(a for a in settable(command) if option in a.option_strings)
+        recorded = dry_run_parameters(argv, capsys)
+        current = getattr(build_parser().parse_args(argv), action.dest)
+        if current is None:
+            current = recorded.get(action.dest)  # e.g. synth's fs, from SynthesisSpec
+        for value in other_values(action, current):
+            if main(argv + [option, value, "--dry-run"]) == EXIT_OK:
+                break
+        else:
+            pytest.fail(f"{command} accepts no value of {option} but {current!r}")
+        changed = json.loads(capsys.readouterr().out)["parameters"]
+        assert changed != recorded, f"{command} {option} {value} is not recorded"
+
+    def test_rerun_from_manifests_gives_the_same_files(self, tmp_path, monkeypatch):
+        runs = [
+            ["synth", "--paper-pair", "2", "--dur", "4", "--seed", "3", "-o", "sig.csv"],
+            ["pac", "--method", "kld", "--grid", "m=6:14,n=40:46", "--kld-bins", "10",
+             "--mca-bw", "2", "--edge-trim", "50", "--jobs", "2", "-i", "sig.csv",
+             "-o", "mat.csv"],
+            ["psd", "--window", "512", "--overlap", "0.5", "-i", "sig.csv", "-o", "psd.csv"],
+            ["compare", "--pairs", "8:45,12:45", "--methods", "mca,kld", "--seeds", "1",
+             "--base-seed", "4", "--dur", "4", "--grid", "m=6:14,n=40:46", "--mca-bw", "2",
+             "--kld-bins", "10", "--matrix-dir", "mats", "-o", "rep.json"],
+            ["heatmap", "-i", "mat.csv", "-o", "mat.pgm"],
+        ]
+        first, again = tmp_path / "first", tmp_path / "again"
+        first.mkdir()
+        again.mkdir()
+        monkeypatch.chdir(first)
+        for argv in runs:
+            assert main(argv) == EXIT_OK, argv
+        monkeypatch.chdir(again)
+        for argv in runs:
+            rerun = argv_from_manifest(read_json(first / (argv[-1] + ".manifest.json")))
+            assert main(rerun) == EXIT_OK, rerun
+        files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(again) for p in again.rglob("*") if p.is_file())
+        assert len(files) == 5 * 2 + 1 + 4  # outputs and manifests, meta, matrix files
+        for f in files:
+            if f.name.endswith(".manifest.json"):
+                a, b = read_json(first / f), read_json(again / f)
+                assert a.pop("duration_s") >= 0.0 and b.pop("duration_s") >= 0.0
+                assert a == b, f
+            else:
+                assert (first / f).read_bytes() == (again / f).read_bytes(), f
 
 
 def test_commands_without_spectra_never_import_scipy_signal(tmp_path):

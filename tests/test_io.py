@@ -188,6 +188,18 @@ class TestMatrixCsv:
         assert back.grid == GridSpec(1, 2, 1, 2)
         assert back.cell(1, 2) == 0.5
 
+    def test_memory_error_is_not_a_malformed_matrix(self, tmp_path, monkeypatch):
+        # PacMatrix refuses parsed rows only with InvalidInputError; anything
+        # else it raises is not about the file and must not read as exit 3
+        def no_memory(*args):
+            raise MemoryError
+
+        p = tmp_path / "mat.csv"
+        write_matrix_csv(p, small_matrix())
+        monkeypatch.setattr(paclab.io, "PacMatrix", no_memory)
+        with pytest.raises(MemoryError):
+            read_matrix_csv(p)
+
 
 class TestPgm:
     def test_header_and_orientation(self, tmp_path):

@@ -16,12 +16,13 @@ the trees, or both trees must raise the same error.
 A second fresh interpreter per tree runs the CLI in an empty directory:
 `synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
 unset and at 2, and `psd`, on that CSV; and `compare --pairs 8:45,12:45
---methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --jobs 2 --matrix-dir
-mats`. Every exit code and output file, the report and each matrix file
-under mats included, must be the same byte for byte, and every manifest
-the same apart from its duration_s. This covers the signal CSV writer
-and reader, which the matrices above never touch, and the comparison's
-run pool and matrix sink.
+--methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --mca-bw 2 --kld-bins 10
+--jobs 2 --matrix-dir mats`. Every exit code and output file, the report
+and each matrix file under mats included, must be the same byte for
+byte, and every manifest the same apart from its duration_s. This covers
+the signal CSV writer and reader, which the matrices above never touch,
+the comparison's run pool and matrix sink, and the measure config that
+the comparison's manifest and report record.
 
 The script prints the count of equal results and, for each result
 that differs, how far it moved: the largest absolute cell difference and
@@ -91,7 +92,8 @@ RUNS = {
                      "-o", "mca_jobs2.csv"],
     "psd": ["psd", "-i", "sig.csv", "-o", "psd.csv"],
     "compare": ["compare", "--pairs", "8:45,12:45", "--methods", "mca,kld", "--seeds", "2",
-                "--grid", "m=6:10,n=42:48", "--jobs", "2", "--matrix-dir", "mats",
+                "--grid", "m=6:10,n=42:48", "--mca-bw", "2", "--kld-bins", "10",
+                "--jobs", "2", "--matrix-dir", "mats",
                 "-o", "compare.json"],
 }
 out = {"paclab": paclab.__file__}
