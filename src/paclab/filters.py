@@ -45,6 +45,9 @@ class FilterSpec:
             raise InvalidInputError("center frequency must be positive")
         if not (self.bw_hz > 0):
             raise InvalidInputError("bw_hz must be positive")
+        if not math.isfinite(gabor_beta(self.bw_hz)):
+            # an infinite beta times the kernel's t = 0 makes a NaN tap
+            raise InvalidInputError(f"bw_hz of {self.bw_hz:g} Hz has no finite Gabor kernel")
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,10 @@ def _read_plain_rows(path: Path):
     which lifts its mmap threshold to the largest mapped block freed,
     then maps and unmaps the FFT temporaries of the matrix computed next:
     on a 300 s recording, on a 2-vCPU VM, that took 2-3 times the page
-    faults and made the matrices 7-18% slower."""
+    faults and made the matrices 7-18% slower. The freed text still lifts
+    that threshold for an API caller's process; the pac-lab CLI sets
+    glibc's thresholds outright (cli._pin_malloc), so there the read
+    order no longer matters to the allocator."""
     with path.open(newline="") as f:
         if f.readline() != SIGNAL_HEADER + "\n":
             return None

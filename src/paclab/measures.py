@@ -48,6 +48,7 @@ from .filters import (
     _gabor_key,
     _morlet_key,
     conv_size,
+    gabor_beta,
     gabor_half_length,
     morlet_half_length,
 )
@@ -93,8 +94,12 @@ class MeasureConfig:
     def __post_init__(self):
         if not (self.mca_bw > 0):
             raise InvalidInputError("mca_bw must be positive")
-        if not (self.morlet_cycles >= 1):
-            raise InvalidInputError("morlet_cycles must be at least 1")
+        # mca's capture weight reads a band twice as wide, which must be
+        # a valid FilterSpec too
+        if not math.isfinite(gabor_beta(2.0 * self.mca_bw)):
+            raise InvalidInputError(f"mca_bw of {self.mca_bw:g} Hz is too wide for a Gabor band")
+        if not (1 <= self.morlet_cycles < math.inf):
+            raise InvalidInputError("morlet_cycles must be finite and at least 1")
         k = self.kld_bins
         if not isinstance(k, numbers.Integral) or not 2 <= k <= MAX_KLD_BINS:
             raise InvalidInputError(f"kld_bins must be an integer in [2, {MAX_KLD_BINS}]")

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -43,16 +44,21 @@ class SynthesisSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (self.ami >= 0):
-            raise InvalidInputError("ami must be nonnegative")
+        if not (0 <= self.ami < math.inf):
+            raise InvalidInputError("ami must be nonnegative and finite")
         if not (0 < self.m < self.n < self.fs / 2):
             raise InvalidInputError("need 0 < m < n < fs/2")
         if not (math.isfinite(self.duration) and math.isfinite(self.fs)):
             raise InvalidInputError("duration and fs must be finite")
         if self.duration * self.fs < 2:
             raise InvalidInputError("need at least 2 samples")
-        if not (self.noise_power >= 0):
-            raise InvalidInputError("noise_power must be nonnegative")
+        if not (0 <= self.noise_power < math.inf):
+            raise InvalidInputError("noise_power must be nonnegative and finite")
+        # pink_noise divides the power by its unscaled draw's mean square,
+        # which is at least 1/n_samples**2 (its lowest bin has amplitude 1)
+        if self.noise_power > sys.float_info.max / self.n_samples / self.n_samples:
+            raise InvalidInputError(f"noise_power of {self.noise_power:g} is too large "
+                                    f"for {self.n_samples} samples")
         if self.seed is not None and not (
                 isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise InvalidInputError("seed must be an integer >= 0 (or None)")
@@ -83,8 +89,8 @@ def clean_scale_for(clean_power: Optional[float], ami: float) -> float:
     """Factor that rescales the deterministic part to clean_power; None keeps 1."""
     if clean_power is None:
         return 1.0
-    if not (clean_power >= 0):
-        raise InvalidInputError("clean_power must be nonnegative")
+    if not (0 <= clean_power < math.inf):
+        raise InvalidInputError("clean_power must be nonnegative and finite")
     return math.sqrt(clean_power / clean_power_unit(ami))
 
 

@@ -334,6 +334,13 @@ class TestMorlet:
         assert np.array_equal(morlet_bandpass(x, center, cycles).values, want)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bw", [np.inf, 1e308])
+def test_bandwidth_without_finite_beta_is_refused_before_any_tap(bw):
+    with pytest.raises(InvalidInputError, match="bw_hz"):
+        bandpass(tone(45, dur=1.0), FilterSpec(center=10, bw_hz=bw))
+
+
 class TestKernelFits:
     """A kernel longer than the signal is refused before any tap is built,
     however long it is."""

@@ -632,6 +632,16 @@ class TestMeasureConfig:
     def test_kld_bins_in_range_accepted(self, bins):
         assert MeasureConfig(kld_bins=bins).kld_bins == bins
 
+    # 1e308 is finite, but twice it, the width of mca's capture band,
+    # overflows the Gabor beta
+    @pytest.mark.parametrize("kw", [dict(mca_bw=math.inf), dict(mca_bw=1e308),
+                                    dict(morlet_cycles=math.inf)],
+                             ids=["bw-inf", "bw-1e308", "cycles-inf"])
+    def test_settings_without_finite_kernels_rejected_by_name(self, kw):
+        (name,) = kw
+        with pytest.raises(InvalidInputError, match=name):
+            MeasureConfig(**kw)
+
 
 class TestEdgeTrim:
     @pytest.mark.parametrize("fn", ALL_MEASURES, ids=lambda f: f.__name__)

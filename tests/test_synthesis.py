@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,22 @@ class TestSynthesisSpec:
         with pytest.raises(InvalidInputError):
             SynthesisSpec(**base)
 
+    # 1e308 is finite, but pink_noise's scale factor for it is not
+    @pytest.mark.parametrize("kw", [dict(ami=math.inf), dict(noise_power=math.inf),
+                                    dict(noise_power=1e308)],
+                             ids=["ami-inf", "noise-inf", "noise-1e308"])
+    def test_settings_with_non_finite_samples_rejected_by_name(self, kw):
+        (name,) = kw
+        with pytest.raises(InvalidInputError, match=name):
+            SynthesisSpec(m=8, n=45, **kw)
+
+    def test_largest_accepted_noise_power_gives_finite_samples(self):
+        # the bound's 1/n_samples**2 is exact for 2 samples
+        spec = SynthesisSpec(m=8, n=45, duration=0.002, noise_power=sys.float_info.max / 4)
+        assert np.isfinite(synth_pac(spec).composite.samples).all()
+        with pytest.raises(InvalidInputError, match="noise_power"):
+            dataclasses.replace(spec, noise_power=spec.noise_power * 1.0000001)
+
 
     @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2**70])
     def test_valid_seeds(self, seed):
@@ -65,9 +82,9 @@ class TestSynthesisSpec:
 
 
 class TestCleanScale:
-    @pytest.mark.parametrize("bad", [-1.0, math.nan])
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_negative_or_nan_power_rejected(self, bad):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="clean_power"):
             clean_scale_for(bad, 0.25)
 
     def test_none_keeps_unit_scale(self):
