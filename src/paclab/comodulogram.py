@@ -56,9 +56,9 @@ MAX_GRID_CELLS = 10**7
 MAX_SEEDS = 10_000
 
 # Most worker threads compute_matrix and run_comparison accept. A thread
-# pool starts up to one thread per task, and a comparison has up to
-# MAX_RUNS of them; past the cores of any machine this runs on, more
-# threads only hold more signals and banks in memory at once.
+# pool starts up to one thread per task, and its tasks are a grid's
+# columns, as many as the grid has n values; past the cores of any machine
+# this runs on, more threads only hold more columns' temporaries at once.
 MAX_JOBS = 256
 
 # Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
@@ -146,13 +146,14 @@ def compute_matrix(
     once per matrix, kept in the shared filter bank). The bank holds a
     band only until every column that reads it has returned, by a read
     plan made from the grid, and fills no band twice. With jobs > 1
-    columns are evaluated by a thread pool; results are identical to the
-    serial order because every column is a pure function. Pooled
-    columns start at staggered m and wrap around, and a pooled column
-    that raises raises the error of serial order. With
-    use_cache=False every cell is a one-cell column on a fresh bank. A
-    grid reaching Nyquist, in m or in n, or holding more than
-    MAX_GRID_CELLS cells, and jobs other than None or an integer in
+    columns are evaluated by a pool of `jobs` threads, the only thread
+    pool paclab builds; results are identical to the serial order
+    because every column is a pure function. Pooled columns start at
+    staggered m and wrap around, and a pooled column that raises raises
+    the error of serial order. A worker thread that cannot start raises
+    MemoryError. With use_cache=False every cell is a one-cell column on
+    a fresh bank. A grid reaching Nyquist, in m or in n, or holding more
+    than MAX_GRID_CELLS cells, and jobs other than None or an integer in
     [1, MAX_JOBS] are refused before any work.
     """
     if method not in _MEASURES:
@@ -195,14 +196,23 @@ def compute_matrix(
             return i, measures._column(cells, x, n, ms, cfg, bank, start)
         return i, [measures._column(cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
-    def put(result):
-        i, values = result
-        out[i, :len(values)] = values
-        # the bands the final column read go with the bank
-        if bank is not None and i != columns[-1][0]:
-            bank.done(i)
-
-    _each(one, columns, jobs, put)
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
+    try:
+        # pool.map submits every column before it returns, so this is where
+        # a thread fails to start; a column's own error comes in the loop
+        try:
+            results = (map if pool is None else pool.map)(one, columns)
+        except RuntimeError as e:
+            raise MemoryError(f"cannot start a worker thread: {e}") from e
+        for i, values in results:
+            out[i, :len(values)] = values
+            # the bands the final column read go with the bank
+            if bank is not None and i != columns[-1][0]:
+                bank.done(i)
+    finally:
+        if pool is not None:
+            # an error cancels the columns not yet started
+            pool.shutdown(cancel_futures=True)
 
     meta = {
         "fs": x.fs,
@@ -321,18 +331,6 @@ def _check_jobs(jobs: Optional[int]) -> None:
         raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
 
 
-def _each(fn, tasks, jobs: Optional[int], take: Callable) -> None:
-    """take(fn(task)) for each task, in order: serially below 2 jobs, else
-    on a pool of `jobs` threads that cancels its queued tasks on an error."""
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
-    try:
-        for result in (map if pool is None else pool.map)(fn, tasks):
-            take(result)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-
 def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
                     duration: float, fs: float, noise_power: float,
                     clean_power: Optional[float]) -> tuple[range, dict]:
@@ -392,11 +390,13 @@ def run_comparison(
 ) -> PacReport:
     """Synthesize each pair over seeds, run every method, collect errors.
 
-    Each (pair, seed) signal is synthesized in the task that runs its
-    methods, so at most `jobs` signals are alive at once. matrix_sink,
-    when given, receives (matrix, pair, method, seed) for each normalized
-    matrix, in the order pair, seed, method; results are deterministic
-    for a fixed base_seed regardless of jobs.
+    The (pair, seed) signals run one at a time, in the order pair, seed,
+    and each is synthesized just before its methods run, so one signal and
+    one filter bank are alive at once; `jobs` goes to compute_matrix's
+    column pool. matrix_sink, when given, receives (matrix, pair, method,
+    seed) for each normalized matrix, in the order pair, seed, method, as
+    it is made; an error stops the comparison there. Results are
+    deterministic for a fixed base_seed regardless of jobs.
     """
     methods = list(methods)
     seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,
@@ -405,28 +405,18 @@ def run_comparison(
     grid = grid or GridSpec()
     cfg = cfg or MeasureConfig()
 
-    def run_seed(task):
-        pair, seed = task
-        x = synth_pac(replace(specs[pair], seed=seed)).composite
-        outcomes = []
-        for meth in methods:
-            mat = normalize(compute_matrix(x, meth, grid, cfg))
-            found = argmax(mat)
-            err = localization_error(found, pair)
-            peak = 0.0 if found is None else found[2]
-            outcomes.append((ComparisonRun(pair, meth, seed, found, peak, err), mat))
-        return outcomes
-
-    tasks = [(pair, seed) for pair in specs for seed in seeds]
     runs = []
-
-    def collect(group):
-        for run, mat in group:
-            runs.append(run)
-            if matrix_sink is not None:
-                matrix_sink(mat, run.pair, run.method, run.seed)
-
-    _each(run_seed, tasks, jobs, collect)
+    for pair, spec in specs.items():
+        for seed in seeds:
+            x = synth_pac(replace(spec, seed=seed)).composite
+            for meth in methods:
+                mat = normalize(compute_matrix(x, meth, grid, cfg, jobs))
+                found = argmax(mat)
+                peak = 0.0 if found is None else found[2]
+                runs.append(ComparisonRun(pair, meth, seed, found, peak,
+                                          localization_error(found, pair)))
+                if matrix_sink is not None:
+                    matrix_sink(mat, pair, meth, seed)
 
     aggregates: dict = {}
     for meth in methods:

@@ -110,7 +110,10 @@ def gabor_kernel(spec: FilterSpec, fs: float) -> Kernel:
     half = _gabor_half(spec, fs, None)
     beta = gabor_beta(spec.bw_hz)
     t = np.arange(-half, half + 1) / fs
-    g = np.exp(-((beta * t) ** 2)) * np.cos(2.0 * np.pi * spec.center * t)
+    # a huge bandwidth overflows the square off centre, and exp(-inf) is
+    # the correct 0 tap there: the taps come out [0, 1, 0]
+    with np.errstate(over="ignore"):
+        g = np.exp(-((beta * t) ** 2)) * np.cos(2.0 * np.pi * spec.center * t)
     g = g / np.abs(_center_gain(g, t, spec.center))
     return Kernel(g, fs, spec.center)
 

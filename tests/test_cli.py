@@ -10,6 +10,7 @@ import resource
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 import paclab
 import paclab.comodulogram
+import paclab.measures
 from paclab import (
     GridSpec,
     Signal,
@@ -313,9 +315,40 @@ class TestOutOfMemory:
     def test_address_space_limit_exits_numeric_without_traceback(self, tmp_path):
         self.run_under_limit(tmp_path)
 
-    def test_address_space_limit_exits_numeric_with_the_pool(self, tmp_path):
-        # the pool's threads share the one malloc arena main pins
-        self.run_under_limit(tmp_path, "--jobs", "2")
+    @pytest.mark.parametrize("jobs", ["2", "8"])
+    def test_address_space_limit_exits_numeric_with_the_pool(self, tmp_path, jobs):
+        # the pool's threads share the one malloc arena main pins; at 8
+        # their stacks leave no room to start them all
+        self.run_under_limit(tmp_path, "--jobs", jobs)
+
+    def test_a_thread_that_cannot_start_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        class NoThreads(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                raise RuntimeError("can't start new thread")
+
+        sig = synth_file(tmp_path)
+        monkeypatch.setattr(paclab.comodulogram, "ThreadPoolExecutor", NoThreads)
+        x = read_signal_csv(sig)
+        with pytest.raises(MemoryError, match="^cannot start a worker thread: can't start"):
+            compute_matrix(x, "mca", GridSpec(6, 10, 42, 48), jobs=2)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        rc = main(["pac", "--method", "mca", "-i", str(sig), "-o", str(tmp_path / "mat.csv"),
+                   "--grid", GRID, "--jobs", "2"])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("pac-lab: out of memory: cannot start a worker thread")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_a_column_runtime_error_is_not_a_thread_error(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("column")
+
+        monkeypatch.setattr(paclab.measures, "_column", broken)
+        x = synth_pac(benchmark_spec((8, 45), seed=0)).composite
+        with pytest.raises(RuntimeError, match="^column$"):
+            compute_matrix(x, "mca", GridSpec(6, 10, 42, 48), jobs=2)
 
     @staticmethod
     def run_under_limit(tmp_path, *flags):
@@ -576,8 +609,8 @@ class TestCompare:
             assert mat.normalized
 
     def test_matrix_files_are_the_run_matrices(self, tmp_path):
-        # matrices are written from the run's sink as they arrive; under
-        # the run pool each file must still hold its own (pair, method, seed)
+        # matrices are written from the run's sink as they arrive; with
+        # pooled columns each file must still hold its own (pair, method, seed)
         mdir = tmp_path / "mats"
         assert main(["compare", "--pairs", "8:45,12:45", "--methods", "kld,mvl",
                      "--seeds", "2", "--grid", "m=6:13,n=42:46", "--jobs", "2",

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import inspect
 import math
 import re
 import sys
@@ -711,7 +712,9 @@ class TestRunComparison:
             return real_synth(spec)
 
         def compute(x, method, *args, **kwargs):
-            calls.append(("compute", method))
+            # the comparison's jobs go to the column pool of every matrix
+            bound = inspect.signature(real_compute).bind(x, method, *args, **kwargs)
+            calls.append(("compute", method, bound.arguments.get("jobs")))
             return real_compute(x, method, *args, **kwargs)
 
         monkeypatch.setattr(paclab.comodulogram, "synth_pac", synth)
@@ -723,11 +726,11 @@ class TestRunComparison:
             run_comparison([(8, 45), (12, 45)], methods=("kld", "mvl"), n_seeds=2, grid=SMALL,
                            jobs=jobs, matrix_sink=lambda mat, *key, _s=sunk[jobs]:
                            _s.append((key, mat.values)))
-            if jobs is None:
-                assert calls == [
-                    step for m in (8, 12) for seed in (0, 1)
-                    for step in (("synth", m, seed), ("compute", "kld"), ("compute", "mvl"))
-                ]
+            assert calls == [
+                step for m in (8, 12) for seed in (0, 1)
+                for step in (("synth", m, seed), ("compute", "kld", jobs),
+                             ("compute", "mvl", jobs))
+            ]
         assert [key for key, _ in sunk[2]] == [key for key, _ in sunk[None]] == [
             ((m, 45), meth, seed) for m in (8, 12) for seed in (0, 1) for meth in ("kld", "mvl")
         ]
@@ -806,8 +809,9 @@ class TestRunComparison:
         with pytest.raises(OSError, match="disk full"):
             run_comparison([(8, 45)], methods=("kld",), n_seeds=12, jobs=jobs, grid=SMALL,
                            matrix_sink=sink)
-        # the runs already started finish; the queued ones never start
-        assert 1 <= len(synthesized) < 12
+        # signals run one at a time, so the sink's first error stops the
+        # comparison before a second signal is made
+        assert synthesized == [0]
 
     def test_jobs_do_not_change_results(self):
         kw = dict(methods=("mca",), n_seeds=2, grid=SMALL)

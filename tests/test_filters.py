@@ -76,6 +76,12 @@ class TestGaborKernel:
         with pytest.raises(AliasingError):
             gabor_kernel(FilterSpec(center=500, bw_hz=1), FS)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_bandwidth_is_one_tap_without_a_warning(self):
+        # the envelope's square overflows off centre; exp(-inf) is its 0 tap
+        k = gabor_kernel(FilterSpec(center=10, bw_hz=1e300), FS)
+        assert k.taps.tolist() == [0.0, 1.0, 0.0]
+
     @pytest.mark.parametrize("center", [5, 20, 45, 100])
     def test_constant_bandwidth_across_centers(self, center):
         # measured -3 dB full width tracks bw_hz, not the center

@@ -21,7 +21,7 @@ unset and at 2, and `psd`, on that CSV; and `compare --pairs 8:45,12:45
 and each matrix file under mats included, must be the same byte for
 byte, and every manifest the same apart from its duration_s. This covers
 the signal CSV writer and reader, which the matrices above never touch,
-the comparison's run pool and matrix sink, and the measure config that
+the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
 The script prints the count of equal results and, for each result
