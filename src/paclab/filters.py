@@ -6,10 +6,12 @@ A kernel is applied by FFT convolution of the reflection-padded signal
 on scipy.fft: rfft/irfft for the real Gabor taps, fft/ifft for the
 complex Morlet taps, at the transform lengths and slices of
 scipy.signal.fftconvolve(..., "valid"), so each band is bitwise what
-fftconvolve gives without importing scipy.signal. A kernel's length is
-checked against the signal before any tap is built. The padded signal's
-rfft depends on the kernel's length alone, so the filter bank takes it
-once per Gabor kernel length and shares it across its bands."""
+fftconvolve gives; like the rest of the package, this module does not
+import scipy.signal. A kernel's length is checked against the signal
+before any tap is built. The padded signal's rfft depends on the
+kernel's length alone, so the filter bank takes it once per Gabor
+kernel length and shares it across its bands. A bank refuses a signal
+past signal_core.check_amplitude's bound before it fills any band."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import AliasingError, InvalidInputError, OutOfBandError, SignalTooShortError
-from .signal_core import ComplexSeries, Signal
+from .signal_core import ComplexSeries, Signal, check_amplitude
 
 # Envelope extent of every Gabor kernel, in Gaussian standard deviations.
 # 4 leaves ~7e-6 stopband ripple at 8 Hz detune for a 1 Hz band; 5 gets
@@ -325,6 +327,7 @@ class FilterBank:
     """
 
     def __init__(self, x: Signal):
+        check_amplitude(x)
         self.x = x
         self._cache = _Memo()
         self._derived = _Memo()

@@ -3,13 +3,18 @@
 Power convention throughout the package: power = mean of squared samples,
 reported in "Watt" as a dimensionless bookkeeping unit.
 
-The analytic signal is computed here on scipy.fft (hilbert below), so the
-package does not import scipy.signal to load; only the Welch estimates of
-paclab.spectral import it, on first use.
+The analytic signal is computed here on scipy.fft (hilbert below), as
+are the filters and the Welch estimates in their modules: the package
+never imports scipy.signal.
+
+A Signal may hold any finite samples. Before the filter bank or a Welch
+estimate reads one, check_amplitude bounds its peak, so that no square
+formed from it overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +25,20 @@ from .errors import (
     EmptyResultError,
     InvalidInputError,
 )
+
+
+# Bound on A² · max(N, N/fs) for a signal of N samples at fs Hz whose
+# largest |sample| is A. The largest squares formed from a signal stay
+# finite under it (float max is 1.8e308):
+# - Welch's cross density |Pxy|², in coherence. A segment of M <= N
+#   samples, mean removed (at most 2A) and tapered by w scaled by
+#   c = 1/sqrt(fs·Σw²), has a DFT of modulus at most 2A·c·Σw, which is
+#   2A·sqrt(M/fs) at most (Cauchy-Schwarz). So |Pxy| <= 2·|Sx|·|Sy|
+#   <= 8·Ax·Ay·N/fs, and |Pxy|² <= 64·(1e150)², about 6e301. cv's
+#   second signal, the modulus of a unit-gain Morlet band, peaks below A.
+# - The band RMS (mca's gates, power): a sum of N squares of a band that
+#   peaks at g·A is at most g²·1e150, finite for any band gain g < 1e79.
+_SCALE_LIMIT = 1e150
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -82,6 +101,23 @@ class ComplexSeries:
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def check_amplitude(x: Signal) -> None:
+    """Refuse, with InvalidInputError, a signal whose largest |sample| A,
+    over N samples at fs Hz, has A² · max(N, N/fs) above 1e150: past
+    that bound the squares the measures and the Welch estimates form can
+    overflow. The filter bank and the Welch estimates check every signal
+    they read."""
+    a = x.samples
+    peak = max(float(a.max()), -float(a.min()))
+    n = a.size
+    bound = math.sqrt(_SCALE_LIMIT / max(n, n / x.fs))
+    if peak > bound:
+        raise InvalidInputError(
+            f"peak amplitude {peak:.3g} exceeds {bound:.3g}, the bound for "
+            f"{n} samples at {x.fs:g} Hz"
+        )
 
 
 def hilbert(x: np.ndarray) -> np.ndarray:

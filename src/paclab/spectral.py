@@ -1,16 +1,25 @@
 """Welch power spectral density and magnitude-squared coherence.
 
-Both are scipy.signal's Welch estimates. scipy.signal takes about a
-second to import, so welch_psd and coherence import it on first use:
-only the commands that estimate a spectrum (cv, psd) pay for it.
+Both are scipy.signal's Welch estimates, computed on scipy.fft so that
+the package never imports scipy.signal: each signal's segments are
+taken at once (a strided view), each segment's mean is removed, it is
+tapered by the periodic Hann window scaled to a density, and one 2-D
+rfft transforms them all. Every step is the one scipy.signal.csd takes,
+in its order and with its expressions, so welch_psd and coherence are
+bitwise scipy.signal.welch and scipy.signal.coherence (tested against
+them). coherence transforms each signal once, where scipy's coherence
+transforms each twice.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import rfft, rfftfreq
 
 from .errors import (
     DegeneratePhaseError,
@@ -18,7 +27,7 @@ from .errors import (
     SignalTooShortError,
     UnreliableEstimateError,
 )
-from .signal_core import Signal
+from .signal_core import Signal, check_amplitude
 
 
 # The taper of every Welch segment.
@@ -65,43 +74,73 @@ class Spectrum:
         return float(self.values[idx])
 
 
-def _effective_segments(n: int, window_len: int, overlap: float) -> tuple[int, int]:
+def _effective_segments(n: int, window_len: int, overlap: float) -> tuple[int, int, int]:
+    """Window length, hop and segment count of a Welch estimate on n
+    samples; the window is clipped to n."""
     win = min(window_len, n)
     hop = win - int(win * overlap)
-    if hop <= 0:
-        hop = 1
-    segs = 1 + (n - win) // hop
-    return win, segs
+    return win, hop, 1 + (n - win) // hop
+
+
+def _hann(m: int) -> np.ndarray:
+    """Periodic Hann window of m samples, by the steps of
+    scipy.signal.get_window("hann", m): the symmetric window of m + 1
+    samples without its last one."""
+    if m <= 1:
+        return np.ones(m)
+    return (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)))[:-1]
+
+
+@lru_cache(maxsize=8)
+def _density_window(m: int, fs: float) -> np.ndarray:
+    """The Hann taper of m samples scaled to a density at fs Hz, by
+    scipy's ShortTimeFFT expression. Its builtin sum loops in Python over
+    the m samples, so the window is kept per (m, fs)."""
+    w = _hann(m)
+    w = w * (1 / np.sqrt(sum(w.real**2 + w.imag**2) / (1 / fs)))
+    w.setflags(write=False)
+    return w
+
+
+def _stft(x: Signal, win: int, hop: int) -> np.ndarray:
+    """One-sided STFT of x, frequency × segment and C-contiguous: segments
+    of win samples every hop samples, each mean removed and then tapered.
+    The copy matters: a mean over segments along contiguous memory sums
+    in the order of scipy's, a mean over a transposed view does not."""
+    check_amplitude(x)
+    segs = sliding_window_view(x.samples, win)[::hop]
+    segs = segs - segs.mean(axis=-1, keepdims=True)
+    segs *= _density_window(win, x.fs)
+    return np.ascontiguousarray(rfft(segs, axis=-1).T)
+
+
+def _average(p: np.ndarray, win: int) -> np.ndarray:
+    """Welch's one-sided average of per-segment spectra p (frequency ×
+    segment): every bin but DC and, for even win, Nyquist counts twice."""
+    p[1:-1 if win % 2 == 0 else None] *= 2
+    return p.mean(axis=-1)
 
 
 def welch_psd(x: Signal, spec: WelchSpec | None = None) -> Spectrum:
     """One-sided Welch density; its integral over [0, fs/2] estimates power.
 
     A window longer than the signal is clipped to the signal length (with a
-    warning), which degrades the estimate to a single periodogram.
+    warning), which degrades the estimate to a single periodogram. A
+    signal past check_amplitude's bound is refused: InvalidInputError.
     """
     spec = spec or WelchSpec()
     n = len(x)
     if n < 8:
         raise SignalTooShortError("need at least 8 samples for a spectrum")
-    win, _ = _effective_segments(n, spec.window_len, spec.overlap)
+    win, hop, _ = _effective_segments(n, spec.window_len, spec.overlap)
     if win < spec.window_len:
         warnings.warn(
             f"window of {spec.window_len} clipped to signal length {win}",
             stacklevel=2,
         )
-    import scipy.signal  # on first use: see the module docstring
-
-    freqs, psd = scipy.signal.welch(
-        x.samples,
-        fs=x.fs,
-        window=WINDOW,
-        nperseg=win,
-        noverlap=int(win * spec.overlap),
-        detrend="constant",
-        scaling="density",
-    )
-    return Spectrum(freqs, psd, "psd")
+    s = _stft(x, win, hop)
+    psd = _average(s.real**2 + s.imag**2, win)
+    return Spectrum(rfftfreq(win, 1 / x.fs), psd, "psd")
 
 
 def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
@@ -110,28 +149,28 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     Needs at least two averaged segments; with a single segment the
     estimator degenerates to 1 everywhere, so that case raises. A signal
     whose Welch spectrum holds no power (a constant, once each segment's
-    mean is removed) has no coherence: DegeneratePhaseError.
+    mean is removed) has no coherence: DegeneratePhaseError. A signal
+    past check_amplitude's bound is refused: InvalidInputError.
     """
     spec = spec or WelchSpec()
     if len(x) != len(y) or x.fs != y.fs:
         raise InvalidInputError("coherence needs equal-length, equal-rate signals")
     n = len(x)
-    win, segs = _effective_segments(n, spec.window_len, spec.overlap)
+    win, hop, segs = _effective_segments(n, spec.window_len, spec.overlap)
     if segs < 2:
         raise UnreliableEstimateError(
             f"only {segs} segment(s) of {win} samples; need at least 2"
         )
-    import scipy.signal  # on first use: see the module docstring
-
+    sx = _stft(x, win, hop)
+    sy = _stft(y, win, hop)
     # scipy.signal.coherence's own steps, so that a spectrum without power
     # raises instead of dividing 0 by 0
-    welch_args = dict(fs=x.fs, window=WINDOW, nperseg=win,
-                      noverlap=int(win * spec.overlap), detrend="constant")
-    freqs, pxx = scipy.signal.welch(x.samples, **welch_args)
-    _, pyy = scipy.signal.welch(y.samples, **welch_args)
+    pxx = _average(sx.real**2 + sx.imag**2, win)
+    pyy = _average(sy.real**2 + sy.imag**2, win)
     if not (pxx.any() and pyy.any()):
         raise DegeneratePhaseError("coherence needs power in both signals")
-    _, pxy = scipy.signal.csd(x.samples, y.samples, **welch_args)
+    # scipy.signal.csd(x, y) conjugates x's transform, not y's
+    pxy = _average(sy * sx.conj(), win)
     coh = np.abs(pxy) ** 2 / pxx / pyy
     coh = np.clip(coh, 0.0, 1.0)
-    return Spectrum(freqs, coh, "coherence")
+    return Spectrum(rfftfreq(win, 1 / x.fs), coh, "coherence")

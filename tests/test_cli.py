@@ -211,6 +211,21 @@ class TestPac:
                    "-o", str(tmp_path / "out.csv"), "--grid", "m=1:50,n=400:600"])
         assert rc == EXIT_NUMERIC
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [["pac", "--method", "cv"], ["pac", "--method", "mca"],
+                                         ["psd"]], ids=["pac-cv", "pac-mca", "psd"])
+    def test_huge_amplitude_is_numeric_error(self, tmp_path, capsys, command):
+        # samples near 1e200 are finite, but their squares are not: the
+        # signal is refused before any filter or spectrum reads it
+        sig = tmp_path / "big.csv"
+        assert main(["synth", "--m", "8", "--n", "45", "--ami", "1e200", "-o", str(sig)]) == EXIT_OK
+        argv = command + ["-i", str(sig), "-o", str(tmp_path / "out.csv")]
+        if command[0] == "pac":
+            argv += ["--grid", "m=6:10,n=42:48"]
+        assert main(argv) == EXIT_NUMERIC
+        assert "peak amplitude" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("fs", [None, 1e10], ids=["stock-rate", "10GHz-rate"])
     def test_huge_m_bound_is_numeric_error_before_any_allocation(self, tmp_path, fs):
         # at the stock rate the m bound reaches Nyquist; at 10 GHz it does
@@ -819,21 +834,28 @@ class TestManifestParameters:
                 assert (first / f).read_bytes() == (again / f).read_bytes(), f
 
 
-def test_commands_without_spectra_never_import_scipy_signal(tmp_path):
-    # scipy.signal takes about a second to import; only Welch estimates
-    # (cv, psd) need it, and they import it on first use
+def test_no_command_imports_scipy_signal(tmp_path):
+    # scipy.signal takes most of a second to import, and the package
+    # computes everything it took from it (hilbert, fftconvolve, the Welch
+    # estimates) on scipy.fft: no command, the spectral ones included,
+    # may import it
     code = f"""
 import sys
 import paclab, paclab.cli
 from paclab.cli import main
 d = {str(tmp_path)!r}
-assert main(["synth", "--paper-pair", "1", "--dur", "4", "-o", d + "/sig.csv"]) == 0
-for method in ("mca", "mvl"):
+assert main(["synth", "--paper-pair", "1", "--dur", "10", "-o", d + "/sig.csv"]) == 0
+for method in ("mca", "eps", "mvl", "cv", "kld"):
     assert main(["pac", "--method", method, "--grid", "m=6:9,n=42:46",
                  "-i", d + "/sig.csv", "-o", d + "/" + method + ".csv"]) == 0
+assert main(["psd", "-i", d + "/sig.csv", "-o", d + "/psd.csv"]) == 0
+assert main(["compare", "--pairs", "8:45", "--methods", "cv", "--seeds", "1",
+             "--dur", "10", "--grid", "m=6:9,n=42:46", "-o", d + "/compare.json"]) == 0
+assert main(["heatmap", "-i", d + "/cv.csv", "-o", d + "/cv.pgm"]) == 0
 print("scipy.signal" in sys.modules)
 """
     proc = run_fresh(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
-    assert (tmp_path / "mvl.csv").exists()
+    for name in ("cv.csv", "psd.csv", "compare.json", "cv.pgm"):
+        assert (tmp_path / name).exists()

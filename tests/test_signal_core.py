@@ -1,5 +1,7 @@
 """Analytic-signal containers and operations."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -7,17 +9,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paclab import (
+    METHODS,
     ComplexSeries,
+    GridSpec,
     DegeneratePhaseError,
     EmptyResultError,
     InvalidInputError,
     Signal,
     amplitude,
     analytic,
+    benchmark_spec,
+    coherence,
+    compute_matrix,
     instantaneous_frequency,
+    normalize,
     phase,
     power,
+    synth_pac,
     trim,
+    welch_psd,
 )
 from paclab.signal_core import hilbert
 
@@ -170,3 +180,41 @@ class TestPowerTrim:
             trim(Signal(np.arange(10, dtype=float), FS), 5)
         with pytest.raises(InvalidInputError):
             trim(Signal(np.arange(10, dtype=float), FS), -1)
+
+
+class TestAmplitudeBound:
+    """check_amplitude's bound, peak² · max(N, N/fs) <= 1e150, checked
+    wherever the filter bank or a Welch estimate reads a signal."""
+
+    GRID = GridSpec(6, 10, 42, 48)
+
+    @staticmethod
+    def scaled(factor):
+        x = synth_pac(benchmark_spec((8, 45), seed=0)).composite
+        bound = math.sqrt(1e150 / max(len(x), len(x) / x.fs))
+        peak = np.max(np.abs(x.samples))
+        return x, Signal(x.samples * (factor * bound / peak), x.fs)
+
+    @pytest.mark.filterwarnings("error")
+    def test_just_under_gives_finite_results(self):
+        x, big = self.scaled(0.999999)
+        for method in METHODS:
+            # a matrix holds finite values only, and once normalized every
+            # measure is scale-invariant
+            got = normalize(compute_matrix(big, method, self.GRID))
+            want = normalize(compute_matrix(x, method, self.GRID))
+            assert np.allclose(got.values, want.values, rtol=0.0, atol=1e-9), method
+        assert np.all(np.isfinite(welch_psd(big).values))
+        c = coherence(big, Signal(big.samples[::-1], big.fs))
+        assert np.all(np.isfinite(c.values))
+
+    def test_just_over_is_refused(self):
+        x, big = self.scaled(1.000001)
+        for method in METHODS:
+            with pytest.raises(InvalidInputError, match="peak amplitude"):
+                compute_matrix(big, method, self.GRID)
+        with pytest.raises(InvalidInputError, match="peak amplitude"):
+            welch_psd(big)
+        for pair in ((big, x), (x, big)):
+            with pytest.raises(InvalidInputError, match="peak amplitude"):
+                coherence(*pair)

@@ -1,5 +1,7 @@
 """Welch spectra and magnitude-squared coherence."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -20,6 +22,20 @@ from paclab import (
 )
 
 FS = 1000.0
+
+# (n, window_len, overlap, fs) on which the Welch estimates must be bitwise
+# scipy.signal's: even and odd windows, overlaps 0 to 0.9, rates that are
+# not integers, and exactly two segments
+BITWISE_CASES = [
+    pytest.param(9000, 1024, 0.5, FS, id="even"),
+    pytest.param(9000, 999, 0.25, FS, id="odd"),
+    pytest.param(5001, 256, 0.0, FS / 3, id="no-overlap"),
+    pytest.param(12000, 1000, 0.9, FS, id="overlap-0.9"),
+    pytest.param(30011, 4095, 0.75, 250.5, id="odd-long"),
+    pytest.param(10000, 4096, 0.25, FS, id="default-two-segments"),
+    pytest.param(1024, 512, 0.0, FS, id="two-segments"),
+    pytest.param(1600, 1025, 0.5, 1e5 / 3, id="two-odd-segments"),
+]
 
 
 def tone(freq, amp=1.0, dur=10.0, fs=FS):
@@ -60,6 +76,26 @@ class TestSpectrum:
 
 
 class TestWelchPsd:
+    @pytest.mark.parametrize("n,window_len,overlap,fs", BITWISE_CASES + [
+        pytest.param(3000, 4096, 0.25, FS, id="clipped-even"),
+        pytest.param(2999, 4096, 0.5, 250.5, id="clipped-odd"),
+    ])
+    def test_equals_scipy_welch_bitwise(self, n, window_len, overlap, fs):
+        x = Signal(np.random.default_rng(43).standard_normal(n) + 3.0, fs)
+        win = min(window_len, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the clipped window's
+            got = welch_psd(x, WelchSpec(window_len=window_len, overlap=overlap))
+        freqs, want = scipy.signal.welch(x.samples, fs=fs, window="hann", nperseg=win,
+                                         noverlap=int(win * overlap), detrend="constant",
+                                         scaling="density")
+        assert np.array_equal(got.values, want)
+        assert np.array_equal(got.freqs, freqs)
+
+    @pytest.mark.parametrize("m", list(range(1, 11)) + [4095, 4096])
+    def test_hann_window_is_scipys(self, m):
+        assert np.array_equal(paclab.spectral._hann(m), scipy.signal.get_window("hann", m))
+
     def test_parseval_tone(self):
         x = tone(45, amp=np.sqrt(2))
         psd = welch_psd(x, WelchSpec(window_len=4096, overlap=0.25))
@@ -142,14 +178,17 @@ class TestCoherence:
         with pytest.raises(InvalidInputError):
             coherence(x, z, WelchSpec(window_len=256))
 
-    def test_equals_scipy_coherence_bitwise(self):
+    @pytest.mark.parametrize("n,window_len,overlap,fs", BITWISE_CASES)
+    def test_equals_scipy_coherence_bitwise(self, n, window_len, overlap, fs):
         rng = np.random.default_rng(41)
-        x = Signal(rng.standard_normal(9000), FS)
-        y = Signal(rng.standard_normal(9000) ** 2, FS)
-        spec = WelchSpec(window_len=1024, overlap=0.5)
-        _, want = scipy.signal.coherence(x.samples, y.samples, fs=FS, window="hann",
-                                         nperseg=1024, noverlap=512, detrend="constant")
-        assert np.array_equal(coherence(x, y, spec).values, np.clip(want, 0.0, 1.0))
+        x = Signal(rng.standard_normal(n), fs)
+        y = Signal(rng.standard_normal(n) ** 2, fs)
+        got = coherence(x, y, WelchSpec(window_len=window_len, overlap=overlap))
+        freqs, want = scipy.signal.coherence(
+            x.samples, y.samples, fs=fs, window="hann", nperseg=window_len,
+            noverlap=int(window_len * overlap), detrend="constant")
+        assert np.array_equal(got.values, np.clip(want, 0.0, 1.0))
+        assert np.array_equal(got.freqs, freqs)
 
     @pytest.mark.filterwarnings("error")
     def test_signal_without_power_is_degenerate(self):

@@ -4,8 +4,10 @@
 
 Each tree's `src` is imported in a fresh interpreter, which computes a
 fixed set of comodulograms: the stock signal benchmark_spec((8, 45)) with
-seeds 0 and 7; all five methods; the configs default, edge_trim=0 and
-kld_bins=18 with morlet_cycles=6; and five ways of running: jobs None
+seeds 0 and 7; all five methods; the configs default, edge_trim=0,
+kld_bins=18 with morlet_cycles=6, and a Welch segmentation that is not
+the default, an odd window of 999 samples at overlap 0.5 (cv reads it,
+the other methods must not); and five ways of running: jobs None
 and jobs 2 on the default grid, jobs None and jobs 2 on GridSpec(1, 12,
 30, 50), and use_cache=False on GridSpec(1, 20, 1, 50). On the default
 grid nearly every band is read until the sweep ends; on the narrow one
@@ -15,7 +17,8 @@ the trees, or both trees must raise the same error.
 
 A second fresh interpreter per tree runs the CLI in an empty directory:
 `synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
-unset and at 2, and `psd`, on that CSV; and `compare --pairs 8:45,12:45
+unset and at 2, and `psd` with the default window and with `--window 999
+--overlap 0.5`, on that CSV; and `compare --pairs 8:45,12:45
 --methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --mca-bw 2 --kld-bins 10
 --jobs 2 --matrix-dir mats`. Every exit code and output file, the report
 and each matrix file under mats included, must be the same byte for
@@ -45,7 +48,8 @@ import numpy as np
 _CHILD = r"""
 import pickle, sys
 import paclab
-from paclab import GridSpec, MeasureConfig, benchmark_spec, compute_matrix, synth_pac
+from paclab import (GridSpec, MeasureConfig, WelchSpec, benchmark_spec, compute_matrix,
+                    synth_pac)
 
 SEEDS = (0, 7)
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
@@ -53,6 +57,7 @@ CONFIGS = {
     "default": {},
     "edge_trim=0": {"edge_trim": 0},
     "kld_bins=18,morlet_cycles=6": {"kld_bins": 18, "morlet_cycles": 6.0},
+    "welch=999,0.5": {"welch": WelchSpec(window_len=999, overlap=0.5)},
 }
 RUNS = {
     "jobs=None": dict(jobs=None),
@@ -91,6 +96,8 @@ RUNS = {
     "pac --jobs 2": ["pac", "--method", "mca", "--jobs", "2", "-i", "sig.csv",
                      "-o", "mca_jobs2.csv"],
     "psd": ["psd", "-i", "sig.csv", "-o", "psd.csv"],
+    "psd --window 999": ["psd", "--window", "999", "--overlap", "0.5", "-i", "sig.csv",
+                         "-o", "psd_999.csv"],
     "compare": ["compare", "--pairs", "8:45,12:45", "--methods", "mca,kld", "--seeds", "2",
                 "--grid", "m=6:10,n=42:48", "--mca-bw", "2", "--kld-bins", "10",
                 "--jobs", "2", "--matrix-dir", "mats",
