@@ -314,7 +314,8 @@ def _add_matrix_flags(p):
     p.add_argument("--welch-overlap", type=float, default=cfg.welch.overlap,
                    help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"worker threads, 1 to {MAX_JOBS} (default: serial)")
+                   help=f"threads per matrix, the calling one included, 1 to {MAX_JOBS} "
+                        "(default: the usable CPUs for mca and eps, 1 for the others)")
 
 
 def _add_common(p):

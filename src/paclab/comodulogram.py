@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import statistics
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -32,16 +34,31 @@ from .synthesis import (
     synth_pac,
 )
 
-# One cell factory per method, with the bands its columns read:
-# cells(x, n, cfg, bank) returns the measure on the column at n as a
-# function of m, and measures._column scores a column; reads(n, m_values,
-# cfg) returns (bands read directly, bands read only to be reduced).
+class _Measure(NamedTuple):
+    """One method: its cell factory, the bands its columns read, and
+    whether its cells run signal-length transforms."""
+
+    # cells(x, n, cfg, bank) returns the measure on the column at n as a
+    # function of m, and measures._column scores a column
+    cells: Callable
+    # reads(n, m_values, cfg) returns (bands read directly, bands read
+    # only to be reduced)
+    reads: Callable
+    # True where every scored cell runs signal-length FFTs (mca: two
+    # hilbert transforms and an envelope band-pass; eps: a band-pass and a
+    # hilbert transform). pocketfft releases the GIL, so such columns gain
+    # from every core. mvl and kld cells reduce forms the bank keeps and
+    # cv runs one coherence per column; at jobs=2 those measured mvl about
+    # 0%, cv +19% and kld +20-32% slower than serial
+    transforms: bool
+
+
 _MEASURES = {
-    "mca": (measures._mca_cells, measures._mca_reads),
-    "eps": (measures._eps_cells, measures._morlet_reads),
-    "mvl": (measures._mvl_cells, measures._morlet_reads),
-    "cv": (measures._cv_cells, measures._cv_reads),
-    "kld": (measures._kld_cells, measures._morlet_reads),
+    "mca": _Measure(measures._mca_cells, measures._mca_reads, True),
+    "eps": _Measure(measures._eps_cells, measures._morlet_reads, True),
+    "mvl": _Measure(measures._mvl_cells, measures._morlet_reads, False),
+    "cv": _Measure(measures._cv_cells, measures._cv_reads, False),
+    "kld": _Measure(measures._kld_cells, measures._morlet_reads, False),
 }
 METHODS = tuple(_MEASURES)
 
@@ -55,10 +72,11 @@ MAX_GRID_CELLS = 10**7
 # manifest that records it, from unchecked input.
 MAX_SEEDS = 10_000
 
-# Most worker threads compute_matrix and run_comparison accept. A thread
-# pool starts up to one thread per task, and its tasks are a grid's
-# columns, as many as the grid has n values; past the cores of any machine
-# this runs on, more threads only hold more columns' temporaries at once.
+# Most worker threads compute_matrix and run_comparison accept, and the
+# cap on the default worker count of mca and eps. The calling thread and
+# up to jobs - 1 pool threads each work on one of a grid's columns at a
+# time; past the cores of any machine this runs on, more threads only hold
+# more columns' temporaries at once.
 MAX_JOBS = 256
 
 # Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
@@ -145,15 +163,22 @@ def compute_matrix(
     per column (and for mca, mvl and kld, work that depends on m alone
     once per matrix, kept in the shared filter bank). The bank holds a
     band only until every column that reads it has returned, by a read
-    plan made from the grid, and fills no band twice. With jobs > 1
-    columns are evaluated by a pool of `jobs` threads, the only thread
-    pool paclab builds; results are identical to the serial order
-    because every column is a pure function. Pooled columns start at
-    staggered m and wrap around, and a pooled column that raises raises
-    the error of serial order. A worker thread that cannot start raises
-    MemoryError. With use_cache=False every cell is a one-cell column on
-    a fresh bank. A grid reaching Nyquist, in m or in n, or holding more
-    than MAX_GRID_CELLS cells, and jobs other than None or an integer in
+    plan made from the grid, and fills no band twice.
+
+    Columns run on `jobs` threads: the calling thread and a pool of
+    jobs - 1, the only thread pool paclab builds. jobs=None picks the
+    count per method: for mca and eps, whose cells run signal-length
+    FFTs, the usable CPUs capped by MAX_JOBS and the column count; for
+    mvl, cv and kld, 1. jobs=1 runs serially on the calling thread.
+    Results are identical for every jobs because every column is a pure
+    function. Columns are handed out in ascending order, and each
+    finished prefix of them is written out and its bands released as
+    soon as it completes. Pooled columns start at staggered m and wrap
+    around, and a pooled column that raises raises the error of serial
+    order. A worker thread that cannot start raises MemoryError. With
+    use_cache=False every cell is a one-cell column on a fresh bank. A
+    grid reaching Nyquist, in m or in n, or holding more than
+    MAX_GRID_CELLS cells, and jobs other than None or an integer in
     [1, MAX_JOBS] are refused before any work.
     """
     if method not in _MEASURES:
@@ -171,7 +196,7 @@ def compute_matrix(
             f"grid of {rows}x{cols} cells exceeds the limit of {MAX_GRID_CELLS} cells"
         )
     _check_jobs(jobs)
-    cells, reads = _MEASURES[method]
+    measure = _MEASURES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
@@ -183,36 +208,29 @@ def compute_matrix(
         for i, n in enumerate(n_vals)
         if m_vals[0] < n
     ]
+    if jobs is None:
+        jobs = _default_jobs(measure, len(columns))
 
     if bank is not None:
-        _plan(bank, reads, columns, cfg)
+        _plan(bank, measure.reads, columns, cfg)
 
     def one(col):
         i, n, ms = col
         if bank is not None:
             # pooled columns start at staggered m, so concurrent columns
             # fill different per-m bank entries instead of waiting on one
-            start = (i % jobs) * len(ms) // jobs if jobs and jobs > 1 else 0
-            return i, measures._column(cells, x, n, ms, cfg, bank, start)
-        return i, [measures._column(cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
+            start = (i % jobs) * len(ms) // jobs
+            return measures._column(measure.cells, x, n, ms, cfg, bank, start)
+        return [measures._column(measure.cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
 
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs and jobs > 1 else None
-    try:
-        # pool.map submits every column before it returns, so this is where
-        # a thread fails to start; a column's own error comes in the loop
-        try:
-            results = (map if pool is None else pool.map)(one, columns)
-        except RuntimeError as e:
-            raise MemoryError(f"cannot start a worker thread: {e}") from e
-        for i, values in results:
-            out[i, :len(values)] = values
-            # the bands the final column read go with the bank
-            if bank is not None and i != columns[-1][0]:
-                bank.done(i)
-    finally:
-        if pool is not None:
-            # an error cancels the columns not yet started
-            pool.shutdown(cancel_futures=True)
+    def finish(k, values):
+        i = columns[k][0]
+        out[i, :len(values)] = values
+        # the bands the final column read go with the bank
+        if bank is not None and k != len(columns) - 1:
+            bank.done(i)
+
+    _sweep(columns, jobs, one, finish)
 
     meta = {
         "fs": x.fs,
@@ -221,6 +239,80 @@ def compute_matrix(
         "cached_filterings": bank.n_filterings if bank is not None else None,
     }
     return PacMatrix(out, method, False, grid, meta)
+
+
+def _default_jobs(measure: _Measure, n_columns: int) -> int:
+    """Threads for compute_matrix(jobs=None): the usable CPUs, capped by
+    MAX_JOBS and n_columns, where the measure's cells run signal-length
+    transforms; 1 otherwise."""
+    if not measure.transforms:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, MAX_JOBS, n_columns))
+
+
+def _sweep(columns: list, jobs: int, run, finish) -> None:
+    """run(column) for every column, on the calling thread and a pool of
+    jobs - 1 threads; finish(k, result) for column k as soon as columns
+    0..k have all returned, in ascending k, one call at a time.
+
+    Columns are handed out in ascending order and none after a failed
+    one, so every column below the smallest failing one has run, and its
+    error, the one of serial order, is raised once the threads stop. The
+    caller works too: under glibc each allocating thread gets a malloc
+    arena of its own, and on the stock matrix benchmark jobs pool threads
+    beside an idle caller raised peak RSS 12-13%. A pool thread that
+    cannot start raises MemoryError.
+    """
+    lock = threading.Lock()
+    results, errors = {}, {}
+    taken = finished = 0
+    stop = len(columns)  # no column from this index on is handed out
+
+    def work():
+        nonlocal taken, finished, stop
+        while True:
+            with lock:
+                if taken >= stop:
+                    return
+                k = taken
+                taken += 1
+            try:
+                result = run(columns[k])
+            except Exception as e:  # raised on the calling thread below
+                with lock:
+                    errors[k] = e
+                    stop = min(stop, k)
+                return
+            with lock:
+                results[k] = result
+                while finished in results:
+                    finish(finished, results.pop(finished))
+                    finished += 1
+
+    pool = ThreadPoolExecutor(max_workers=jobs - 1) if jobs > 1 else None
+    workers = []
+    try:
+        if pool is not None:
+            # submit starts a thread, so this is where one fails to start
+            try:
+                workers = [pool.submit(work) for _ in range(jobs - 1)]
+            except RuntimeError as e:
+                raise MemoryError(f"cannot start a worker thread: {e}") from e
+        work()
+        for w in workers:
+            w.result()
+    finally:
+        if pool is not None:
+            # an error hands out no more columns; the running ones finish
+            with lock:
+                stop = 0
+            pool.shutdown()
+    if errors:
+        raise errors[min(errors)]
 
 
 def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
@@ -326,7 +418,8 @@ def _aggregate(errors: list) -> dict:
 
 
 def _check_jobs(jobs: Optional[int]) -> None:
-    """Refuse jobs unless it is None (serial) or an integer in [1, MAX_JOBS]."""
+    """Refuse jobs unless it is None (compute_matrix's per-method default)
+    or an integer in [1, MAX_JOBS]."""
     if jobs is not None and not (isinstance(jobs, numbers.Integral) and 1 <= jobs <= MAX_JOBS):
         raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
 
@@ -392,8 +485,8 @@ def run_comparison(
 
     The (pair, seed) signals run one at a time, in the order pair, seed,
     and each is synthesized just before its methods run, so one signal and
-    one filter bank are alive at once; `jobs` goes to compute_matrix's
-    column pool. matrix_sink, when given, receives (matrix, pair, method,
+    one filter bank are alive at once; `jobs` goes to each compute_matrix
+    call as given, so None picks its per-method default. matrix_sink, when given, receives (matrix, pair, method,
     seed) for each normalized matrix, in the order pair, seed, method, as
     it is made; an error stops the comparison there. Results are
     deterministic for a fixed base_seed regardless of jobs.

@@ -18,7 +18,10 @@ class PacAnalyzer:
     conventions.
 
     Parameters are stored untouched at construction; validation happens
-    in fit. Fitted state lives in trailing-underscore attributes.
+    in fit. Fitted state lives in trailing-underscore attributes. `jobs`
+    is compute_matrix's: None (the default) picks the thread count per
+    method, the usable CPUs for mca and eps and 1 for the others; N runs
+    the columns on N threads, the calling thread among them.
     """
 
     def __init__(

@@ -524,7 +524,9 @@ def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
 def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Coherence between the raw signal and the fast band's envelope,
     read at the bin nearest the modulating frequency. A flat signal or
-    envelope has no coherence to read: DegeneratePhaseError."""
+    envelope has no coherence to read: DegeneratePhaseError. Spectra so
+    small that the cross-spectrum underflows are refused:
+    InvalidInputError, which a matrix raises too."""
     return _cell(_cv_cells, x, m, n, cfg)
 
 

@@ -150,7 +150,10 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     estimator degenerates to 1 everywhere, so that case raises. A signal
     whose Welch spectrum holds no power (a constant, once each segment's
     mean is removed) has no coherence: DegeneratePhaseError. A signal
-    past check_amplitude's bound is refused: InvalidInputError.
+    past check_amplitude's bound is refused: InvalidInputError. So are
+    spectra whose largest densities multiply to less than the smallest
+    normal float (a huge rate or a tiny amplitude), where every |Pxy|²
+    underflows and the coherence would read 0.
     """
     spec = spec or WelchSpec()
     if len(x) != len(y) or x.fs != y.fs:
@@ -169,6 +172,14 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     pyy = _average(sy.real**2 + sy.imag**2, win)
     if not (pxx.any() and pyy.any()):
         raise DegeneratePhaseError("coherence needs power in both signals")
+    # |Pxy|² <= Pxx·Pyy in every bin (Cauchy-Schwarz), so below the smallest
+    # normal float every |Pxy|² is subnormal or 0 and the coherence would
+    # read 0 whatever the signals share; the densities scale as 1/fs, so a
+    # huge rate gets here
+    if pxx.max() * pyy.max() < np.finfo(float).tiny:
+        raise InvalidInputError(
+            "coherence underflows: the product of the two spectra's largest densities "
+            f"is below {np.finfo(float).tiny:.3g}")
     # scipy.signal.csd(x, y) conjugates x's transform, not y's
     pxy = _average(sy * sx.conj(), win)
     coh = np.abs(pxy) ** 2 / pxx / pyy

@@ -119,8 +119,14 @@ def pink_noise(n_samples: int, fs: float, target_power: float, seed=None) -> Sig
     x = np.fft.irfft(spec, n=n_samples)
     if target_power == 0.0:
         return Signal(np.zeros(n_samples), fs)
-    x = x * math.sqrt(target_power / float(np.mean(x * x)))
-    return Signal(x, fs)
+    power = float(np.mean(x * x))
+    ratio = target_power / power
+    # at SynthesisSpec's largest noise_power the ratio overflows whenever
+    # power rounds below its exact value (|exp(i·phase)| can round to
+    # 1 - 2^-53); split, the scale stays finite. The one-step form keeps
+    # the bits of every other signal
+    scale = math.sqrt(ratio) if ratio < math.inf else math.sqrt(target_power) / math.sqrt(power)
+    return Signal(x * scale, fs)
 
 
 def synth_pac(spec: SynthesisSpec) -> SynthParts:

@@ -226,6 +226,21 @@ class TestPac:
         assert "peak amplitude" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_underflowing_coherence_is_numeric_error(self, tmp_path, capsys):
+        # at 1e-80 of the stock signal the coherence's |Pxy|² is subnormal
+        # or 0 in every bin, so cv would score noise in the last bits
+        sig = tmp_path / "tiny.csv"
+        x = synth_pac(benchmark_spec((8, 45), seed=0)).composite
+        write_signal_csv(sig, Signal(x.samples * 1e-80, x.fs))
+        capsys.readouterr()
+        rc = main(["pac", "--method", "cv", "-i", str(sig), "-o", str(tmp_path / "out.csv"),
+                   "--grid", GRID])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("pac-lab: numeric error: coherence underflows")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out.csv").exists()
+
     @pytest.mark.parametrize("fs", [None, 1e10], ids=["stock-rate", "10GHz-rate"])
     def test_huge_m_bound_is_numeric_error_before_any_allocation(self, tmp_path, fs):
         # at the stock rate the m bound reaches Nyquist; at 10 GHz it does
@@ -350,6 +365,26 @@ class TestOutOfMemory:
         capsys.readouterr()
         rc = main(["pac", "--method", "mca", "-i", str(sig), "-o", str(tmp_path / "mat.csv"),
                    "--grid", GRID, "--jobs", "2"])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("pac-lab: out of memory: cannot start a worker thread")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_default_jobs_thread_that_cannot_start_exits_numeric(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # without --jobs, mca runs on every usable CPU
+        class NoThreads(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                raise RuntimeError("can't start new thread")
+
+        sig = synth_file(tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        monkeypatch.setattr(paclab.comodulogram, "ThreadPoolExecutor", NoThreads)
+        before = sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        rc = main(["pac", "--method", "mca", "-i", str(sig), "-o", str(tmp_path / "mat.csv"),
+                   "--grid", GRID])
         assert rc == EXIT_NUMERIC
         err = capsys.readouterr().err
         assert err.startswith("pac-lab: out of memory: cannot start a worker thread")

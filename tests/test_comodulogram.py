@@ -4,10 +4,12 @@ import collections
 import dataclasses
 import inspect
 import math
+import os
 import re
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -200,7 +202,7 @@ class TestFilterBank:
 
 
 class TestBankHoldsWhatIsRead:
-    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_shared_spectra_and_power_only_wide_bands(self, monkeypatch, jobs):
         spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
         x = synth_pac(spec).composite
@@ -278,9 +280,10 @@ class TestComputeMatrix:
 
     def test_parallel_matches_serial(self):
         x = coupled(seed=4)
-        a = compute_matrix(x, grid=SMALL, jobs=None)
-        b = compute_matrix(x, grid=SMALL, jobs=4)
-        assert np.array_equal(a.values, b.values)
+        serial = compute_matrix(x, grid=SMALL, jobs=1)
+        for jobs in (None, 4):
+            pooled = compute_matrix(x, grid=SMALL, jobs=jobs)
+            assert np.array_equal(pooled.values, serial.values)
 
     def test_filtering_cost_stays_near_linear(self):
         mat = compute_matrix(coupled(seed=5))
@@ -339,7 +342,7 @@ class TestColumnProtocol:
         cfg = MeasureConfig(edge_trim=edge_trim)
         want = cell_by_cell(x, method, grid, cfg)
         assert want.any()
-        for jobs in (None, 2):
+        for jobs in (None, 1, 2):
             got = compute_matrix(x, method, grid, cfg, jobs=jobs)
             assert np.array_equal(got.values, want)
 
@@ -349,7 +352,7 @@ class TestColumnProtocol:
         # columns fill the bank's bands and per-m values concurrently
         x = coupled(seed=1)
         grid = GridSpec(6, 10, 40, 47)
-        want = compute_matrix(x, method, grid)
+        want = compute_matrix(x, method, grid, jobs=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -376,7 +379,7 @@ class TestColumnProtocol:
         spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
         x = synth_pac(spec).composite
         grid = GridSpec(1, 12, 30, 50)
-        serial = compute_matrix(x, method, grid)
+        serial = compute_matrix(x, method, grid, jobs=1)
         n_serial = len(calls)
         calls.clear()
         pooled = compute_matrix(x, method, grid, jobs=2)
@@ -390,7 +393,7 @@ class TestColumnProtocol:
         with pytest.raises(paclab.OutOfBandError):
             mca_pac(x, grid.m_stop, grid.n_stop)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_cv_computes_one_coherence_per_column(self, monkeypatch, jobs):
         calls = []
         real = paclab.measures.coherence
@@ -447,7 +450,7 @@ class TestBandLiveness:
         x = make()
         fills = _record_fills(monkeypatch)
         want = None
-        for jobs in (None, 2, 8):
+        for jobs in (None, 1, 2, 8):
             fills.clear()
             interval = sys.getswitchinterval()
             if jobs == 8:  # switch threads as often as possible
@@ -462,14 +465,14 @@ class TestBandLiveness:
                 want = mat.values
             assert np.array_equal(mat.values, want)
 
-    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("jobs", [None, 1, 2])
     def test_bank_holds_the_bands_pending_columns_read(self, monkeypatch, jobs):
         spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
         x = synth_pac(spec).composite
         grid = GridSpec(1, 12, 30, 50)
         m_max = grid.m_stop
-        # (last column returned, Gabor band centres held, derived keys)
-        # after each fill and each column
+        # ("fill" or "done", last column returned, Gabor band centres held,
+        # derived keys) after each fill and each column
         held = []
         banks = []
 
@@ -478,18 +481,18 @@ class TestBandLiveness:
                 super().__init__(*args)
                 banks.append(self)
 
-            def _record(self):
+            def _record(self, kind):
                 centres = {k[1] for k in list(self._cache.values) if k[0] == "gabor"}
-                held.append((self._done, centres, set(list(self._derived.values))))
+                held.append((kind, self._done, centres, set(list(self._derived.values))))
 
             def gabor(self, center, bw):
                 band = super().gabor(center, bw)
-                self._record()
+                self._record("fill")
                 return band
 
             def done(self, column):
                 super().done(column)
-                self._record()
+                self._record("done")
 
         monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
         compute_matrix(x, "mca", grid, jobs=jobs)
@@ -498,12 +501,16 @@ class TestBandLiveness:
         final = {k[1] for k in bank._cache.values if k[0] == "gabor"}
         assert final and min(final) >= grid.n_stop - m_max
         assert bank.nbytes == len(final) * x.samples.nbytes
+        # each finished prefix is released as soon as it completes, in
+        # order, while later columns still fill bands
+        assert [done for kind, done, *_ in held if kind == "done"] == list(range(20))
+        assert any(kind == "fill" and done >= 0 for kind, done, *_ in held)
         slow = set(grid.m_values.astype(float))
-        for done, centres, derived in held:
+        for _, done, centres, derived in held:
             # the first column left to return is n = n_start + done + 1
             pending = grid.n_start + done + 1
             triplets = centres - slow
-            if jobs is None:
+            if jobs == 1:
                 assert len(triplets) <= 2 * m_max + 1
             # a triplet band no pending column reads is gone
             assert all(c >= pending - m_max for c in triplets)
@@ -521,10 +528,10 @@ class TestPooledColumnOrder:
         """The m values each column evaluated, in order, by n."""
         order = collections.defaultdict(list)
         lock = threading.Lock()
-        cells, reads = paclab.comodulogram._MEASURES[method]
+        measure = paclab.comodulogram._MEASURES[method]
 
         def logging_cells(x, n, cfg, bank):
-            cell = cells(x, n, cfg, bank)
+            cell = measure.cells(x, n, cfg, bank)
 
             def logged(m):
                 with lock:
@@ -533,7 +540,8 @@ class TestPooledColumnOrder:
 
             return logged
 
-        monkeypatch.setitem(paclab.comodulogram._MEASURES, method, (logging_cells, reads))
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, method,
+                            measure._replace(cells=logging_cells))
         compute_matrix(x, method, grid, jobs=jobs)
         return order
 
@@ -542,7 +550,7 @@ class TestPooledColumnOrder:
         grid = GridSpec(1, 8, 30, 35)
         ms = [int(m) for m in grid.m_values]
         x = coupled(seed=0)
-        serial = self._cell_order(monkeypatch, method, x, grid, None)
+        serial = self._cell_order(monkeypatch, method, x, grid, 1)
         assert all(serial[n] == ms for n in grid.n_values)
         pooled = self._cell_order(monkeypatch, method, x, grid, 2)
         first, second = (pooled[n] for n in grid.n_values[:2])
@@ -559,8 +567,8 @@ class TestPooledColumnOrder:
         x = pink_noise(1500, 1000.0, 1.0, seed=0)
         grid = GridSpec(1, 12, 20, 40)
         with pytest.raises(paclab.PacError) as serial:
-            compute_matrix(x, method, grid)
-        for jobs in (2, 8):
+            compute_matrix(x, method, grid, jobs=1)
+        for jobs in (None, 2, 8):
             with pytest.raises(type(serial.value), match=f"^{re.escape(str(serial.value))}$"):
                 compute_matrix(x, method, grid, jobs=jobs)
 
@@ -580,6 +588,69 @@ class TestPooledColumnOrder:
         with pytest.raises(paclab.SignalTooShortError) as from_two:
             paclab.measures._column(cells, x, 20, ms[1:], cfg, FilterBank(x))
         assert str(from_two.value) != str(ascending.value)
+
+
+class TestDefaultJobs:
+    """jobs=None runs mca and eps on every usable CPU, the calling thread
+    among them, and mvl, cv and kld on the calling thread alone."""
+
+    @staticmethod
+    def _pools(monkeypatch, cpus):
+        """The pools compute_matrix builds from now on, each as the list
+        of its submits, with `cpus` usable CPUs."""
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                self.submits = []
+                pools.append(self.submits)
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.submits.append(self._max_workers)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(paclab.comodulogram, "ThreadPoolExecutor", RecordingPool)
+        return pools
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_transform_methods_pool_on_every_cpu(self, monkeypatch, method):
+        x = coupled(seed=0)
+        serial = compute_matrix(x, method, SMALL, jobs=1)
+        pools = self._pools(monkeypatch, 4)
+        mat = compute_matrix(x, method, SMALL)
+        # the calling thread is the fourth worker
+        assert pools == ([[3, 3, 3]] if method in ("mca", "eps") else [])
+        assert np.array_equal(mat.values, serial.values)
+        assert mat.meta == serial.meta
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_cpu_builds_no_pool(self, monkeypatch, method):
+        pools = self._pools(monkeypatch, 1)
+        compute_matrix(coupled(seed=0), method, SMALL)
+        assert pools == []
+
+    @pytest.mark.parametrize("method", ["mca", "eps"])
+    def test_workers_are_capped_by_the_columns(self, monkeypatch, method):
+        pools = self._pools(monkeypatch, 4)
+        compute_matrix(coupled(seed=0), method, GridSpec(6, 10, 44, 45))
+        assert sum(len(submits) for submits in pools) <= 1
+
+    def test_cpus_are_capped_by_max_jobs(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * MAX_JOBS)))
+        mca = paclab.comodulogram._MEASURES["mca"]
+        assert paclab.comodulogram._default_jobs(mca, 10 * MAX_JOBS) == MAX_JOBS
+        assert paclab.comodulogram._default_jobs(mca, 3) == 3
+        assert paclab.comodulogram._default_jobs(mca, 0) == 1
+
+    @pytest.mark.parametrize("count, want", [(4, 4), (None, 1)])
+    def test_cpu_count_without_an_affinity_call(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        for method, measure in paclab.comodulogram._MEASURES.items():
+            got = paclab.comodulogram._default_jobs(measure, 50)
+            assert got == (want if method in ("mca", "eps") else 1)
 
 
 class TestNormalize:

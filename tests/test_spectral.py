@@ -200,6 +200,19 @@ class TestCoherence:
             with pytest.raises(DegeneratePhaseError):
                 coherence(Signal(flat, FS), x, spec)
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_cross_spectrum_is_refused(self):
+        # the densities scale as 1/fs; at 1e300 Hz every |Pxy|² underflows
+        # and the coherence of strongly coherent signals would read 0
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(10000)
+        b = a + 0.1 * rng.standard_normal(10000)
+        spec = WelchSpec(window_len=1024, overlap=0.5)
+        for fs in (FS, 1e150):
+            assert np.mean(coherence(Signal(a, fs), Signal(b, fs), spec).values) > 0.98
+        with pytest.raises(InvalidInputError, match="underflows"):
+            coherence(Signal(a, 1e300), Signal(b, 1e300), spec)
+
     def test_single_segment_unreliable(self):
         x = tone(10, dur=1.0)
         y = tone(11, dur=1.0)

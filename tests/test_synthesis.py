@@ -76,6 +76,14 @@ class TestSynthesisSpec:
             dataclasses.replace(spec, noise_power=spec.noise_power * 1.0000001)
 
 
+    def test_largest_accepted_noise_power_is_finite_for_every_phase(self):
+        # at seed 1993 |exp(i·phase)| of the one noise bin rounds to
+        # 1 - 2^-53, so the noise's mean square falls just under 0.25
+        for seed in (0, 1993):
+            spec = SynthesisSpec(m=8, n=45, duration=0.002, seed=seed,
+                                 noise_power=sys.float_info.max / 4)
+            assert np.isfinite(synth_pac(spec).composite.samples).all()
+
     @pytest.mark.parametrize("seed", [None, 0, np.int64(7), 2**70])
     def test_valid_seeds(self, seed):
         assert SynthesisSpec(m=8, n=45, seed=seed).seed == seed

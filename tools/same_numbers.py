@@ -7,17 +7,19 @@ fixed set of comodulograms: the stock signal benchmark_spec((8, 45)) with
 seeds 0 and 7; all five methods; the configs default, edge_trim=0,
 kld_bins=18 with morlet_cycles=6, and a Welch segmentation that is not
 the default, an odd window of 999 samples at overlap 0.5 (cv reads it,
-the other methods must not); and five ways of running: jobs None
-and jobs 2 on the default grid, jobs None and jobs 2 on GridSpec(1, 12,
-30, 50), and use_cache=False on GridSpec(1, 20, 1, 50). On the default
-grid nearly every band is read until the sweep ends; on the narrow one
-the filter bank drops bands while columns are still pending. Every
-matrix and its meta["cached_filterings"] must be np.array_equal between
-the trees, or both trees must raise the same error.
+the other methods must not); and seven ways of running: jobs None, 1
+and 2 on the default grid, jobs None, 1 and 2 on GridSpec(1, 12, 30, 50),
+and use_cache=False on GridSpec(1, 20, 1, 50). jobs None picks a thread
+count per method and machine, so jobs 1 keeps the serial path compared
+on every machine. On the default grid nearly every band is read until
+the sweep ends; on the narrow one the filter bank drops bands while
+columns are still pending. Every matrix and its meta["cached_filterings"]
+must be np.array_equal between the trees, or both trees must raise the
+same error.
 
 A second fresh interpreter per tree runs the CLI in an empty directory:
 `synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
-unset and at 2, and `psd` with the default window and with `--window 999
+unset, at 1 and at 2, and `psd` with the default window and with `--window 999
 --overlap 0.5`, on that CSV; and `compare --pairs 8:45,12:45
 --methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --mca-bw 2 --kld-bins 10
 --jobs 2 --matrix-dir mats`. Every exit code and output file, the report
@@ -27,8 +29,8 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results and, for each result
-that differs, how far it moved: the largest absolute cell difference and
+The script prints the count of equal results, 312 of them, and, for
+each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
 """
@@ -61,8 +63,10 @@ CONFIGS = {
 }
 RUNS = {
     "jobs=None": dict(jobs=None),
+    "jobs=1": dict(jobs=1),
     "jobs=2": dict(jobs=2),
     "narrow,jobs=None": dict(jobs=None, grid=GridSpec(1, 12, 30, 50)),
+    "narrow,jobs=1": dict(jobs=1, grid=GridSpec(1, 12, 30, 50)),
     "narrow,jobs=2": dict(jobs=2, grid=GridSpec(1, 12, 30, 50)),
     "use_cache=False": dict(use_cache=False, grid=GridSpec(1, 20, 1, 50)),
 }
@@ -93,6 +97,8 @@ from paclab import cli
 RUNS = {
     "synth": ["synth", "--paper-pair", "1", "--dur", "30", "-o", "sig.csv"],
     "pac": ["pac", "--method", "mca", "-i", "sig.csv", "-o", "mca.csv"],
+    "pac --jobs 1": ["pac", "--method", "mca", "--jobs", "1", "-i", "sig.csv",
+                     "-o", "mca_jobs1.csv"],
     "pac --jobs 2": ["pac", "--method", "mca", "--jobs", "2", "-i", "sig.csv",
                      "-o", "mca_jobs2.csv"],
     "psd": ["psd", "-i", "sig.csv", "-o", "psd.csv"],
