@@ -7,7 +7,6 @@ below is the only list of them."""
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import statistics
 import threading
@@ -20,7 +19,7 @@ import numpy as np
 from . import measures
 from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
-from .measures import MeasureConfig
+from .measures import MeasureConfig, _is_count
 from .signal_core import Signal
 from .synthesis import (
     BENCHMARK_AMI,
@@ -33,6 +32,7 @@ from .synthesis import (
     clean_scale_for,
     synth_pac,
 )
+
 
 class _Measure(NamedTuple):
     """One method: its cell factory, the bands its columns read, and
@@ -419,8 +419,8 @@ def _aggregate(errors: list) -> dict:
 
 def _check_jobs(jobs: Optional[int]) -> None:
     """Refuse jobs unless it is None (compute_matrix's per-method default)
-    or an integer in [1, MAX_JOBS]."""
-    if jobs is not None and not (isinstance(jobs, numbers.Integral) and 1 <= jobs <= MAX_JOBS):
+    or an integer in [1, MAX_JOBS]; a bool is not a count."""
+    if jobs is not None and not (_is_count(jobs) and 1 <= jobs <= MAX_JOBS):
         raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
 
 
@@ -451,9 +451,9 @@ def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
         raise InvalidInputError("need at least one method")
     if len(set(methods)) < len(methods):
         raise InvalidInputError("each method may be given only once")
-    if not (isinstance(n_seeds, numbers.Integral) and 1 <= n_seeds <= MAX_SEEDS):
+    if not (_is_count(n_seeds) and 1 <= n_seeds <= MAX_SEEDS):
         raise InvalidInputError(f"seeds per pair must be an integer in [1, {MAX_SEEDS}]")
-    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
+    if not (_is_count(base_seed) and base_seed >= 0):
         raise InvalidInputError("base seed must be an integer >= 0")
     if len(pairs) * n_seeds * len(methods) > MAX_RUNS:
         raise InvalidInputError(
@@ -486,10 +486,11 @@ def run_comparison(
     The (pair, seed) signals run one at a time, in the order pair, seed,
     and each is synthesized just before its methods run, so one signal and
     one filter bank are alive at once; `jobs` goes to each compute_matrix
-    call as given, so None picks its per-method default. matrix_sink, when given, receives (matrix, pair, method,
-    seed) for each normalized matrix, in the order pair, seed, method, as
-    it is made; an error stops the comparison there. Results are
-    deterministic for a fixed base_seed regardless of jobs.
+    call as given, so None picks its per-method default. matrix_sink, when
+    given, receives (matrix, pair, method, seed) for each normalized
+    matrix, in the order pair, seed, method, as it is made; an error stops
+    the comparison there. Results are deterministic for a fixed base_seed
+    regardless of jobs.
     """
     methods = list(methods)
     seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,

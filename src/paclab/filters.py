@@ -314,15 +314,16 @@ class FilterBank:
     without one uses a fresh bank for that call only.
     Every Gabor band is filled from one ReflectedSpectrum of the signal
     per kernel length, taken on the first fill of that length.
-    Values the measures derive from one band (its phase, a gate on it,
-    a kernel spectrum) are kept by `derived` for the bank's lifetime.
+    A measure that needs only a compact form of a band (a slow band's
+    phasor or phase-bin index, a band's power) keeps it through `reduce`,
+    which lets the band go; `derived` keeps other values (a band's
+    trimmed RMS, a kernel spectrum). Both live as long as the bank.
 
     A bank holds a band until no column can read it again. Without a
     plan that is the bank's lifetime. Given a read plan (`plan`), a band
     is dropped once every column that reads it directly has returned
-    (`done`). A band read only to be reduced (`reduce`, `gabor_power`)
-    is dropped once reduced, unless a pending column reads it directly;
-    no column reads a 2·bw band directly. No band is filled twice.
+    (`done`), and a band read only to be reduced is dropped once reduced,
+    unless a pending column reads it directly. No band is filled twice.
     `n_filterings` counts fills, kept or not.
     """
 
@@ -361,14 +362,13 @@ class FilterBank:
         """
         return self._derived.get(key, compute)
 
-    def reduce(self, key: tuple, center: float, bw: float, fn):
-        """fn(band) of the Gabor band at center, worked out once and kept in
-        `derived` under key. The band is dropped once reduced unless a
-        pending column reads it directly; a bank without a plan keeps it."""
-        band_key = _gabor_key(center, bw)
-
+    def reduce(self, key: tuple, band_key: tuple, fn):
+        """fn(band) of the band under band_key (a _gabor_key or a
+        _morlet_key), worked out once and kept in `derived` under key.
+        The band is dropped once reduced unless a pending column reads it
+        directly; a bank without a plan keeps it."""
         def compute():
-            out = fn(self.gabor(center, bw))
+            out = fn((self.gabor if band_key[0] == "gabor" else self.morlet)(*band_key[1:]))
             with self._lock:
                 self._unreduced.discard(band_key)
                 if self._last is not None and self._last.get(band_key, -1) <= self._done:
@@ -389,15 +389,10 @@ class FilterBank:
 
     def gabor_power(self, center: float, bw: float, tr: int) -> float:
         """Mean square of the Gabor band at center without tr samples at
-        each edge, kept in `derived`. The band is filled through `gabor`
-        for this alone and dropped once reduced, with or without a plan."""
-        def power():
-            band = self.gabor(center, bw)
-            self._cache.drop(_gabor_key(center, bw))
-            kept = band[tr:band.size - tr]
-            return float(np.mean(kept * kept))
-
-        return self.derived(("gabor_power", float(center), float(bw), int(tr)), power)
+        each edge: a reduction of that band."""
+        key = ("gabor_power", float(center), float(bw), int(tr))
+        return self.reduce(key, _gabor_key(center, bw),
+                           lambda band: float(np.mean(np.square(band[tr:band.size - tr]))))
 
     def triplet(self, m: float, n: float, bw: float) -> np.ndarray:
         """lo + 2·mid + hi of the Gabor bands at n-m, n and n+m, unchecked."""
@@ -422,5 +417,14 @@ class FilterBank:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the bands the bank holds now."""
-        return sum(band.nbytes for band in list(self._cache.values.values()))
+        """Bytes of every array the bank holds now, each counted once: the
+        bands, the array values `derived` and `reduce` keep and the arrays
+        inside their tuples, and each ReflectedSpectrum's values."""
+        arrays = {}
+        for value in [*self._cache.values.values(), *self._derived.values.values()]:
+            if isinstance(value, ReflectedSpectrum):
+                value = value.values
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    arrays[id(a)] = a.nbytes
+        return sum(arrays.values())

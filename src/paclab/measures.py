@@ -7,14 +7,16 @@ phase-locking value and phase-binning support they build on.
 Each measure is written once, as a cell factory: _<name>_cells(x, n,
 cfg, bank) returns the measure on the column at n as a function of m.
 Next to the factories, a reads function (_mca_reads, _morlet_reads for
-eps, mvl and kld, _cv_reads) names the filter-bank bands a column reads,
-from which compute_matrix plans how long the bank holds each band.
-Work that depends on n alone is done once per column. The work that
-depends on m alone is kept in the filter bank for as long as the bank
-lives: mca's slow-band weight and unit phasor, mvl's unit phasor of the
-slow band, kld's phase-bin index and its bin counts per trim. mca and eps
-score the PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|,
-with no angle and no complex exp; eps makes its slow phasor per cell.
+eps, mvl and kld, _cv_reads) names the filter-bank bands a column reads
+directly and those it reads only to reduce, from which compute_matrix
+plans how long the bank holds each band. Work that depends on n alone is
+done once per column. Work that depends on m alone is kept in the filter
+bank for as long as the bank lives: each measure reduces its slow band
+at m, through FilterBank.reduce, to one form, mca's slow-band weight and
+unit phasor, mvl's unit phasor, kld's phase-bin index (with its bin
+counts per trim) and, for eps, the band itself. mca and eps score the
+PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|, with no
+angle and no complex exp; eps makes its slow phasor per cell.
 compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
 on a one-call bank through _cell and raises instead. The public helpers
@@ -81,6 +83,12 @@ _ZERO_CELL_ERRORS = (OutOfBandError, DegeneratePhaseError, DegenerateDistributio
 MAX_KLD_BINS = 100_000
 
 
+def _is_count(v) -> bool:
+    """True for an integer that is not a bool: True is an Integral, but
+    it counts nothing."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class MeasureConfig:
     """Shared knobs for all coupling measures."""
@@ -101,10 +109,10 @@ class MeasureConfig:
         if not (1 <= self.morlet_cycles < math.inf):
             raise InvalidInputError("morlet_cycles must be finite and at least 1")
         k = self.kld_bins
-        if not isinstance(k, numbers.Integral) or not 2 <= k <= MAX_KLD_BINS:
+        if not _is_count(k) or not 2 <= k <= MAX_KLD_BINS:
             raise InvalidInputError(f"kld_bins must be an integer in [2, {MAX_KLD_BINS}]")
         tr = self.edge_trim
-        if tr is not None and (not isinstance(tr, numbers.Integral) or tr < 0):
+        if tr is not None and (not _is_count(tr) or tr < 0):
             raise InvalidInputError("edge_trim must be an integer >= 0 (or None)")
 
     def as_dict(self) -> dict:
@@ -305,13 +313,11 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> 
 def _slow_band(xm, bank, m: float, bw: float, tr: int, x_ref: float):
     """(weight, unit phasor) of mca_pac's slow band xm at m: (None, None)
     when the band is empty or all noise (the cell scores 0), so the
-    phasor is worked out only for a band that can score. The phasor
-    depends on m and bw alone and is kept in the bank under that key."""
+    phasor is worked out only for a band that can score."""
     weight = _slow_weight(xm, bank, m, bw, tr, x_ref)
     if weight is None:
         return None, None
-    return weight, bank.derived(("mca_slow_phasor", float(m), float(bw)),
-                                lambda: _unit(hilbert(xm)))
+    return weight, _unit(hilbert(xm))
 
 
 def _slow_weight(xm, bank, m: float, bw: float, tr: int, x_ref: float):
@@ -358,7 +364,7 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
         _check_triplet(m, n, fs)
         _check_trim(len(x), tr)
         slow_weight, slow = bank.reduce(
-            ("mca_slow", float(m), float(bw), tr, x_ref), m, bw,
+            ("mca_slow", float(m), float(bw), tr, x_ref), _gabor_key(m, bw),
             lambda xm: _slow_band(xm, bank, m, bw, tr, x_ref))
         if slow_weight is None:
             return 0.0
@@ -408,40 +414,42 @@ def _check_band(m: float, n: float, fs: float) -> None:
 
 
 def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
-                   slow: bool = True, envelope_filter: bool = False):
+                   slow: tuple | None = None, envelope_filter: bool = False):
     """Per-cell inputs of one Morlet-measure column at n.
 
-    Returns inputs(m) -> (complex band at m, None unless `slow`; |zn|,
-    worked out once per column; per-edge trim). The default trim is the
-    widest kernel in use, counting the envelope band-pass when
-    `envelope_filter`. mvl and kld read a compact form of the band at m,
-    which they keep in the bank once per m.
+    Returns inputs(m) -> (slow form at m, None without `slow`; |zn|,
+    worked out once per column; per-edge trim). `slow` is (key, fn): the
+    Morlet band at m is reduced to fn(band), kept in the bank under
+    key + (m,), once per m. The default trim is the widest kernel in use,
+    counting the envelope band-pass when `envelope_filter`.
     """
     cycles = cfg.morlet_cycles
     amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
 
     def inputs(m):
         _check_band(m, n, x.fs)
-        zm = bank.morlet(m, cycles) if slow else None
+        form = None if slow is None else bank.reduce(
+            slow[0] + (float(m),), _morlet_key(m, cycles), slow[1])
         amp_n = amp()
         tr = cfg.edge_trim
         if tr is None:
             tr = morlet_half_length(n, cycles, x.fs)
-            if slow:
+            if slow is not None:
                 tr = max(tr, morlet_half_length(m, cycles, x.fs))
             if envelope_filter:
                 tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
         _check_trim(len(x), tr)
-        return zm, amp_n, tr
+        return form, amp_n, tr
 
     return inputs
 
 
 def _morlet_reads(n: float, m_values, cfg: MeasureConfig):
-    """Bank bands an eps, mvl or kld column at n reads, all of them
-    directly: the Morlet band at each m and at n."""
+    """Bank bands an eps, mvl or kld column at n reads: (those read
+    directly, the Morlet band at n; those read only to be reduced, the
+    Morlet bands at its m)."""
     cycles = cfg.morlet_cycles
-    return [_morlet_key(c, cycles) for c in (*m_values, n)], ()
+    return [_morlet_key(n, cycles)], [_morlet_key(m, cycles) for m in m_values]
 
 
 def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
@@ -456,8 +464,9 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # |zn| depends on n alone, so its spectrum serves every cell of the
-    # column; the envelope kernels' spectra are kept in the bank
-    inputs = _morlet_inputs(x, n, cfg, bank, envelope_filter=True)
+    # column; the bank keeps the envelope kernels' spectra and slow bands
+    slow = (("eps_slow", float(cfg.morlet_cycles)), lambda zm: zm)
+    inputs = _morlet_inputs(x, n, cfg, bank, slow, envelope_filter=True)
     envelope = _once(lambda amp_n: _Envelope(amp_n, bank))
 
     def cell(m):
@@ -510,12 +519,11 @@ def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    inputs = _morlet_inputs(x, n, cfg, bank)
-    cycles = float(cfg.morlet_cycles)
+    slow = (("mvl_phasor", float(cfg.morlet_cycles)), _unit_phasor)
+    inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
-        zm, amp_n, tr = inputs(m)
-        phasor = bank.derived(("mvl_phasor", float(m), cycles), lambda: _unit_phasor(zm))
+        phasor, amp_n, tr = inputs(m)
         return _vector_length(_trimmed(phasor, tr), _trimmed(amp_n, tr))
 
     return cell
@@ -533,7 +541,7 @@ def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float
 def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # without a slow band the trim depends on n alone, so one coherence
     # spectrum (or its DegeneratePhaseError) serves the whole column
-    inputs = _morlet_inputs(x, n, cfg, bank, slow=False)
+    inputs = _morlet_inputs(x, n, cfg, bank)
     spectrum = _once(lambda amp_n, tr: coherence(
         Signal(_trimmed(x.samples, tr), x.fs), Signal(_trimmed(amp_n, tr), x.fs), cfg.welch))
 
@@ -613,16 +621,17 @@ def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    inputs = _morlet_inputs(x, n, cfg, bank)
     cycles = float(cfg.morlet_cycles)
     n_bins = int(cfg.kld_bins)
+    # bin indices are kept in the narrowest unsigned type that holds them
+    slow = (("kld_bins", cycles, n_bins),
+            lambda zm: _phase_bins(np.angle(zm), n_bins).astype(np.min_scalar_type(n_bins - 1)))
+    inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
-        zm, amp_n, tr = inputs(m)
-        key = (float(m), cycles, n_bins)
-        idx = bank.derived(("kld_bins",) + key, lambda: _phase_bins(np.angle(zm), n_bins))
+        idx, amp_n, tr = inputs(m)
         idx = _trimmed(idx, tr)
-        counts = bank.derived(("kld_counts",) + key + (tr,),
+        counts = bank.derived(("kld_counts", float(m), cycles, n_bins, tr),
                               lambda: np.bincount(idx, minlength=n_bins))
         return kld_from_distribution(_distribution(idx, counts, _trimmed(amp_n, tr), n_bins))
 

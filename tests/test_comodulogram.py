@@ -500,7 +500,14 @@ class TestBandLiveness:
         # past the sweep the bank holds only bands the final column read
         final = {k[1] for k in bank._cache.values if k[0] == "gabor"}
         assert final and min(final) >= grid.n_stop - m_max
-        assert bank.nbytes == len(final) * x.samples.nbytes
+        # nbytes counts those bands and every array the bank derived: the
+        # slow phasors, the signal spectra and the envelope kernel spectra
+        derived = bank._derived.values
+        forms = [v[1] for k, v in derived.items() if k[0] == "mca_slow" and v[1] is not None]
+        forms += [v.values for k, v in derived.items() if k[0] == "signal_spectrum"]
+        forms += [v for k, v in derived.items() if k[0] == "gabor_spectrum"]
+        assert forms
+        assert bank.nbytes == len(final) * x.samples.nbytes + sum(a.nbytes for a in forms)
         # each finished prefix is released as soon as it completes, in
         # order, while later columns still fill bands
         assert [done for kind, done, *_ in held if kind == "done"] == list(range(20))
@@ -517,6 +524,62 @@ class TestBandLiveness:
             # a slow band, once reduced, is gone: no column reads it directly
             reduced = {k[1] for k in derived if k[0] == "mca_slow"}
             assert not centres & reduced
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("case", ["narrow", "mid"])
+    @pytest.mark.parametrize("method", ["eps", "kld", "mvl"])
+    def test_bank_drops_reduced_morlet_bands(self, monkeypatch, method, case, jobs):
+        make, grid = LIVENESS_CASES[case]
+        x = make()
+        measure = paclab.comodulogram._MEASURES[method]
+        lock = threading.Lock()
+        # m of every cell that has returned: its slow band at m is reduced
+        reduced = set()
+        # (reduced m, last column returned, Morlet band centres held) after
+        # each Morlet fill and each column
+        held = []
+
+        def logging_cells(x, n, cfg, bank):
+            cell = measure.cells(x, n, cfg, bank)
+
+            def logged(m):
+                value = cell(m)
+                with lock:
+                    reduced.add(float(m))
+                return value
+
+            return logged
+
+        class RecordingBank(FilterBank):
+            def _record(self):
+                with lock:
+                    before = set(reduced)
+                with self._lock:  # a column's drops are all made or none
+                    centres = {k[1] for k in list(self._cache.values) if k[0] == "morlet"}
+                    held.append((before, self._done, centres))
+
+            def morlet(self, center, cycles):
+                band = super().morlet(center, cycles)
+                self._record()
+                return band
+
+            def done(self, column):
+                super().done(column)
+                self._record()
+
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, method,
+                            measure._replace(cells=logging_cells))
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        compute_matrix(x, method, grid, jobs=jobs)
+        assert any(before for before, *_ in held)
+        # the column at c is the only one reading the band at c directly
+        columns = {float(n) for n in grid.n_values if n > grid.m_start}
+        for before, done, centres in held:
+            pending = grid.n_start + done + 1
+            assert all(c in columns and c >= pending for c in centres & before)
+            if jobs == 1:
+                # the band at n and the slow band being reduced
+                assert len(centres) <= 2
 
 
 class TestPooledColumnOrder:
@@ -763,7 +826,7 @@ class TestRunComparison:
 
     @pytest.mark.parametrize("kw", [
         dict(n_seeds=0), dict(n_seeds=MAX_SEEDS + 1), dict(n_seeds=10**9), dict(n_seeds=2.0),
-        dict(base_seed=-3), dict(base_seed=0.5),
+        dict(base_seed=-3), dict(base_seed=0.5), dict(n_seeds=True), dict(base_seed=False),
     ])
     def test_rejects_bad_seeds_before_any_work(self, kw, monkeypatch):
         def no_synthesis(spec):
@@ -846,7 +909,7 @@ class TestRunComparison:
         with pytest.raises(InvalidInputError):
             run_comparison(pairs, methods=methods, n_seeds=1, grid=SMALL)
 
-    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 10**9, 2.5, 0, -1])
+    @pytest.mark.parametrize("jobs", [MAX_JOBS + 1, 10**9, 2.5, 0, -1, True])
     def test_worker_count_is_bounded_before_any_pool(self, jobs, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was built before jobs was checked")

@@ -234,18 +234,20 @@ class TestSlowBandForms:
 
     @pytest.mark.parametrize("jobs", [None, 2])
     def test_mca_slow_phasor_is_computed_once_per_m(self, monkeypatch, jobs):
-        # the phasor is the bank's derived value under this key; count its
-        # computes, not its reads
-        real = FilterBank.derived
+        # the phasor is made by _slow_band, inside the bank's reduction of
+        # the slow band; count the calls that make one
+        import paclab.measures
+
+        real = paclab.measures._slow_band
         computed = []
 
-        def counting(self, key, compute):
-            def counted():
-                computed.append(key)
-                return compute()
-            return real(self, key, counted if key[0] == "mca_slow_phasor" else compute)
+        def counting(xm, bank, m, *args):
+            weight, phasor = real(xm, bank, m, *args)
+            if phasor is not None:
+                computed.append(m)
+            return weight, phasor
 
-        monkeypatch.setattr(FilterBank, "derived", counting)
+        monkeypatch.setattr(paclab.measures, "_slow_band", counting)
         x = coupled_signal(seed=0, noise=6250.0)
         mat = compute_matrix(x, "mca", GridSpec(1, 10, 30, 50), jobs=jobs)
         # made only for an m with a cell past the gates, and each such cell scores above 0
@@ -257,7 +259,10 @@ class TestSlowBandForms:
         MeasureConfig(),
         MeasureConfig(edge_trim=0),
         MeasureConfig(kld_bins=18, morlet_cycles=6.0),
-    ], ids=["default", "no-trim", "bins-cycles"])
+        # bin indices kept as uint8 at 256 bins, as uint32 at the most
+        MeasureConfig(kld_bins=256),
+        MeasureConfig(kld_bins=MAX_KLD_BINS),
+    ], ids=["default", "no-trim", "bins-cycles", "bins-256", "bins-max"])
     def test_public_helpers_equal_the_cells(self, cfg):
         x = coupled_signal(seed=1, noise=6250.0)
         cycles = cfg.morlet_cycles
@@ -623,7 +628,7 @@ class TestMeasureConfig:
             "welch_overlap": 0.5,
         }
 
-    @pytest.mark.parametrize("bins", [1, MAX_KLD_BINS + 1, 10**9, 18.0, 18.5, None])
+    @pytest.mark.parametrize("bins", [1, MAX_KLD_BINS + 1, 10**9, 18.0, 18.5, None, True])
     def test_kld_bins_outside_range_rejected(self, bins):
         with pytest.raises(InvalidInputError):
             MeasureConfig(kld_bins=bins)
@@ -659,7 +664,7 @@ class TestEdgeTrim:
         assert mvl(x, 8, 45, MeasureConfig(edge_trim=0)) == pytest.approx(full, rel=1e-12)
 
     @pytest.mark.parametrize("fn", ALL_MEASURES, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("bad", [-1, 2.5])
+    @pytest.mark.parametrize("bad", [-1, 2.5, True, False])
     def test_negative_or_fractional_trim_rejected(self, fn, bad):
         x = coupled_signal(dur=4.0)
         with pytest.raises(InvalidInputError):
