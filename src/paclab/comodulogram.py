@@ -176,7 +176,8 @@ def compute_matrix(
     soon as it completes. Pooled columns start at staggered m and wrap
     around, and a pooled column that raises raises the error of serial
     order. A worker thread that cannot start raises MemoryError. With
-    use_cache=False every cell is a one-cell column on a fresh bank. A
+    use_cache=False every cell is a one-cell column on a fresh bank,
+    planned for that cell. A
     grid reaching Nyquist, in m or in n, or holding more than
     MAX_GRID_CELLS cells, and jobs other than None or an integer in
     [1, MAX_JOBS] are refused before any work.
@@ -212,7 +213,7 @@ def compute_matrix(
         jobs = _default_jobs(measure, len(columns))
 
     if bank is not None:
-        _plan(bank, measure.reads, columns, cfg)
+        measures._plan(bank, measure.reads, columns, cfg)
 
     def one(col):
         i, n, ms = col
@@ -221,7 +222,9 @@ def compute_matrix(
             # fill different per-m bank entries instead of waiting on one
             start = (i % jobs) * len(ms) // jobs
             return measures._column(measure.cells, x, n, ms, cfg, bank, start)
-        return [measures._column(measure.cells, x, n, [m], cfg, FilterBank(x))[0] for m in ms]
+        return [measures._column(measure.cells, x, n, [m], cfg,
+                                 measures._cell_bank(x, measure.reads, m, n, cfg))[0]
+                for m in ms]
 
     def finish(k, values):
         i = columns[k][0]
@@ -313,18 +316,6 @@ def _sweep(columns: list, jobs: int, run, finish) -> None:
             pool.shutdown()
     if errors:
         raise errors[min(errors)]
-
-
-def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
-    """Give the bank the read plan of columns (i, n, m_values) ascending
-    in i: the last column that reads each band directly, and the bands
-    read only to be reduced."""
-    last, reduced = {}, set()
-    for i, n, ms in columns:
-        direct, to_reduce = reads(n, ms, cfg)
-        last.update(dict.fromkeys(direct, i))
-        reduced.update(to_reduce)
-    bank.plan(last, reduced)
 
 
 def normalize(mat: PacMatrix) -> PacMatrix:

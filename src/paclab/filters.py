@@ -311,7 +311,8 @@ class FilterBank:
     concurrent columns miss the same band, one thread fills it and the
     others wait for its result. A bank lives as long as its owner keeps
     it: compute_matrix shares one across a whole grid, a measure called
-    without one uses a fresh bank for that call only.
+    without one uses a fresh bank, planned for its one cell, for that
+    call only.
     Every Gabor band is filled from one ReflectedSpectrum of the signal
     per kernel length, taken on the first fill of that length.
     A measure that needs only a compact form of a band (a slow band's
@@ -368,7 +369,7 @@ class FilterBank:
         The band is dropped once reduced unless a pending column reads it
         directly; a bank without a plan keeps it."""
         def compute():
-            out = fn((self.gabor if band_key[0] == "gabor" else self.morlet)(*band_key[1:]))
+            out = fn(self._band(band_key))
             with self._lock:
                 self._unreduced.discard(band_key)
                 if self._last is not None and self._last.get(band_key, -1) <= self._done:
@@ -376,6 +377,12 @@ class FilterBank:
             return out
 
         return self.derived(key, compute)
+
+    def _band(self, band_key: tuple) -> np.ndarray:
+        """The band under a _gabor_key or a _morlet_key; KeyError for
+        any other key."""
+        kind, *args = band_key
+        return {"gabor": self.gabor, "morlet": self.morlet}[kind](*args)
 
     def gabor(self, center: float, bw: float) -> np.ndarray:
         def fill():

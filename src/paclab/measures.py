@@ -19,9 +19,10 @@ PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|, with no
 angle and no complex exp; eps makes its slow phasor per cell.
 compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
-on a one-call bank through _cell and raises instead. The public helpers
-vector_length and bin_amplitude_by_phase check their arguments and run
-the same private kernels as the cells.
+on a one-cell bank, planned by the same reads function, through _cell
+and raises instead. The public helpers vector_length and
+bin_amplitude_by_phase check their arguments and run the same private
+kernels as the cells.
 """
 
 from __future__ import annotations
@@ -256,10 +257,31 @@ def _column(cells, x: Signal, n: float, m_values, cfg: MeasureConfig,
     return out
 
 
-def _cell(cells, x: Signal, m: float, n: float, cfg: MeasureConfig | None) -> float:
-    """One cell of a measure, on a one-call bank; raises where a column
+def _cell(cells, reads, x: Signal, m: float, n: float, cfg: MeasureConfig | None) -> float:
+    """One cell of a measure, on a one-cell bank; raises where a column
     would score 0."""
-    return cells(x, n, cfg or MeasureConfig(), FilterBank(x))(m)
+    cfg = cfg or MeasureConfig()
+    return cells(x, n, cfg, _cell_bank(x, reads, m, n, cfg))(m)
+
+
+def _cell_bank(x: Signal, reads, m: float, n: float, cfg: MeasureConfig) -> FilterBank:
+    """A fresh bank planned for the one cell (m, n) by the measure's reads
+    function: a band read only to be reduced goes once reduced."""
+    bank = FilterBank(x)
+    _plan(bank, reads, [(0, n, [m])], cfg)
+    return bank
+
+
+def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
+    """Give the bank the read plan of columns (i, n, m_values) ascending
+    in i: the last column that reads each band directly, and the bands
+    read only to be reduced."""
+    last, reduced = {}, set()
+    for i, n, ms in columns:
+        direct, to_reduce = reads(n, ms, cfg)
+        last.update(dict.fromkeys(direct, i))
+        reduced.update(to_reduce)
+    bank.plan(last, reduced)
 
 
 def _once(compute):
@@ -307,7 +329,7 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> 
     Degenerate cells score 0: empty slow band, empty carrier band, both
     sideband bands empty, or an envelope without an m component.
     """
-    return _cell(_mca_cells, x, m, n, cfg)
+    return _cell(_mca_cells, _mca_reads, x, m, n, cfg)
 
 
 def _slow_band(xm, bank, m: float, bw: float, tr: int, x_ref: float):
@@ -459,7 +481,7 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
     envelope, both bands from Morlet filtering. Degenerate envelopes
     score 0.
     """
-    return _cell(_eps_cells, x, m, n, cfg)
+    return _cell(_eps_cells, _morlet_reads, x, m, n, cfg)
 
 
 def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
@@ -515,7 +537,7 @@ def vector_length(phase, amp) -> float:
 
 def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Mean vector length: amplitude-weighted mean phasor of the slow phase."""
-    return _cell(_mvl_cells, x, m, n, cfg)
+    return _cell(_mvl_cells, _morlet_reads, x, m, n, cfg)
 
 
 def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
@@ -535,7 +557,7 @@ def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float
     envelope has no coherence to read: DegeneratePhaseError. Spectra so
     small that the cross-spectrum underflows are refused:
     InvalidInputError, which a matrix raises too."""
-    return _cell(_cv_cells, x, m, n, cfg)
+    return _cell(_cv_cells, _cv_reads, x, m, n, cfg)
 
 
 def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
@@ -617,7 +639,7 @@ def kld_from_distribution(dist: PhaseAmplitudeDistribution) -> float:
 def kld(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float:
     """Entropy-based coupling: deviation of the amplitude-by-phase
     distribution from uniformity, normalized to [0, 1]."""
-    return _cell(_kld_cells, x, m, n, cfg)
+    return _cell(_kld_cells, _morlet_reads, x, m, n, cfg)
 
 
 def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):

@@ -581,6 +581,39 @@ class TestBandLiveness:
                 # the band at n and the slow band being reduced
                 assert len(centres) <= 2
 
+    @pytest.mark.parametrize("method", sorted(CELL_FNS))
+    def test_one_cell_bank_keeps_only_bands_read_directly(self, monkeypatch, method):
+        x = coupled(seed=0)
+        banks = []
+
+        class RecordingBank(FilterBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.asked = set()  # band keys the cell asked for
+                banks.append(self)
+
+            def gabor(self, center, bw):
+                self.asked.add(paclab.filters._gabor_key(center, bw))
+                return super().gabor(center, bw)
+
+            def morlet(self, center, cycles):
+                self.asked.add(paclab.filters._morlet_key(center, cycles))
+                return super().morlet(center, cycles)
+
+        monkeypatch.setattr(paclab.measures, "FilterBank", RecordingBank)
+        CELL_FNS[method](x, 8, 45)
+        # at (8, 16), n = 2m: mca's slow band at m is its triplet's lower band
+        compute_matrix(x, method, GridSpec(7, 8, 15, 16), jobs=1, use_cache=False)
+        reads = paclab.comodulogram._MEASURES[method].reads
+        cells = [(8, 45), (7, 15), (8, 15), (7, 16), (8, 16)]
+        assert len(banks) == len(cells)
+        for bank, (m, n) in zip(banks, cells):
+            direct, _ = reads(n, [m], MeasureConfig())
+            # a band read only to be reduced is gone once reduced, and no
+            # band was filled twice
+            assert set(bank._cache.values) <= set(direct)
+            assert bank.n_filterings == len(bank.asked)
+
 
 class TestPooledColumnOrder:
     """Pooled columns start at staggered m, so the first wave fills

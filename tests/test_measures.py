@@ -259,10 +259,11 @@ class TestSlowBandForms:
         MeasureConfig(),
         MeasureConfig(edge_trim=0),
         MeasureConfig(kld_bins=18, morlet_cycles=6.0),
-        # bin indices kept as uint8 at 256 bins, as uint32 at the most
+        # bin indices kept as uint8 at 256 bins, uint16 at 257, uint32 at the most
         MeasureConfig(kld_bins=256),
+        MeasureConfig(kld_bins=257),
         MeasureConfig(kld_bins=MAX_KLD_BINS),
-    ], ids=["default", "no-trim", "bins-cycles", "bins-256", "bins-max"])
+    ], ids=["default", "no-trim", "bins-cycles", "bins-256", "bins-257", "bins-max"])
     def test_public_helpers_equal_the_cells(self, cfg):
         x = coupled_signal(seed=1, noise=6250.0)
         cycles = cfg.morlet_cycles

@@ -1,13 +1,12 @@
 """Compare the peak memory of `pac-lab pac` from two source trees.
 
-    python3 tools/bank_rss.py PARENT_TREE CHANGE_TREE [--methods mvl,kld,eps]
-                              [--pairs 5] [--dur 300]
+    python3 tools/bank_rss.py PARENT_TREE CHANGE_TREE
 
 Synthesizes one recording with the parent tree's CLI (benchmark pair 1,
-seed 51, --dur seconds at 1 kHz), then runs `pac-lab pac --method M` on
-it, default grid, from each tree's `src`, every run a fresh interpreter.
-Each method gets --pairs pairs of runs, and the tree that goes first
-alternates from pair to pair. Prints each run's max RSS (ru_maxrss from
+seed 51, DUR seconds at 1 kHz), then runs `pac-lab pac --method M` on it
+for each of METHODS, default grid, from each tree's `src`, every run a
+fresh interpreter. Each method gets PAIRS pairs of runs, and the tree
+that goes first alternates from pair to pair. Prints each run's max RSS (ru_maxrss from
 os.wait4) and, per method and tree, the median. Exits 1 if a run fails.
 Stdlib only; the runs themselves need numpy and scipy.
 """
@@ -21,6 +20,10 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+METHODS = ("mvl", "kld", "eps")
+PAIRS = 5
+DUR = 300.0
 
 
 def _run(tree: Path, argv: list, cwd: Path) -> float:
@@ -40,9 +43,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--methods", default="mvl,kld,eps")
-    p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--dur", type=float, default=300.0)
     args = p.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -52,11 +52,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         _run(trees["parent"], ["synth", "--paper-pair", "1", "--seed", "51",
-                               "--dur", str(args.dur), "-o", "sig.csv"], tmp)
+                               "--dur", str(DUR), "-o", "sig.csv"], tmp)
         print(f"{'method':6} {'pair':>4} {'first':>6} {'parent MB':>10} {'change MB':>10}")
-        for method in args.methods.split(","):
+        for method in METHODS:
             rss = {name: [] for name in trees}
-            for k in range(args.pairs):
+            for k in range(PAIRS):
                 order = list(trees) if k % 2 == 0 else list(trees)[::-1]
                 for name in order:
                     rss[name].append(_run(trees[name], [
