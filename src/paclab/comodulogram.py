@@ -19,8 +19,8 @@ import numpy as np
 from . import measures
 from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
-from .measures import MeasureConfig, _is_count
-from .signal_core import Signal
+from .measures import MeasureConfig
+from .signal_core import Signal, _is_count
 from .synthesis import (
     BENCHMARK_AMI,
     BENCHMARK_CLEAN_POWER,
@@ -97,9 +97,12 @@ class GridSpec:
     n_stop: int = 50
 
     def __post_init__(self):
-        for v in (self.m_start, self.m_stop, self.n_start, self.n_stop):
-            if int(v) != v or v < 1:
+        # stored as int, so 6.0 is written and read back as 6
+        for name in ("m_start", "m_stop", "n_start", "n_stop"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or int(v) != v or v < 1:
                 raise InvalidInputError("grid bounds must be integers >= 1")
+            object.__setattr__(self, name, int(v))
         if self.m_stop < self.m_start or self.n_stop < self.n_start:
             raise InvalidInputError("grid ranges must be nondecreasing")
 
@@ -142,9 +145,12 @@ class PacMatrix:
         object.__setattr__(self, "values", v)
 
     def cell(self, m: int, n: int) -> float:
-        i = int(n) - self.grid.n_start
-        j = int(m) - self.grid.m_start
-        return float(self.values[i, j])
+        """The value at (m, n); InvalidInputError for a cell off the grid."""
+        g = self.grid
+        if not (g.m_start <= m <= g.m_stop and g.n_start <= n <= g.n_stop):
+            raise InvalidInputError(f"cell m={m},n={n} is off the grid "
+                                    f"m={g.m_start}:{g.m_stop},n={g.n_start}:{g.n_stop}")
+        return float(self.values[int(n) - g.n_start, int(m) - g.m_start])
 
 
 def compute_matrix(
@@ -161,9 +167,9 @@ def compute_matrix(
     so the result is always a complete triangular matrix. The measure runs
     one n column at a time, so work that depends on n alone is done once
     per column (and for mca, mvl and kld, work that depends on m alone
-    once per matrix, kept in the shared filter bank). The bank holds a
-    band only until every column that reads it has returned, by a read
-    plan made from the grid, and fills no band twice.
+    once per matrix, kept in the shared filter bank). By a read plan made
+    from the grid, the bank holds a band only until its last planned read
+    is over, and fills no band twice.
 
     Columns run on `jobs` threads: the calling thread and a pool of
     jobs - 1, the only thread pool paclab builds. jobs=None picks the
@@ -171,16 +177,15 @@ def compute_matrix(
     FFTs, the usable CPUs capped by MAX_JOBS and the column count; for
     mvl, cv and kld, 1. jobs=1 runs serially on the calling thread.
     Results are identical for every jobs because every column is a pure
-    function. Columns are handed out in ascending order, and each
-    finished prefix of them is written out and its bands released as
-    soon as it completes. Pooled columns start at staggered m and wrap
-    around, and a pooled column that raises raises the error of serial
-    order. A worker thread that cannot start raises MemoryError. With
-    use_cache=False every cell is a one-cell column on a fresh bank,
-    planned for that cell. A
-    grid reaching Nyquist, in m or in n, or holding more than
-    MAX_GRID_CELLS cells, and jobs other than None or an integer in
-    [1, MAX_JOBS] are refused before any work.
+    function. Columns are handed out in ascending order, and each is
+    written out by the thread that ran it as soon as it returns, which
+    ends its reads of the bank. Pooled columns start at staggered m and
+    wrap around, and a pooled column that raises raises the error of
+    serial order. A worker thread that cannot start raises MemoryError.
+    With use_cache=False every cell is a one-cell column on a fresh bank,
+    planned for that cell. A grid reaching Nyquist, in m or in n, or
+    holding more than MAX_GRID_CELLS cells, and jobs other than None or
+    an integer in [1, MAX_JOBS] are refused before any work.
     """
     if method not in _MEASURES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
@@ -229,8 +234,7 @@ def compute_matrix(
     def finish(k, values):
         i = columns[k][0]
         out[i, :len(values)] = values
-        # the bands the final column read go with the bank
-        if bank is not None and k != len(columns) - 1:
+        if bank is not None:
             bank.done(i)
 
     _sweep(columns, jobs, one, finish)
@@ -258,9 +262,9 @@ def _default_jobs(measure: _Measure, n_columns: int) -> int:
 
 
 def _sweep(columns: list, jobs: int, run, finish) -> None:
-    """run(column) for every column, on the calling thread and a pool of
-    jobs - 1 threads; finish(k, result) for column k as soon as columns
-    0..k have all returned, in ascending k, one call at a time.
+    """finish(k, run(column k)) for every column k, on the calling thread
+    and a pool of jobs - 1 threads: the thread that ran a column finishes
+    it as soon as it returns.
 
     Columns are handed out in ascending order and none after a failed
     one, so every column below the smallest failing one has run, and its
@@ -271,12 +275,12 @@ def _sweep(columns: list, jobs: int, run, finish) -> None:
     cannot start raises MemoryError.
     """
     lock = threading.Lock()
-    results, errors = {}, {}
-    taken = finished = 0
+    errors = {}
+    taken = 0
     stop = len(columns)  # no column from this index on is handed out
 
     def work():
-        nonlocal taken, finished, stop
+        nonlocal taken, stop
         while True:
             with lock:
                 if taken >= stop:
@@ -284,17 +288,12 @@ def _sweep(columns: list, jobs: int, run, finish) -> None:
                 k = taken
                 taken += 1
             try:
-                result = run(columns[k])
+                finish(k, run(columns[k]))
             except Exception as e:  # raised on the calling thread below
                 with lock:
                     errors[k] = e
                     stop = min(stop, k)
                 return
-            with lock:
-                results[k] = result
-                while finished in results:
-                    finish(finished, results.pop(finished))
-                    finished += 1
 
     pool = ThreadPoolExecutor(max_workers=jobs - 1) if jobs > 1 else None
     workers = []

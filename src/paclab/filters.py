@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import threading
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,9 +251,9 @@ _MISSING = object()
 class _Memo:
     """Values by key, each computed once even when threads ask at once.
 
-    The first thread to miss a key computes it; later threads asking for
-    that key wait for it instead of computing it again. A compute that
-    raises stores nothing and wakes the waiters, which retry on their own.
+    A missed key is computed under that key's own lock, so later threads
+    asking for it wait for it instead of computing it again. A compute
+    that raises stores nothing, and the next waiter computes it instead.
     compute() may ask the memo for other keys, never for its own.
     `n_computed` counts the computes that returned, values dropped since
     included.
@@ -261,32 +262,23 @@ class _Memo:
     def __init__(self):
         self.values: dict = {}
         self.n_computed = 0
-        self._filling: dict = {}
+        self._locks: dict = {}  # key -> the lock its computes run under
         self._lock = threading.Lock()
 
     def get(self, key, compute):
-        while True:
-            out = self.values.get(key, _MISSING)
-            if out is not _MISSING:
-                return out
-            with self._lock:
-                if key in self.values:
-                    continue
-                done = self._filling.get(key)
-                if done is None:
-                    done = self._filling[key] = threading.Event()
-                    break
-            done.wait()
-        try:
-            out = compute()
-            with self._lock:
-                self.values[key] = out
-                self.n_computed += 1
+        out = self.values.get(key, _MISSING)
+        if out is not _MISSING:
             return out
-        finally:
-            with self._lock:
-                del self._filling[key]
-            done.set()
+        with self._lock:
+            key_lock = self._locks.setdefault(key, threading.Lock())
+        with key_lock:
+            out = self.values.get(key, _MISSING)
+            if out is _MISSING:
+                out = compute()
+                with self._lock:
+                    self.values[key] = out
+                    self.n_computed += 1
+        return out
 
     def drop(self, key) -> None:
         """Forget key's value, if any; a later get computes it again."""
@@ -320,11 +312,12 @@ class FilterBank:
     which lets the band go; `derived` keeps other values (a band's
     trimmed RMS, a kernel spectrum). Both live as long as the bank.
 
-    A bank holds a band until no column can read it again. Without a
+    A bank holds a band while planned reads of it are left. Without a
     plan that is the bank's lifetime. Given a read plan (`plan`), a band
-    is dropped once every column that reads it directly has returned
-    (`done`), and a band read only to be reduced is dropped once reduced,
-    unless a pending column reads it directly. No band is filled twice.
+    has one read for each column that reads it directly, over when that
+    column is done (`done`), and one for its reduction, over once reduced;
+    it is dropped when its last read is over, and a band the plan does not
+    name goes once reduced. No band is filled twice.
     `n_filterings` counts fills, kept or not.
     """
 
@@ -334,27 +327,31 @@ class FilterBank:
         self._cache = _Memo()
         self._derived = _Memo()
         self._lock = threading.Lock()
-        self._last = None  # band key -> index of the last column reading it directly
-        self._unreduced: set = set()  # bands a pending reduction may still read
-        self._done = -1  # every column up to this index has returned
+        self._reads = None  # column -> the bands it reads directly, until done
+        self._left = Counter()  # band key -> its planned reads not over yet
 
-    def plan(self, last: dict, reduced) -> None:
-        """Read plan of a sweep whose columns return in ascending index
-        order: last[key] is the index of the last column that reads band
-        `key` directly, and `reduced` holds the bands the columns read
-        only through `reduce`. A band in neither is read by no column."""
+    def plan(self, reads: dict, reduced) -> None:
+        """Read plan of a sweep: reads[column] holds the bands that column
+        reads directly, and `reduced` the bands the columns read only
+        through `reduce`."""
         with self._lock:
-            self._last = dict(last)
-            self._unreduced = set(reduced)
+            self._reads = {column: set(keys) for column, keys in reads.items()}
+            self._left = Counter(key for keys in self._reads.values() for key in keys)
+            self._left.update(set(reduced))
 
     def done(self, column: int) -> None:
-        """Every column up to index `column` has returned: drop the bands
-        no later column reads, directly or to reduce them."""
+        """The planned column has returned: its direct reads are over."""
         with self._lock:
-            self._done = column
-            for key in list(self._cache.values):
-                if key not in self._unreduced and self._last.get(key, -1) <= column:
-                    self._cache.drop(key)
+            for key in self._reads.pop(column):
+                self._read_over(key)
+
+    def _read_over(self, band_key: tuple) -> None:
+        """One read of the band is over; drop it if none is left. Called
+        under self._lock."""
+        self._left[band_key] -= 1
+        if self._left[band_key] <= 0:
+            del self._left[band_key]
+            self._cache.drop(band_key)
 
     def derived(self, key: tuple, compute):
         """compute(), worked out once per key for the bank's lifetime.
@@ -366,14 +363,13 @@ class FilterBank:
     def reduce(self, key: tuple, band_key: tuple, fn):
         """fn(band) of the band under band_key (a _gabor_key or a
         _morlet_key), worked out once and kept in `derived` under key.
-        The band is dropped once reduced unless a pending column reads it
-        directly; a bank without a plan keeps it."""
+        Each reduction is one read of the band; a bank without a plan
+        keeps it."""
         def compute():
             out = fn(self._band(band_key))
             with self._lock:
-                self._unreduced.discard(band_key)
-                if self._last is not None and self._last.get(band_key, -1) <= self._done:
-                    self._cache.drop(band_key)
+                if self._reads is not None:
+                    self._read_over(band_key)
             return out
 
         return self.derived(key, compute)

@@ -28,7 +28,6 @@ kernels as the cells.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -55,7 +54,7 @@ from .filters import (
     gabor_half_length,
     morlet_half_length,
 )
-from .signal_core import Signal, hilbert
+from .signal_core import Signal, _is_count, hilbert
 from .spectral import WelchSpec, coherence
 
 # Degeneracy thresholds, relative to the reference level of each check.
@@ -82,12 +81,6 @@ _ZERO_CELL_ERRORS = (OutOfBandError, DegeneratePhaseError, DegenerateDistributio
 # almost every bin is empty, and an unbounded count would size those
 # arrays from unchecked input.
 MAX_KLD_BINS = 100_000
-
-
-def _is_count(v) -> bool:
-    """True for an integer that is not a bool: True is an Integral, but
-    it counts nothing."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -273,15 +266,13 @@ def _cell_bank(x: Signal, reads, m: float, n: float, cfg: MeasureConfig) -> Filt
 
 
 def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
-    """Give the bank the read plan of columns (i, n, m_values) ascending
-    in i: the last column that reads each band directly, and the bands
-    read only to be reduced."""
-    last, reduced = {}, set()
+    """Give the bank the read plan of columns (i, n, m_values): the bands
+    each column i reads directly, and the bands read only to be reduced."""
+    direct, reduced = {}, set()
     for i, n, ms in columns:
-        direct, to_reduce = reads(n, ms, cfg)
-        last.update(dict.fromkeys(direct, i))
+        direct[i], to_reduce = reads(n, ms, cfg)
         reduced.update(to_reduce)
-    bank.plan(last, reduced)
+    bank.plan(direct, reduced)
 
 
 def _once(compute):
@@ -591,8 +582,8 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
     a = _as_array(amp, "amp")
     if ph.size != a.size or ph.size == 0:
         raise InvalidInputError("phase and amp must have equal nonzero length")
-    if not 2 <= int(n_bins) <= MAX_KLD_BINS:
-        raise InvalidInputError(f"n_bins must be in [2, {MAX_KLD_BINS}]")
+    if not (_is_count(n_bins) and 2 <= n_bins <= MAX_KLD_BINS):
+        raise InvalidInputError(f"n_bins must be an integer in [2, {MAX_KLD_BINS}]")
     if not (np.isfinite(ph).all() and np.isfinite(a).all()):
         raise InvalidInputError("phases and amplitudes must be finite")
     if np.any(a < 0):

@@ -15,6 +15,7 @@ formed from it overflows.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,12 @@ _SCALE_LIMIT = 1e150
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _is_count(v) -> bool:
+    """True for an integer that is not a bool: True is an Integral, but
+    it counts nothing. The one rule for every count paclab takes."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -192,9 +199,8 @@ def power(x: Signal) -> float:
 
 def trim(x: Signal, n_edge: int) -> Signal:
     """Drop n_edge samples from each end (filter-transient removal)."""
-    n_edge = int(n_edge)
-    if n_edge < 0:
-        raise InvalidInputError("n_edge must be nonnegative")
+    if not (_is_count(n_edge) and n_edge >= 0):
+        raise InvalidInputError("n_edge must be an integer >= 0")
     if 2 * n_edge >= len(x):
         raise EmptyResultError("trim would consume the entire signal")
     if n_edge == 0:

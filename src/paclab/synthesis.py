@@ -4,7 +4,6 @@ fast carrier, and calibrated pink noise."""
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -12,7 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import Signal, power
+from .signal_core import Signal, _is_count, power
 
 #: The four stock benchmark pairs (modulating m, modulated n) in Hz.
 BENCHMARK_PAIRS = ((8, 45), (12, 45), (20, 45), (30, 45))
@@ -59,8 +58,7 @@ class SynthesisSpec:
         if self.noise_power > sys.float_info.max / self.n_samples / self.n_samples:
             raise InvalidInputError(f"noise_power of {self.noise_power:g} is too large "
                                     f"for {self.n_samples} samples")
-        if self.seed is not None and not (
-                isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if self.seed is not None and not (_is_count(self.seed) and self.seed >= 0):
             raise InvalidInputError("seed must be an integer >= 0 (or None)")
 
     @property
@@ -101,9 +99,8 @@ def pink_noise(n_samples: int, fs: float, target_power: float, seed=None) -> Sig
     and an independent uniform phase; DC is zero; the inverse transform is
     rescaled so the output power hits target_power exactly.
     """
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise InvalidInputError("need at least 2 samples of noise")
+    if not (_is_count(n_samples) and n_samples >= 2):
+        raise InvalidInputError("n_samples must be an integer of at least 2")
     if target_power < 0:
         raise InvalidInputError("target_power must be nonnegative")
     rng = np.random.default_rng(seed)

@@ -91,6 +91,16 @@ class TestGridSpec:
             GridSpec(m_start=5, m_stop=4)
         with pytest.raises(InvalidInputError):
             GridSpec(n_start=10, n_stop=9)
+        # a bool counts nothing, though True == 1
+        with pytest.raises(InvalidInputError):
+            GridSpec(m_start=True)
+        with pytest.raises(InvalidInputError):
+            GridSpec(1, 3, True, 4)
+
+    def test_stores_integral_bounds_as_int(self):
+        g = GridSpec(6.0, np.int64(8), 44.0, 46)
+        assert g == GridSpec(6, 8, 44, 46)
+        assert all(type(v) is int for v in dataclasses.astuple(g))
 
 
 class TestPacMatrix:
@@ -168,6 +178,12 @@ class TestPacMatrix:
         assert mat.cell(1, 3) == 0.7
         assert mat.cell(2, 4) == 0.0
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (9, 9), (0, 3), (4, 3), (2, 5), (math.nan, 3)])
+    def test_cell_off_the_grid_is_refused(self, m, n):
+        mat = PacMatrix(np.zeros((3, 3)), "mca", False, self.grid())
+        with pytest.raises(InvalidInputError, match="off the grid m=1:3,n=2:4"):
+            mat.cell(m, n)
+
 
 class TestFilterBank:
     def test_caches_by_key(self):
@@ -207,12 +223,23 @@ class TestBankHoldsWhatIsRead:
         spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
         x = synth_pac(spec).composite
         banks, spectra, fills = [], [], []
+        # (thread, width read, widths of the Gabor bands held) after each
+        # Gabor read, each fill among them
+        held = []
         lock = threading.Lock()
 
         class RecordingBank(FilterBank):
             def __init__(self, *args):
                 super().__init__(*args)
                 banks.append(self)
+
+            def gabor(self, center, bw):
+                band = super().gabor(center, bw)
+                widths = collections.Counter(
+                    k[2] for k in list(self._cache.values) if k[0] == "gabor")
+                with lock:
+                    held.append((threading.get_ident(), bw, widths))
+                return band
 
         class RecordingSpectrum(paclab.filters.ReflectedSpectrum):
             def __init__(self, samples, n_taps):
@@ -232,8 +259,14 @@ class TestBankHoldsWhatIsRead:
         monkeypatch.setattr(paclab.filters, "bandpass", counting)
         mat = compute_matrix(x, "mca", GridSpec(1, 12, 30, 50), jobs=jobs)
         (bank,) = banks
-        widths = {key[2] for key in bank._cache.values if key[0] == "gabor"}
-        assert widths == {1.0}  # no 2 * bw band is held
+        # a 2 * bw band is held only while a thread reduces it to its power
+        threads = {thread for thread, *_ in held}
+        assert {bw for _, bw, _ in held} == {1.0, 2.0}
+        assert all(set(widths) <= {1.0, 2.0} for *_, widths in held)
+        assert all(widths[2.0] <= len(threads) for *_, widths in held)
+        if jobs == 1:
+            assert all(widths[2.0] == 0 for _, bw, widths in held if bw == 1.0)
+        assert not bank._cache.values  # past the sweep no band is held
         signal_spectra = [n_taps for own, n_taps in spectra if own]
         assert sorted(signal_spectra) == sorted(set(signal_spectra))
         assert len(signal_spectra) == 2  # one per kernel length: bw and 2 * bw
@@ -471,8 +504,10 @@ class TestBandLiveness:
         x = synth_pac(spec).composite
         grid = GridSpec(1, 12, 30, 50)
         m_max = grid.m_stop
-        # ("fill" or "done", last column returned, Gabor band centres held,
-        # derived keys) after each fill and each column
+        lock = threading.Lock()
+        returned = []  # columns that have returned, in the order they did
+        # ("fill" or "done", columns returned, derived keys, Gabor band
+        # centres held) after each fill and each column
         held = []
         banks = []
 
@@ -482,8 +517,14 @@ class TestBandLiveness:
                 banks.append(self)
 
             def _record(self, kind):
+                # in this order: a column is listed once its drops are
+                # made, a form once its band is dropped
+                with lock:
+                    gone = set(returned)
+                derived = set(list(self._derived.values))
                 centres = {k[1] for k in list(self._cache.values) if k[0] == "gabor"}
-                held.append((kind, self._done, centres, set(list(self._derived.values))))
+                with lock:
+                    held.append((kind, gone, derived, centres))
 
             def gabor(self, center, bw):
                 band = super().gabor(center, bw)
@@ -492,35 +533,40 @@ class TestBandLiveness:
 
             def done(self, column):
                 super().done(column)
+                with lock:
+                    returned.append(column)
                 self._record("done")
 
         monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
         compute_matrix(x, "mca", grid, jobs=jobs)
         (bank,) = banks
-        # past the sweep the bank holds only bands the final column read
-        final = {k[1] for k in bank._cache.values if k[0] == "gabor"}
-        assert final and min(final) >= grid.n_stop - m_max
-        # nbytes counts those bands and every array the bank derived: the
-        # slow phasors, the signal spectra and the envelope kernel spectra
+        # past the sweep the bank holds no band; nbytes counts every array
+        # the bank derived: the slow phasors, the signal spectra and the
+        # envelope kernel spectra
+        assert not bank._cache.values
         derived = bank._derived.values
         forms = [v[1] for k, v in derived.items() if k[0] == "mca_slow" and v[1] is not None]
         forms += [v.values for k, v in derived.items() if k[0] == "signal_spectrum"]
         forms += [v for k, v in derived.items() if k[0] == "gabor_spectrum"]
         assert forms
-        assert bank.nbytes == len(final) * x.samples.nbytes + sum(a.nbytes for a in forms)
-        # each finished prefix is released as soon as it completes, in
-        # order, while later columns still fill bands
-        assert [done for kind, done, *_ in held if kind == "done"] == list(range(20))
-        assert any(kind == "fill" and done >= 0 for kind, done, *_ in held)
+        assert bank.nbytes == sum(a.nbytes for a in forms)
+        # each column is released as soon as it returns, every one of them,
+        # while later columns still fill bands; serially in ascending order
+        columns = list(range(len(grid.n_values)))
+        assert sorted(returned) == columns
+        if jobs == 1:
+            assert returned == columns
+        assert any(kind == "fill" and gone for kind, gone, *_ in held)
         slow = set(grid.m_values.astype(float))
-        for _, done, centres, derived in held:
-            # the first column left to return is n = n_start + done + 1
-            pending = grid.n_start + done + 1
+        for _, gone, derived, centres in held:
+            # the triplet centres of the columns left to return
+            pending = {float(n + d) for i, n in enumerate(grid.n_values) if i not in gone
+                       for d in range(-m_max, m_max + 1)}
             triplets = centres - slow
             if jobs == 1:
                 assert len(triplets) <= 2 * m_max + 1
             # a triplet band no pending column reads is gone
-            assert all(c >= pending - m_max for c in triplets)
+            assert triplets <= pending
             # a slow band, once reduced, is gone: no column reads it directly
             reduced = {k[1] for k in derived if k[0] == "mca_slow"}
             assert not centres & reduced
@@ -535,7 +581,8 @@ class TestBandLiveness:
         lock = threading.Lock()
         # m of every cell that has returned: its slow band at m is reduced
         reduced = set()
-        # (reduced m, last column returned, Morlet band centres held) after
+        returned = set()  # columns that have returned
+        # (reduced m, columns returned, Morlet band centres held) after
         # each Morlet fill and each column
         held = []
 
@@ -553,10 +600,10 @@ class TestBandLiveness:
         class RecordingBank(FilterBank):
             def _record(self):
                 with lock:
-                    before = set(reduced)
+                    before, gone = set(reduced), set(returned)
                 with self._lock:  # a column's drops are all made or none
                     centres = {k[1] for k in list(self._cache.values) if k[0] == "morlet"}
-                    held.append((before, self._done, centres))
+                    held.append((before, gone, centres))
 
             def morlet(self, center, cycles):
                 band = super().morlet(center, cycles)
@@ -565,6 +612,8 @@ class TestBandLiveness:
 
             def done(self, column):
                 super().done(column)
+                with lock:
+                    returned.add(column)
                 self._record()
 
         monkeypatch.setitem(paclab.comodulogram._MEASURES, method,
@@ -573,13 +622,52 @@ class TestBandLiveness:
         compute_matrix(x, method, grid, jobs=jobs)
         assert any(before for before, *_ in held)
         # the column at c is the only one reading the band at c directly
-        columns = {float(n) for n in grid.n_values if n > grid.m_start}
-        for before, done, centres in held:
-            pending = grid.n_start + done + 1
-            assert all(c in columns and c >= pending for c in centres & before)
+        columns = {i: float(n) for i, n in enumerate(grid.n_values) if n > grid.m_start}
+        assert returned == set(columns)
+        for before, gone, centres in held:
+            pending = {n for i, n in columns.items() if i not in gone}
+            assert centres & before <= pending
             if jobs == 1:
                 # the band at n and the slow band being reduced
                 assert len(centres) <= 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_a_returned_column_frees_its_bands_before_earlier_columns_return(
+            self, monkeypatch, method):
+        # column 0 waits until the later columns have returned: their bands
+        # that column 0 does not read must be gone by then
+        x = coupled(seed=0)
+        grid = GridSpec(7, 8, 44, 47)
+        measure = paclab.comodulogram._MEASURES[method]
+        later = len(grid.n_values) - 1
+        released = threading.Event()
+        held = []  # band keys held once the later columns have all returned
+        returned = set()
+
+        def blocking_cells(x, n, cfg, bank):
+            if n == grid.n_start:
+                released.wait(10)
+            return measure.cells(x, n, cfg, bank)
+
+        class RecordingBank(FilterBank):
+            def done(self, column):
+                super().done(column)
+                returned.add(column)
+                if returned == set(range(1, later + 1)):
+                    held.append(set(self._cache.values))
+                    released.set()
+
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, method,
+                            measure._replace(cells=blocking_cells))
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        mat = compute_matrix(x, method, grid, jobs=2)
+        assert released.is_set()  # the later columns returned before column 0
+        first, _ = measure.reads(grid.n_start, [7, 8], MeasureConfig())
+        (keys,) = held
+        assert keys <= set(first)
+        if method == "mca":
+            assert keys  # the bands column 0 is still to read are kept
+        assert np.array_equal(mat.values, compute_matrix(x, method, grid, jobs=1).values)
 
     @pytest.mark.parametrize("method", sorted(CELL_FNS))
     def test_one_cell_bank_keeps_only_bands_read_directly(self, monkeypatch, method):

@@ -140,6 +140,16 @@ class TestMatrixCsv:
         assert back.normalized
         assert back.grid == mat.grid
 
+    def test_float_grid_round_trips(self, tmp_path):
+        grid = GridSpec(6.0, 8.0, 44.0, 46.0)
+        mat = PacMatrix(np.zeros(grid.shape), "mca", False, grid)
+        p = tmp_path / "mat.csv"
+        write_matrix_csv(p, mat)
+        assert "# grid: m=6:8,n=44:46" in p.read_text().splitlines()
+        back = read_matrix_csv(p)
+        assert back.grid == grid == GridSpec(6, 8, 44, 46)
+        assert np.array_equal(back.values, mat.values)
+
     def test_header_lines_present(self, tmp_path):
         p = tmp_path / "mat.csv"
         write_matrix_csv(p, small_matrix())

@@ -336,6 +336,12 @@ class TestBinAmplitudeByPhase:
         with pytest.raises(InvalidInputError):
             bin_amplitude_by_phase(np.zeros(10), np.ones(10), 1)
 
+    @pytest.mark.parametrize("n_bins", [3.7, 18.0, True, "18"])
+    def test_bin_count_must_be_an_integer(self, n_bins):
+        with pytest.raises(InvalidInputError):
+            bin_amplitude_by_phase(np.zeros(10), np.ones(10), n_bins)
+        assert bin_amplitude_by_phase(np.zeros(10), np.ones(10), np.int64(18)).n_bins == 18
+
     def test_too_many_bins_rejected_before_allocating(self):
         with pytest.raises(InvalidInputError):
             bin_amplitude_by_phase(np.zeros(10), np.ones(10), 10**12)

@@ -181,6 +181,13 @@ class TestPowerTrim:
         with pytest.raises(InvalidInputError):
             trim(Signal(np.arange(10, dtype=float), FS), -1)
 
+    @pytest.mark.parametrize("n_edge", [1.9, 2.0, True, "2"])
+    def test_trim_takes_an_integer_edge(self, n_edge):
+        with pytest.raises(InvalidInputError):
+            trim(Signal(np.arange(10, dtype=float), FS), n_edge)
+        assert np.array_equal(trim(Signal(np.arange(10, dtype=float), FS), np.int64(2)).samples,
+                              np.arange(2, 8))
+
 
 class TestAmplitudeBound:
     """check_amplitude's bound, peak² · max(N, N/fs) <= 1e150, checked

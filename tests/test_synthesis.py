@@ -51,6 +51,7 @@ class TestSynthesisSpec:
         dict(seed=1.5),
         dict(seed=2.0),
         dict(seed="7"),
+        dict(seed=True),
     ])
     def test_invalid(self, kw):
         base = dict(m=8, n=45, ami=0.25, duration=10.0, fs=1000.0,
@@ -147,6 +148,11 @@ class TestPinkNoise:
         keep = (psd.freqs >= 2.0) & (psd.freqs <= 100.0)
         slope = np.polyfit(np.log(psd.freqs[keep]), np.log(psd.values[keep]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.15)
+
+    @pytest.mark.parametrize("n_samples", [2.9, 1000.0, True, 1, -3])
+    def test_sample_count_must_be_an_integer_of_at_least_two(self, n_samples):
+        with pytest.raises(InvalidInputError):
+            pink_noise(n_samples, 1000.0, 1.0, seed=0)
 
     def test_zero_mean_construction(self):
         x = pink_noise(10000, 1000.0, 5.0, seed=2)

@@ -7,13 +7,14 @@ fixed set of comodulograms: the stock signal benchmark_spec((8, 45)) with
 seeds 0 and 7; all five methods; the configs default, edge_trim=0,
 kld_bins=18 with morlet_cycles=6, and a Welch segmentation that is not
 the default, an odd window of 999 samples at overlap 0.5 (cv reads it,
-the other methods must not); and seven ways of running: jobs None, 1
-and 2 on the default grid, jobs None, 1 and 2 on GridSpec(1, 12, 30, 50),
-and use_cache=False on GridSpec(1, 20, 1, 50). jobs None picks a thread
-count per method and machine, so jobs 1 keeps the serial path compared
-on every machine. On the default grid nearly every band is read until
-the sweep ends; on the narrow one the filter bank drops bands while
-columns are still pending. Every matrix and its meta["cached_filterings"]
+the other methods must not); and eight ways of running: jobs None, 1
+and 2 on the default grid, jobs None, 1, 2 and 8 on GridSpec(1, 12, 30,
+50), and use_cache=False on GridSpec(1, 20, 1, 50). jobs None picks a
+thread count per method and machine, so jobs 1 keeps the serial path
+compared on every machine. On the default grid nearly every band is read
+until the sweep ends; on the narrow one the filter bank drops bands while
+columns are still pending, and at jobs 8, more threads than cores, the
+columns return far out of ascending order. Every matrix and its meta["cached_filterings"]
 must be np.array_equal between the trees, or both trees must raise the
 same error.
 
@@ -29,7 +30,7 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 312 of them, and, for
+The script prints the count of equal results, 352 of them, and, for
 each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -68,6 +69,7 @@ RUNS = {
     "narrow,jobs=None": dict(jobs=None, grid=GridSpec(1, 12, 30, 50)),
     "narrow,jobs=1": dict(jobs=1, grid=GridSpec(1, 12, 30, 50)),
     "narrow,jobs=2": dict(jobs=2, grid=GridSpec(1, 12, 30, 50)),
+    "narrow,jobs=8": dict(jobs=8, grid=GridSpec(1, 12, 30, 50)),
     "use_cache=False": dict(use_cache=False, grid=GridSpec(1, 20, 1, 50)),
 }
 out = {"paclab": paclab.__file__}
