@@ -145,9 +145,10 @@ class PacMatrix:
         object.__setattr__(self, "values", v)
 
     def cell(self, m: int, n: int) -> float:
-        """The value at (m, n); InvalidInputError for a cell off the grid."""
+        """The value at (m, n); InvalidInputError off the grid's integer cells."""
         g = self.grid
-        if not (g.m_start <= m <= g.m_stop and g.n_start <= n <= g.n_stop):
+        if not (_is_count(m) and _is_count(n)
+                and g.m_start <= m <= g.m_stop and g.n_start <= n <= g.n_stop):
             raise InvalidInputError(f"cell m={m},n={n} is off the grid "
                                     f"m={g.m_start}:{g.m_stop},n={g.n_start}:{g.n_stop}")
         return float(self.values[int(n) - g.n_start, int(m) - g.m_start])
@@ -358,7 +359,6 @@ class ComparisonRun:
     method: str
     seed: int
     found: Optional[tuple]
-    peak: float
     error: float
 
 
@@ -496,9 +496,7 @@ def run_comparison(
             for meth in methods:
                 mat = normalize(compute_matrix(x, meth, grid, cfg, jobs))
                 found = argmax(mat)
-                peak = 0.0 if found is None else found[2]
-                runs.append(ComparisonRun(pair, meth, seed, found, peak,
-                                          localization_error(found, pair)))
+                runs.append(ComparisonRun(pair, meth, seed, found, localization_error(found, pair)))
                 if matrix_sink is not None:
                     matrix_sink(mat, pair, meth, seed)
 

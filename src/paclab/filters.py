@@ -53,19 +53,6 @@ class FilterSpec:
             raise InvalidInputError(f"bw_hz of {self.bw_hz:g} Hz has no finite Gabor kernel")
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Sampled FIR taps, symmetric support, unit gain at the center frequency."""
-
-    taps: np.ndarray
-    fs: float
-    center: float
-
-    @property
-    def half_length(self) -> int:
-        return (len(self.taps) - 1) // 2
-
-
 def _center_gain(taps: np.ndarray, t: np.ndarray, center: float) -> complex:
     return np.sum(taps * np.exp(-2j * np.pi * center * t))
 
@@ -108,8 +95,9 @@ def _gabor_half(spec: FilterSpec, fs: float, n_samples: int | None) -> int:
     return half
 
 
-def gabor_kernel(spec: FilterSpec, fs: float) -> Kernel:
-    """Real Gaussian-envelope cosine kernel with unit center-frequency gain."""
+def gabor_kernel(spec: FilterSpec, fs: float) -> np.ndarray:
+    """Taps of the real Gaussian-envelope cosine kernel: symmetric
+    support, unit center-frequency gain."""
     half = _gabor_half(spec, fs, None)
     beta = gabor_beta(spec.bw_hz)
     t = np.arange(-half, half + 1) / fs
@@ -117,8 +105,7 @@ def gabor_kernel(spec: FilterSpec, fs: float) -> Kernel:
     # the correct 0 tap there: the taps come out [0, 1, 0]
     with np.errstate(over="ignore"):
         g = np.exp(-((beta * t) ** 2)) * np.cos(2.0 * np.pi * spec.center * t)
-    g = g / np.abs(_center_gain(g, t, spec.center))
-    return Kernel(g, fs, spec.center)
+    return g / np.abs(_center_gain(g, t, spec.center))
 
 
 def morlet_half_length(center: float, cycles: float, fs: float) -> int:
@@ -128,25 +115,32 @@ def morlet_half_length(center: float, cycles: float, fs: float) -> int:
 
 def _morlet_half(center: float, cycles: float, fs: float, n_samples: int | None) -> int:
     """Half-length of the Morlet kernel, after morlet_kernel's checks of
-    the centre and then, given n_samples, a check that the kernel fits
-    that many samples, as _gabor_half."""
+    the centre and the cycle count and then, given n_samples, a check
+    that the kernel fits that many samples, as _gabor_half."""
     _check_nyquist(center, fs)
     if not (center > 0):
         raise InvalidInputError("center frequency must be positive")
+    sigma_t = cycles / (2.0 * math.pi * center)
+    # inf passes, to be refused as a kernel that fits no signal; a count so
+    # small that morlet_kernel's variance underflows would make a NaN tap
+    if not (cycles > 0 and 2.0 * sigma_t * sigma_t > 0):
+        raise InvalidInputError(f"cycles of {cycles} has no finite Morlet kernel")
     half = morlet_half_length(center, cycles, fs)
     if n_samples is not None:
         _check_fits(n_samples, 2 * half + 1)
     return half
 
 
-def morlet_kernel(center: float, cycles: float, fs: float) -> Kernel:
-    """Complex Morlet kernel, truncated at 4 envelope standard deviations."""
+def morlet_kernel(center: float, cycles: float, fs: float) -> np.ndarray:
+    """Taps of the complex Morlet kernel, truncated at 4 envelope
+    standard deviations, with unit center-frequency gain."""
     half = _morlet_half(center, cycles, fs, None)
     sigma_t = cycles / (2.0 * math.pi * center)
     t = np.arange(-half, half + 1) / fs
-    w = np.exp(2j * np.pi * center * t) * np.exp(-(t * t) / (2.0 * sigma_t * sigma_t))
-    w = w / np.abs(_center_gain(w, t, center))
-    return Kernel(w, fs, center)
+    # as in gabor_kernel: a tiny variance overflows to exp(-inf), the 0 tap
+    with np.errstate(over="ignore"):
+        w = np.exp(2j * np.pi * center * t) * np.exp(-(t * t) / (2.0 * sigma_t * sigma_t))
+    return w / np.abs(_center_gain(w, t, center))
 
 
 def _check_fits(n_samples: int, n_taps: int) -> None:
@@ -199,8 +193,7 @@ def bandpass(x: Signal, spec: FilterSpec, *, padded: ReflectedSpectrum | None = 
         raise InvalidInputError(
             f"spectrum of {padded.n_samples} samples for {padded.n_taps} taps cannot "
             f"serve a {n_taps}-tap kernel on {len(x)} samples")
-    k = gabor_kernel(spec, x.fs)
-    return Signal(padded.filter(rfft(k.taps, padded.nfft)), x.fs)
+    return Signal(padded.filter(rfft(gabor_kernel(spec, x.fs), padded.nfft)), x.fs)
 
 
 def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSeries:
@@ -213,7 +206,7 @@ def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSer
     (a unit cosine at the center comes out with envelope 1).
     """
     _morlet_half(center, cycles, x.fs, len(x))  # as in bandpass
-    taps = morlet_kernel(center, cycles, x.fs).taps
+    taps = morlet_kernel(center, cycles, x.fs)
     # fftconvolve's complex path: fft/ifft at its complex-friendly
     # length, sliced like ReflectedSpectrum.filter
     n_samples, n_taps = len(x), len(taps)
@@ -364,7 +357,7 @@ class FilterBank:
         """fn(band) of the band under band_key (a _gabor_key or a
         _morlet_key), worked out once and kept in `derived` under key.
         Each reduction is one read of the band; a bank without a plan
-        keeps it."""
+        keeps it. fn returns a form of the band, never the band itself."""
         def compute():
             out = fn(self._band(band_key))
             with self._lock:
@@ -410,8 +403,7 @@ class FilterBank:
         the kernel spectrum ReflectedSpectrum.filter takes."""
         return self.derived(
             ("gabor_spectrum", float(center), float(bw), int(nfft)),
-            lambda: rfft(gabor_kernel(FilterSpec(center=center, bw_hz=bw), self.x.fs).taps,
-                         nfft))
+            lambda: rfft(gabor_kernel(FilterSpec(center=center, bw_hz=bw), self.x.fs), nfft))
 
     @property
     def n_filterings(self) -> int:

@@ -13,16 +13,17 @@ plans how long the bank holds each band. Work that depends on n alone is
 done once per column. Work that depends on m alone is kept in the filter
 bank for as long as the bank lives: each measure reduces its slow band
 at m, through FilterBank.reduce, to one form, mca's slow-band weight and
-unit phasor, mvl's unit phasor, kld's phase-bin index (with its bin
-counts per trim) and, for eps, the band itself. mca and eps score the
-PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|, with no
-angle and no complex exp; eps makes its slow phasor per cell.
+unit phasor, eps's unit phasor z_m/|z_m|, mvl's unit phasor and kld's
+phase-bin index (with its bin counts per trim). No reduction returns a
+band, and no cell reads a slow band, only its form. mca and eps score
+the PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|, with no
+angle and no complex exp.
 compute_matrix scores a column through _column, where a cell with
 nothing to score is 0; the public per-cell function evaluates one cell
 on a one-cell bank, planned by the same reads function, through _cell
-and raises instead. The public helpers vector_length and
-bin_amplitude_by_phase check their arguments and run the same private
-kernels as the cells.
+and raises instead. The public helpers plv, vector_length and
+bin_amplitude_by_phase check their arguments, finite samples included;
+the last two run the same private kernels as the cells.
 """
 
 from __future__ import annotations
@@ -143,11 +144,15 @@ def _rms(a: np.ndarray) -> float:
 
 
 def _as_array(series, name: str) -> np.ndarray:
+    """series as a 1-d float array of finite samples: the one argument
+    check of plv, vector_length and bin_amplitude_by_phase."""
     if isinstance(series, Signal):
         return series.samples
     a = np.asarray(series, dtype=float)
     if a.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional")
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} must be finite")
     return a
 
 
@@ -477,18 +482,19 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # |zn| depends on n alone, so its spectrum serves every cell of the
-    # column; the bank keeps the envelope kernels' spectra and slow bands
-    slow = (("eps_slow", float(cfg.morlet_cycles)), lambda zm: zm)
+    # column; the bank keeps the envelope kernels' spectra and the slow
+    # phasors z_m/|z_m|
+    slow = (("eps_phasor", float(cfg.morlet_cycles)), _unit)
     inputs = _morlet_inputs(x, n, cfg, bank, slow, envelope_filter=True)
     envelope = _once(lambda amp_n: _Envelope(amp_n, bank))
 
     def cell(m):
-        zm, amp_n, tr = inputs(m)
+        phasor, amp_n, tr = inputs(m)
         try:
             z_env = _analytic_envelope(envelope(amp_n), m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
-        return _phase_locking(_unit(_trimmed(zm, tr)), _trimmed(z_env, tr))
+        return _phase_locking(_trimmed(phasor, tr), _trimmed(z_env, tr))
 
     return cell
 
@@ -584,8 +590,6 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
         raise InvalidInputError("phase and amp must have equal nonzero length")
     if not (_is_count(n_bins) and 2 <= n_bins <= MAX_KLD_BINS):
         raise InvalidInputError(f"n_bins must be an integer in [2, {MAX_KLD_BINS}]")
-    if not (np.isfinite(ph).all() and np.isfinite(a).all()):
-        raise InvalidInputError("phases and amplitudes must be finite")
     if np.any(a < 0):
         raise InvalidInputError("amplitudes must be nonnegative")
     n_bins = int(n_bins)

@@ -27,7 +27,7 @@ from .errors import (
     SignalTooShortError,
     UnreliableEstimateError,
 )
-from .signal_core import Signal, check_amplitude
+from .signal_core import Signal, _is_count, check_amplitude
 
 
 # The taper of every Welch segment.
@@ -44,8 +44,8 @@ class WelchSpec:
     overlap: float = 0.25
 
     def __post_init__(self):
-        if self.window_len < 8:
-            raise InvalidInputError("window_len must be at least 8")
+        if not (_is_count(self.window_len) and self.window_len >= 8):
+            raise InvalidInputError("window_len must be an integer of at least 8")
         if not (0.0 <= self.overlap < 1.0):
             raise InvalidInputError("overlap must be in [0, 1)")
 

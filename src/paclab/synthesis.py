@@ -154,17 +154,21 @@ def benchmark_spec(pair: int | tuple, seed=None) -> SynthesisSpec:
     """Stock benchmark preset for one of the four (m, n) pairs.
 
     `pair` is a 1-based index into BENCHMARK_PAIRS or an explicit (m, n)
-    tuple. The signal takes SynthesisSpec's defaults, which are
-    BENCHMARK_AMI, BENCHMARK_DURATION and BENCHMARK_FS; its deterministic
-    part is rescaled to BENCHMARK_CLEAN_POWER against
-    BENCHMARK_NOISE_POWER of pink noise.
+    pair; anything else raises InvalidInputError. The signal takes
+    SynthesisSpec's defaults, which are BENCHMARK_AMI, BENCHMARK_DURATION
+    and BENCHMARK_FS; its deterministic part is rescaled to
+    BENCHMARK_CLEAN_POWER against BENCHMARK_NOISE_POWER of pink noise.
     """
-    if isinstance(pair, int):
+    if _is_count(pair):
         if not 1 <= pair <= len(BENCHMARK_PAIRS):
             raise InvalidInputError(f"pair index must be 1..{len(BENCHMARK_PAIRS)}")
         m, n = BENCHMARK_PAIRS[pair - 1]
     else:
-        m, n = pair
+        try:
+            m, n = pair
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"pair must be an index 1..{len(BENCHMARK_PAIRS)} "
+                                    f"or an (m, n) pair, not {pair!r}") from None
     return SynthesisSpec(
         m=m,
         n=n,

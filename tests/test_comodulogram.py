@@ -177,8 +177,11 @@ class TestPacMatrix:
         mat = PacMatrix(vals, "mca", False, self.grid())
         assert mat.cell(1, 3) == 0.7
         assert mat.cell(2, 4) == 0.0
+        assert mat.cell(np.int64(1), np.int32(3)) == 0.7
 
-    @pytest.mark.parametrize("m, n", [(1, 1), (9, 9), (0, 3), (4, 3), (2, 5), (math.nan, 3)])
+    # a fractional or bool address between the integer cells is off the grid too
+    @pytest.mark.parametrize("m, n", [(1, 1), (9, 9), (0, 3), (4, 3), (2, 5), (math.nan, 3),
+                                      (1.5, 3), (1.9, 3.5), (1, 3.0), (True, 3), (1, "3")])
     def test_cell_off_the_grid_is_refused(self, m, n):
         mat = PacMatrix(np.zeros((3, 3)), "mca", False, self.grid())
         with pytest.raises(InvalidInputError, match="off the grid m=1:3,n=2:4"):
@@ -570,6 +573,32 @@ class TestBandLiveness:
             # a slow band, once reduced, is gone: no column reads it directly
             reduced = {k[1] for k in derived if k[0] == "mca_slow"}
             assert not centres & reduced
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_eps_sweep_ends_holding_its_phasors_and_spectra(self, monkeypatch, jobs):
+        spec = dataclasses.replace(benchmark_spec((8, 45), seed=51), duration=30.0)
+        x = synth_pac(spec).composite
+        grid = GridSpec(1, 12, 30, 50)
+        banks = []
+
+        class RecordingBank(FilterBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        compute_matrix(x, "eps", grid, jobs=jobs)
+        (bank,) = banks
+        # past the sweep the bank holds no band; nbytes counts the slow
+        # phasors, one per m, and the envelope kernel spectra
+        assert not bank._cache.values
+        derived = bank._derived.values
+        assert {k[0] for k in derived} == {"eps_phasor", "gabor_spectrum"}
+        phasors = [v for k, v in derived.items() if k[0] == "eps_phasor"]
+        assert len(phasors) == len(grid.m_values)
+        assert all(p.dtype == complex and p.shape == (len(x),) for p in phasors)
+        spectra = [v for k, v in derived.items() if k[0] == "gabor_spectrum"]
+        assert bank.nbytes == sum(a.nbytes for a in phasors + spectra)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("case", ["narrow", "mid"])

@@ -25,7 +25,6 @@ from paclab import (
 from paclab.filters import (
     DEFAULT_TRUNCATION,
     FilterBank,
-    Kernel,
     ReflectedSpectrum,
     _Memo,
     conv_size,
@@ -49,9 +48,13 @@ def interior(a, frac=0.8):
     return a[k:n - k]
 
 
-def freq_response(kernel, freq):
-    t = (np.arange(len(kernel.taps)) - kernel.half_length) / kernel.fs
-    return np.sum(kernel.taps * np.exp(-2j * np.pi * freq * t))
+def half_length(taps):
+    return (len(taps) - 1) // 2
+
+
+def freq_response(taps, freq, fs=FS):
+    t = (np.arange(len(taps)) - half_length(taps)) / fs
+    return np.sum(taps * np.exp(-2j * np.pi * freq * t))
 
 
 class TestGaborKernel:
@@ -70,7 +73,7 @@ class TestGaborKernel:
 
     def test_symmetric_taps(self):
         k = gabor_kernel(FilterSpec(center=20, bw_hz=1), FS)
-        assert np.allclose(k.taps, k.taps[::-1])
+        assert np.allclose(k, k[::-1])
 
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
@@ -80,7 +83,7 @@ class TestGaborKernel:
     def test_huge_bandwidth_is_one_tap_without_a_warning(self):
         # the envelope's square overflows off centre; exp(-inf) is its 0 tap
         k = gabor_kernel(FilterSpec(center=10, bw_hz=1e300), FS)
-        assert k.taps.tolist() == [0.0, 1.0, 0.0]
+        assert k.tolist() == [0.0, 1.0, 0.0]
 
     @pytest.mark.parametrize("center", [5, 20, 45, 100])
     def test_constant_bandwidth_across_centers(self, center):
@@ -139,7 +142,7 @@ class TestBandpass:
 
 def fftconvolve_bandpass(x, spec):
     """Zero-phase Gabor filtering as fftconvolve on the reflection-padded input."""
-    taps = gabor_kernel(spec, x.fs).taps
+    taps = gabor_kernel(spec, x.fs)
     half = (len(taps) - 1) // 2
     return fftconvolve(np.pad(x.samples, half, mode="reflect"), taps, mode="valid")
 
@@ -321,11 +324,27 @@ class TestMorlet:
     def test_truncation_is_four_sigma(self):
         k = morlet_kernel(45, 4, FS)
         sigma_t = 4 / (2 * np.pi * 45)
-        assert k.half_length == int(np.ceil(4 * sigma_t * FS))
+        assert half_length(k) == int(np.ceil(4 * sigma_t * FS))
 
     def test_aliasing_guard(self):
         with pytest.raises(AliasingError):
             morlet_bandpass(tone(10), 500, 4)
+
+    @pytest.mark.filterwarnings("error")
+    # 1e-300 is positive, but the kernel's envelope variance underflows
+    @pytest.mark.parametrize("cycles", [-1.0, 0.0, -0.0, np.nan, -np.inf, 1e-300])
+    def test_cycles_must_be_positive(self, cycles):
+        x = tone(45, dur=1.0)
+        for make in (lambda: morlet_bandpass(x, 45, cycles),
+                     lambda: morlet_kernel(45, cycles, FS),
+                     lambda: FilterBank(x).morlet(45, cycles)):
+            with pytest.raises(InvalidInputError, match="cycles"):
+                make()
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_cycles_are_one_tap_without_a_warning(self):
+        # the envelope's exponent overflows off centre; exp(-inf) is its 0 tap
+        assert morlet_kernel(45, 1e-158, FS).tolist() == [0.0, 1.0, 0.0]
 
     @settings(max_examples=40, deadline=None)
     @given(extra=st.integers(0, 17000),
@@ -335,7 +354,7 @@ class TestMorlet:
     def test_equals_fftconvolve_bitwise(self, extra, center, cycles, seed):
         half = morlet_half_length(center, cycles, FS)
         x = Signal(np.random.default_rng(seed).standard_normal(2 * half + 1 + extra), FS)
-        taps = morlet_kernel(center, cycles, FS).taps
+        taps = morlet_kernel(center, cycles, FS)
         want = 2.0 * fftconvolve(np.pad(x.samples, half, mode="reflect"), taps, mode="valid")
         assert np.array_equal(morlet_bandpass(x, center, cycles).values, want)
 
@@ -443,7 +462,7 @@ def test_default_truncation_meets_stopband():
     half4 = int(np.ceil(4 / (beta * np.sqrt(2)) * FS))
     t = np.arange(-half4, half4 + 1) / FS
     taps4 = np.exp(-((beta * t) ** 2)) * np.cos(2 * np.pi * 45 * t)
-    k4 = Kernel(taps4 / np.abs(np.sum(taps4 * np.exp(-2j * np.pi * 45 * t))), FS, 45.0)
+    k4 = taps4 / np.abs(np.sum(taps4 * np.exp(-2j * np.pi * 45 * t)))
     assert abs(freq_response(k4, 37.0)) > 1e-6
     k5 = gabor_kernel(FilterSpec(center=45, bw_hz=1), FS)
     assert abs(freq_response(k5, 37.0)) < 1e-6
@@ -452,6 +471,6 @@ def test_default_truncation_meets_stopband():
 
 def test_half_lengths_match_kernels():
     k = gabor_kernel(FilterSpec(center=45, bw_hz=1), FS)
-    assert k.half_length == gabor_half_length(1.0, FS)
+    assert half_length(k) == gabor_half_length(1.0, FS)
     km = morlet_kernel(45, 4, FS)
-    assert km.half_length == morlet_half_length(45, 4, FS)
+    assert half_length(km) == morlet_half_length(45, 4, FS)

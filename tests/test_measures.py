@@ -81,6 +81,14 @@ class TestPlv:
         with pytest.raises(InvalidInputError):
             plv(np.zeros(0), np.zeros(0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        with pytest.raises(InvalidInputError, match="phase_u"):
+            plv([bad, 1.0], [0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="phase_v"):
+            plv([0.0, 1.0], [1.0, bad])
+
     def test_range_on_random_inputs(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -127,7 +135,7 @@ def reference_analytic_envelope(env, m, bw):
     """The analytic envelope band written with fftconvolve on the
     reflection-padded envelope: the band-pass every cached spectrum must
     reproduce bit for bit."""
-    taps = gabor_kernel(FilterSpec(center=m, bw_hz=bw), env.fs).taps
+    taps = gabor_kernel(FilterSpec(center=m, bw_hz=bw), env.fs)
     half = (len(taps) - 1) // 2
     filtered = fftconvolve(np.pad(env.samples, half, mode="reflect"), taps, mode="valid")
     ref = np.sqrt(np.mean(env.samples**2))
@@ -233,6 +241,40 @@ class TestSlowBandForms:
         assert len(calls) == 10
 
     @pytest.mark.parametrize("jobs", [None, 2])
+    def test_eps_slow_phasor_is_computed_once_per_m(self, monkeypatch, jobs):
+        # _unit makes eps's slow phasor, in the bank's reduction of the
+        # slow band, and each cell's envelope phasor, inside
+        # _phase_locking; no cell makes a slow phasor of its own
+        import threading
+
+        import paclab.measures
+
+        real_unit = paclab.measures._unit
+        real_locking = paclab.measures._phase_locking
+        inside = threading.local()
+        slow, envelope = [], []
+
+        def unit(z):
+            (envelope if getattr(inside, "locking", False) else slow).append(len(z))
+            return real_unit(z)
+
+        def locking(*args):
+            inside.locking = True
+            try:
+                return real_locking(*args)
+            finally:
+                inside.locking = False
+
+        monkeypatch.setattr(paclab.measures, "_unit", unit)
+        monkeypatch.setattr(paclab.measures, "_phase_locking", locking)
+        x = coupled_signal(seed=0, noise=6250.0)
+        # 65 cells over m = 1..10 (n = 1 has none with m < n)
+        compute_matrix(x, "eps", GridSpec(1, 10, 1, 12), jobs=jobs)
+        # one phasor per m, each of a whole slow band
+        assert slow == [len(x)] * 10
+        assert envelope
+
+    @pytest.mark.parametrize("jobs", [None, 2])
     def test_mca_slow_phasor_is_computed_once_per_m(self, monkeypatch, jobs):
         # the phasor is made by _slow_band, inside the bank's reduction of
         # the slow band; count the calls that make one
@@ -292,6 +334,15 @@ class TestVectorLength:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(InvalidInputError):
             vector_length(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["phase", "amp"])
+    def test_non_finite_rejected_without_warning(self, bad, where):
+        ph, amp = np.zeros(2), np.ones(2)
+        (ph if where == "phase" else amp)[0] = bad
+        with pytest.raises(InvalidInputError, match=where):
+            vector_length(ph, amp)
 
 
 class TestBinAmplitudeByPhase:

@@ -58,6 +58,12 @@ class TestWelchSpec:
         with pytest.raises(InvalidInputError):
             WelchSpec(overlap=-0.1)
 
+    @pytest.mark.parametrize("window_len", [512.5, 512.0, True, "512"])
+    def test_window_len_must_be_an_integer(self, window_len):
+        with pytest.raises(InvalidInputError, match="window_len"):
+            WelchSpec(window_len=window_len)
+        assert WelchSpec(window_len=np.int64(512)).window_len == 512
+
 
 class TestSpectrum:
     def test_value_at_picks_nearest_bin(self):

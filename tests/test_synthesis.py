@@ -190,6 +190,12 @@ class TestBenchmarkPreset:
         with pytest.raises(InvalidInputError):
             benchmark_spec(5)
 
+    @pytest.mark.parametrize("pair", [True, False, 1.0, (1, 2, 3), (8,), None])
+    def test_neither_index_nor_pair_is_refused(self, pair):
+        with pytest.raises(InvalidInputError, match="pair"):
+            benchmark_spec(pair)
+        assert benchmark_spec(np.int64(1)) == benchmark_spec((8, 45))
+
     def test_calibrated_powers(self):
         parts = synth_pac(benchmark_spec(1, seed=0))
         p_clean = power(parts.clean)

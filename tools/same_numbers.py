@@ -14,7 +14,12 @@ thread count per method and machine, so jobs 1 keeps the serial path
 compared on every machine. On the default grid nearly every band is read
 until the sweep ends; on the narrow one the filter bank drops bands while
 columns are still pending, and at jobs 8, more threads than cores, the
-columns return far out of ascending order. Every matrix and its meta["cached_filterings"]
+columns return far out of ascending order. The same interpreter calls
+each public per-cell function (mca_pac, eps, mvl, cv, kld) on both
+signals in each config at the cells of CELLS, some of them out of band
+or below 1 Hz: a matrix scores such a cell 0, and so does the
+use_cache=False run, so only these calls see the errors the cells raise.
+Every matrix and its meta["cached_filterings"], and every cell value,
 must be np.array_equal between the trees, or both trees must raise the
 same error.
 
@@ -30,7 +35,7 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 352 of them, and, for
+The script prints the count of equal results, 672 of them, and, for
 each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -49,10 +54,11 @@ import numpy as np
 
 # runs inside each tree's interpreter: argv[1] is the pickle to write
 _CHILD = r"""
-import pickle, sys
+import itertools, pickle, sys
 import paclab
+import numpy as np
 from paclab import (GridSpec, MeasureConfig, WelchSpec, benchmark_spec, compute_matrix,
-                    synth_pac)
+                    cv, eps, kld, mca_pac, mvl, synth_pac)
 
 SEEDS = (0, 7)
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
@@ -72,6 +78,9 @@ RUNS = {
     "narrow,jobs=8": dict(jobs=8, grid=GridSpec(1, 12, 30, 50)),
     "use_cache=False": dict(use_cache=False, grid=GridSpec(1, 20, 1, 50)),
 }
+CELL_FNS = (mca_pac, eps, mvl, cv, kld)
+# (m, n): in band, then m > n, m below 1 Hz, n + m past and n at Nyquist
+CELLS = ((8, 45), (12, 40), (3, 30), (20, 21), (8, 5), (0.5, 20), (8, 495), (8, 500))
 out = {"paclab": paclab.__file__}
 for seed in SEEDS:
     x = synth_pac(benchmark_spec((8, 45), seed=seed)).composite
@@ -84,6 +93,12 @@ for seed in SEEDS:
                     out[key] = ("ok", mat.values, mat.meta["cached_filterings"])
                 except Exception as e:
                     out[key] = ("raised", type(e).__name__, str(e))
+    for (cname, cfg), fn, (m, n) in itertools.product(CONFIGS.items(), CELL_FNS, CELLS):
+        key = (seed, fn.__name__, cname, f"m={m},n={n}")
+        try:
+            out[key] = ("ok", np.array(fn(x, m, n, MeasureConfig(**cfg))), None)
+        except Exception as e:
+            out[key] = ("raised", type(e).__name__, str(e))
 with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
