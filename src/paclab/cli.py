@@ -315,7 +315,8 @@ def _add_matrix_flags(p):
                    help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
     p.add_argument("--jobs", type=int, default=None,
                    help=f"threads per matrix, the calling one included, 1 to {MAX_JOBS} "
-                        "(default: the usable CPUs for mca and eps, 1 for the others)")
+                        "(default: the usable CPUs for mca and eps, and for mvl and kld on "
+                        "signals of 2^15 samples or more; else 1)")
 
 
 def _add_common(p):

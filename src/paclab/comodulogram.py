@@ -35,8 +35,8 @@ from .synthesis import (
 
 
 class _Measure(NamedTuple):
-    """One method: its cell factory, the bands its columns read, and
-    whether its cells run signal-length transforms."""
+    """One method: its cell factory, the bands its columns read, and the
+    signal length from which its columns gain from the column pool."""
 
     # cells(x, n, cfg, bank) returns the measure on the column at n as a
     # function of m, and measures._column scores a column
@@ -44,21 +44,31 @@ class _Measure(NamedTuple):
     # reads(n, m_values, cfg) returns (bands read directly, bands read
     # only to be reduced)
     reads: Callable
-    # True where every scored cell runs signal-length FFTs (mca: two
-    # hilbert transforms and an envelope band-pass; eps: a band-pass and a
-    # hilbert transform). pocketfft releases the GIL, so such columns gain
-    # from every core. mvl and kld cells reduce forms the bank keeps and
-    # cv runs one coherence per column; at jobs=2 those measured mvl about
-    # 0%, cv +19% and kld +20-32% slower than serial
-    transforms: bool
+    # fewest samples at which jobs=None pools the columns; inf for never.
+    # mca and eps cells run signal-length FFTs (two hilbert transforms and
+    # an envelope band-pass; a band-pass and a hilbert transform), and
+    # pocketfft releases the GIL, so their columns gain from every core at
+    # any length. mvl and kld cells reduce forms the bank keeps, so their
+    # columns gain only once the Morlet fills at signal length dominate.
+    # jobs=2 over jobs=1 wall time, default grid, 2-vCPU VM, mvl/cv/kld:
+    # 0.90-0.95/1.00-1.08/1.22-1.32 at 10,000 samples, 0.64/0.80/1.11 at
+    # 16,384, 0.65/0.74/0.87 at 20,000, 0.63/0.84/0.75 at 32,768 and
+    # 0.60/0.57/0.61 at 80,000. cv stays serial though it gains too: it
+    # keeps no per-m forms, so a second column's Morlet fill and coherence
+    # (about 25 MB at 300,000 samples) weigh most on it. Pooled on that
+    # default grid, max RSS read cv +24%, kld +12% and mvl +3%
+    pool_from: float
 
+
+# 2**15, the smallest power of two at which mvl and kld both gained
+_LONG = 1 << 15
 
 _MEASURES = {
-    "mca": _Measure(measures._mca_cells, measures._mca_reads, True),
-    "eps": _Measure(measures._eps_cells, measures._morlet_reads, True),
-    "mvl": _Measure(measures._mvl_cells, measures._morlet_reads, False),
-    "cv": _Measure(measures._cv_cells, measures._cv_reads, False),
-    "kld": _Measure(measures._kld_cells, measures._morlet_reads, False),
+    "mca": _Measure(measures._mca_cells, measures._mca_reads, 0),
+    "eps": _Measure(measures._eps_cells, measures._morlet_reads, 0),
+    "mvl": _Measure(measures._mvl_cells, measures._morlet_reads, _LONG),
+    "cv": _Measure(measures._cv_cells, measures._cv_reads, math.inf),
+    "kld": _Measure(measures._kld_cells, measures._morlet_reads, _LONG),
 }
 METHODS = tuple(_MEASURES)
 
@@ -73,10 +83,10 @@ MAX_GRID_CELLS = 10**7
 MAX_SEEDS = 10_000
 
 # Most worker threads compute_matrix and run_comparison accept, and the
-# cap on the default worker count of mca and eps. The calling thread and
-# up to jobs - 1 pool threads each work on one of a grid's columns at a
-# time; past the cores of any machine this runs on, more threads only hold
-# more columns' temporaries at once.
+# cap on the default worker count. The calling thread and up to jobs - 1
+# pool threads each work on one of a grid's columns at a time; past the
+# cores of any machine this runs on, more threads only hold more columns'
+# temporaries at once.
 MAX_JOBS = 256
 
 # Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
@@ -167,16 +177,18 @@ def compute_matrix(
     Cells outside the measure's valid band and degenerate cells score 0,
     so the result is always a complete triangular matrix. The measure runs
     one n column at a time, so work that depends on n alone is done once
-    per column (and for mca, mvl and kld, work that depends on m alone
-    once per matrix, kept in the shared filter bank). By a read plan made
-    from the grid, the bank holds a band only until its last planned read
-    is over, and fills no band twice.
+    per column (and for mca, eps, mvl and kld, work that depends on m
+    alone once per matrix, kept in the shared filter bank). By a read plan
+    made from the grid, the bank holds a band only until its last planned
+    read is over, and fills no band twice.
 
     Columns run on `jobs` threads: the calling thread and a pool of
     jobs - 1, the only thread pool paclab builds. jobs=None picks the
-    count per method: for mca and eps, whose cells run signal-length
-    FFTs, the usable CPUs capped by MAX_JOBS and the column count; for
-    mvl, cv and kld, 1. jobs=1 runs serially on the calling thread.
+    count per method and signal length: the usable CPUs capped by
+    MAX_JOBS and the column count, for mca and eps at any length and for
+    mvl and kld from 2**15 samples on, where the pool measured a gain;
+    else 1. cv always gets 1: its pooled columns cost the most memory.
+    jobs=1 runs serially on the calling thread.
     Results are identical for every jobs because every column is a pure
     function. Columns are handed out in ascending order, and each is
     written out by the thread that ran it as soon as it returns, which
@@ -216,7 +228,7 @@ def compute_matrix(
         if m_vals[0] < n
     ]
     if jobs is None:
-        jobs = _default_jobs(measure, len(columns))
+        jobs = _default_jobs(measure, len(columns), len(x))
 
     if bank is not None:
         measures._plan(bank, measure.reads, columns, cfg)
@@ -249,11 +261,11 @@ def compute_matrix(
     return PacMatrix(out, method, False, grid, meta)
 
 
-def _default_jobs(measure: _Measure, n_columns: int) -> int:
-    """Threads for compute_matrix(jobs=None): the usable CPUs, capped by
-    MAX_JOBS and n_columns, where the measure's cells run signal-length
-    transforms; 1 otherwise."""
-    if not measure.transforms:
+def _default_jobs(measure: _Measure, n_columns: int, n_samples: int) -> int:
+    """Threads for compute_matrix(jobs=None): 1 below the measure's
+    pool_from samples, else the usable CPUs capped by MAX_JOBS and
+    n_columns."""
+    if n_samples < measure.pool_from:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -408,7 +420,7 @@ def _aggregate(errors: list) -> dict:
 
 
 def _check_jobs(jobs: Optional[int]) -> None:
-    """Refuse jobs unless it is None (compute_matrix's per-method default)
+    """Refuse jobs unless it is None (compute_matrix's default)
     or an integer in [1, MAX_JOBS]; a bool is not a count."""
     if jobs is not None and not (_is_count(jobs) and 1 <= jobs <= MAX_JOBS):
         raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
@@ -476,11 +488,11 @@ def run_comparison(
     The (pair, seed) signals run one at a time, in the order pair, seed,
     and each is synthesized just before its methods run, so one signal and
     one filter bank are alive at once; `jobs` goes to each compute_matrix
-    call as given, so None picks its per-method default. matrix_sink, when
-    given, receives (matrix, pair, method, seed) for each normalized
-    matrix, in the order pair, seed, method, as it is made; an error stops
-    the comparison there. Results are deterministic for a fixed base_seed
-    regardless of jobs.
+    call as given, so None picks its default per method and length.
+    matrix_sink, when given, receives (matrix, pair, method, seed) for each
+    normalized matrix, in the order pair, seed, method, as it is made; an
+    error stops the comparison there. Results are deterministic for a
+    fixed base_seed regardless of jobs.
     """
     methods = list(methods)
     seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,

@@ -20,8 +20,9 @@ class PacAnalyzer:
     Parameters are stored untouched at construction; validation happens
     in fit. Fitted state lives in trailing-underscore attributes. `jobs`
     is compute_matrix's: None (the default) picks the thread count per
-    method, the usable CPUs for mca and eps and 1 for the others; N runs
-    the columns on N threads, the calling thread among them.
+    method and signal length, the usable CPUs for mca and eps and for
+    mvl and kld from 2**15 samples on, else 1; N runs the columns on N
+    threads, the calling thread among them.
     """
 
     def __init__(

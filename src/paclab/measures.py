@@ -145,10 +145,18 @@ def _rms(a: np.ndarray) -> float:
 
 def _as_array(series, name: str) -> np.ndarray:
     """series as a 1-d float array of finite samples: the one argument
-    check of plv, vector_length and bin_amplitude_by_phase."""
+    check of plv, vector_length and bin_amplitude_by_phase. Complex,
+    string and object samples are refused, not cast: a cast to float drops
+    an imaginary part with only a warning."""
     if isinstance(series, Signal):
         return series.samples
-    a = np.asarray(series, dtype=float)
+    try:
+        a = np.asarray(series)
+    except ValueError:  # a ragged nest of sequences
+        raise InvalidInputError(f"{name} must be one-dimensional") from None
+    if a.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must hold real numbers")
+    a = a.astype(float, copy=False)
     if a.ndim != 1:
         raise InvalidInputError(f"{name} must be one-dimensional")
     if not np.isfinite(a).all():

@@ -805,7 +805,9 @@ class TestPooledColumnOrder:
 
 class TestDefaultJobs:
     """jobs=None runs mca and eps on every usable CPU, the calling thread
-    among them, and mvl, cv and kld on the calling thread alone."""
+    among them, and mvl and kld too on signals of 2**15 samples or more;
+    cv, and mvl and kld on shorter signals, run on the calling thread
+    alone."""
 
     @staticmethod
     def _pools(monkeypatch, cpus):
@@ -827,14 +829,20 @@ class TestDefaultJobs:
         monkeypatch.setattr(paclab.comodulogram, "ThreadPoolExecutor", RecordingPool)
         return pools
 
-    @pytest.mark.parametrize("method", METHODS)
-    def test_transform_methods_pool_on_every_cpu(self, monkeypatch, method):
-        x = coupled(seed=0)
+    @pytest.mark.parametrize("method, n_samples", [
+        *(pytest.param(method, 10_000, id=method) for method in METHODS),
+        *(pytest.param(method, 1 << 15, id=f"{method}-long") for method in ("mvl", "cv", "kld")),
+    ])
+    def test_transform_methods_pool_on_every_cpu(self, monkeypatch, method, n_samples):
+        spec = dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=n_samples / FS)
+        x = synth_pac(spec).composite
+        assert len(x) == n_samples
         serial = compute_matrix(x, method, SMALL, jobs=1)
         pools = self._pools(monkeypatch, 4)
         mat = compute_matrix(x, method, SMALL)
         # the calling thread is the fourth worker
-        assert pools == ([[3, 3, 3]] if method in ("mca", "eps") else [])
+        pooled = method in ("mca", "eps") or (method != "cv" and n_samples >= 1 << 15)
+        assert pools == ([[3, 3, 3]] if pooled else [])
         assert np.array_equal(mat.values, serial.values)
         assert mat.meta == serial.meta
 
@@ -850,19 +858,29 @@ class TestDefaultJobs:
         compute_matrix(coupled(seed=0), method, GridSpec(6, 10, 44, 45))
         assert sum(len(submits) for submits in pools) <= 1
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_columns_pool_from_their_pool_from_samples(self, monkeypatch, method):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        measure = paclab.comodulogram._MEASURES[method]
+        pool_from = {"mca": 0, "eps": 0, "mvl": 1 << 15, "cv": math.inf, "kld": 1 << 15}[method]
+        assert measure.pool_from == pool_from
+        for n_samples in (0, (1 << 15) - 1, 1 << 15, 10**9):
+            want = 4 if n_samples >= pool_from else 1
+            assert paclab.comodulogram._default_jobs(measure, 50, n_samples) == want
+
     def test_cpus_are_capped_by_max_jobs(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4 * MAX_JOBS)))
         mca = paclab.comodulogram._MEASURES["mca"]
-        assert paclab.comodulogram._default_jobs(mca, 10 * MAX_JOBS) == MAX_JOBS
-        assert paclab.comodulogram._default_jobs(mca, 3) == 3
-        assert paclab.comodulogram._default_jobs(mca, 0) == 1
+        assert paclab.comodulogram._default_jobs(mca, 10 * MAX_JOBS, 10_000) == MAX_JOBS
+        assert paclab.comodulogram._default_jobs(mca, 3, 10_000) == 3
+        assert paclab.comodulogram._default_jobs(mca, 0, 10_000) == 1
 
     @pytest.mark.parametrize("count, want", [(4, 4), (None, 1)])
     def test_cpu_count_without_an_affinity_call(self, monkeypatch, count, want):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
         for method, measure in paclab.comodulogram._MEASURES.items():
-            got = paclab.comodulogram._default_jobs(measure, 50)
+            got = paclab.comodulogram._default_jobs(measure, 50, 10_000)
             assert got == (want if method in ("mca", "eps") else 1)
 
 

@@ -59,6 +59,17 @@ def coupled_signal(ami=0.25, seed=None, noise=0.0, dur=10.0):
     return synth_pac(spec).composite
 
 
+# samples that are not real numbers; a cast to float would drop the
+# imaginary part with a warning, or parse the text
+NON_REAL = [
+    pytest.param(np.array([1 + 1j, 2.0]), id="complex"),
+    pytest.param(np.array([1.0, 2.0 + 0j]), id="complex-real-valued"),
+    pytest.param(["a", "b"], id="text"),
+    pytest.param(["1", "2"], id="numeral-text"),
+    pytest.param(np.array([1.0, 2.0], dtype=object), id="object"),
+]
+
+
 class TestPlv:
     def test_identical_phases_lock_perfectly(self):
         p = np.random.default_rng(0).uniform(-np.pi, np.pi, 5000)
@@ -88,6 +99,18 @@ class TestPlv:
             plv([bad, 1.0], [0.0, 1.0])
         with pytest.raises(InvalidInputError, match="phase_v"):
             plv([0.0, 1.0], [1.0, bad])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", NON_REAL)
+    def test_non_real_rejected_without_warning(self, bad):
+        with pytest.raises(InvalidInputError, match="phase_u must hold real numbers"):
+            plv(bad, [0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="phase_v must hold real numbers"):
+            plv([0.0, 1.0], bad)
+
+    def test_ragged_rejected(self):
+        with pytest.raises(InvalidInputError, match="phase_u must be one-dimensional"):
+            plv([[0.0, 1.0], [2.0]], [0.0, 1.0])
 
     def test_range_on_random_inputs(self):
         rng = np.random.default_rng(3)
@@ -344,6 +367,14 @@ class TestVectorLength:
         with pytest.raises(InvalidInputError, match=where):
             vector_length(ph, amp)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", NON_REAL)
+    def test_non_real_rejected_without_warning(self, bad):
+        with pytest.raises(InvalidInputError, match="phase must hold real numbers"):
+            vector_length(bad, [1.0, 1.0])
+        with pytest.raises(InvalidInputError, match="amp must hold real numbers"):
+            vector_length([0.0, 1.0], bad)
+
 
 class TestBinAmplitudeByPhase:
     def test_uniform_is_flat(self):
@@ -408,6 +439,14 @@ class TestBinAmplitudeByPhase:
         (ph if where == "phase" else amp)[4] = bad
         with pytest.raises(InvalidInputError):
             bin_amplitude_by_phase(ph, amp, 18)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", NON_REAL)
+    def test_non_real_rejected_without_warning(self, bad):
+        with pytest.raises(InvalidInputError, match="phase must hold real numbers"):
+            bin_amplitude_by_phase(bad, [1.0, 1.0], 4)
+        with pytest.raises(InvalidInputError, match="amp must hold real numbers"):
+            bin_amplitude_by_phase([0.1, 0.2], bad, 4)
 
 
 class TestKldFromDistribution:
