@@ -20,7 +20,7 @@ from . import measures
 from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
 from .measures import MeasureConfig
-from .signal_core import Signal, _is_count
+from .signal_core import Signal, _is_count, _numbers
 from .synthesis import (
     BENCHMARK_AMI,
     BENCHMARK_CLEAN_POWER,
@@ -141,7 +141,7 @@ class PacMatrix:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
+        v = np.array(_numbers(self.values, "values", "two-dimensional"), dtype=float)
         # from the bounds, so a hostile grid allocates nothing before the check
         if v.shape != self.grid.shape:
             raise InvalidInputError(f"values shape {v.shape} does not match grid {self.grid.shape}")

@@ -60,10 +60,7 @@ class PacAnalyzer:
             return X
         if self.fs is None:
             raise InvalidInputError("fs is required when X is a raw array")
-        arr = np.asarray(X, dtype=float)
-        if arr.ndim != 1:
-            raise InvalidInputError("X must be a 1-D sample array or a Signal")
-        return Signal(arr, float(self.fs))
+        return Signal(X, self.fs)
 
     def _matrix(self, x: Signal) -> PacMatrix:
         mat = compute_matrix(

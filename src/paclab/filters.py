@@ -176,24 +176,23 @@ class ReflectedSpectrum:
         return full[self.n_taps - 1:self.n_taps - 1 + self.n_samples]
 
 
-def bandpass(x: Signal, spec: FilterSpec, *, padded: ReflectedSpectrum | None = None) -> Signal:
+def _kernel_spectrum(spec: FilterSpec, fs: float, nfft: int) -> np.ndarray:
+    """rfft at nfft of spec's Gabor kernel: what ReflectedSpectrum.filter takes."""
+    return rfft(gabor_kernel(spec, fs), nfft)
+
+
+def _gabor_band(padded: ReflectedSpectrum, spec: FilterSpec, fs: float) -> Signal:
+    """The Gabor band of the series whose spectrum for spec's kernel is `padded`."""
+    return Signal(padded.filter(_kernel_spectrum(spec, fs, padded.nfft)), fs)
+
+
+def bandpass(x: Signal, spec: FilterSpec) -> Signal:
     """Zero-phase narrow-band filtering with reflection-padded edges.
 
     Same-length output; the symmetric kernel introduces no group delay.
-    `padded`, when given, is x's ReflectedSpectrum for this kernel's
-    length, which serves every kernel of that length: the band is then
-    one kernel rfft, one product and one irfft away, bit for bit the band
-    without it. A spectrum of another sample or tap count raises
-    InvalidInputError.
     """
     n_taps = 2 * _gabor_half(spec, x.fs, len(x)) + 1  # refuses a kernel longer than x
-    if padded is None:
-        padded = ReflectedSpectrum(x.samples, n_taps)
-    elif (padded.n_samples, padded.n_taps) != (len(x), n_taps):
-        raise InvalidInputError(
-            f"spectrum of {padded.n_samples} samples for {padded.n_taps} taps cannot "
-            f"serve a {n_taps}-tap kernel on {len(x)} samples")
-    return Signal(padded.filter(rfft(gabor_kernel(spec, x.fs), padded.nfft)), x.fs)
+    return _gabor_band(ReflectedSpectrum(x.samples, n_taps), spec, x.fs)
 
 
 def morlet_bandpass(x: Signal, center: float, cycles: float = 4.0) -> ComplexSeries:
@@ -379,7 +378,7 @@ class FilterBank:
             n_taps = 2 * _gabor_half(spec, self.x.fs, len(self.x)) + 1
             padded = self.derived(("signal_spectrum", n_taps),
                                   lambda: ReflectedSpectrum(self.x.samples, n_taps))
-            return bandpass(self.x, spec, padded=padded).samples
+            return _gabor_band(padded, spec, self.x.fs).samples
 
         return self._cache.get(_gabor_key(center, bw), fill)
 
@@ -403,7 +402,7 @@ class FilterBank:
         the kernel spectrum ReflectedSpectrum.filter takes."""
         return self.derived(
             ("gabor_spectrum", float(center), float(bw), int(nfft)),
-            lambda: rfft(gabor_kernel(FilterSpec(center=center, bw_hz=bw), self.x.fs), nfft))
+            lambda: _kernel_spectrum(FilterSpec(center=center, bw_hz=bw), self.x.fs, nfft))
 
     @property
     def n_filterings(self) -> int:

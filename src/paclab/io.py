@@ -165,8 +165,11 @@ def grid_str(g: GridSpec) -> str:
 
 
 def parse_grid(s: str) -> GridSpec:
+    """GridSpec of m=a:b,n=c:d, the keys m and n once each in either order."""
     try:
         parts = dict(p.split("=") for p in s.split(","))
+        if sorted(parts) != ["m", "n"] or s.count(",") != 1:  # two items, no repeat
+            raise KeyError("the keys must be m and n, once each")
         m0, m1 = (int(v) for v in parts["m"].split(":"))
         n0, n1 = (int(v) for v in parts["n"].split(":"))
         return GridSpec(m0, m1, n0, n1)

@@ -55,7 +55,7 @@ from .filters import (
     gabor_half_length,
     morlet_half_length,
 )
-from .signal_core import Signal, _is_count, hilbert
+from .signal_core import Signal, _is_count, _series, hilbert
 from .spectral import WelchSpec, coherence
 
 # Degeneracy thresholds, relative to the reference level of each check.
@@ -144,24 +144,9 @@ def _rms(a: np.ndarray) -> float:
 
 
 def _as_array(series, name: str) -> np.ndarray:
-    """series as a 1-d float array of finite samples: the one argument
-    check of plv, vector_length and bin_amplitude_by_phase. Complex,
-    string and object samples are refused, not cast: a cast to float drops
-    an imaginary part with only a warning."""
-    if isinstance(series, Signal):
-        return series.samples
-    try:
-        a = np.asarray(series)
-    except ValueError:  # a ragged nest of sequences
-        raise InvalidInputError(f"{name} must be one-dimensional") from None
-    if a.dtype.kind not in "biuf":
-        raise InvalidInputError(f"{name} must hold real numbers")
-    a = a.astype(float, copy=False)
-    if a.ndim != 1:
-        raise InvalidInputError(f"{name} must be one-dimensional")
-    if not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} must be finite")
-    return a
+    """A Signal's samples, or series under signal_core's rule for a series:
+    the one argument check of plv, vector_length and bin_amplitude_by_phase."""
+    return series.samples if isinstance(series, Signal) else _series(series, name)
 
 
 def _check_trim(n_total: int, tr: int) -> None:
@@ -181,8 +166,8 @@ def plv(phase_u, phase_v) -> float:
     phase difference. 1 means perfect locking, 0 none."""
     u = _as_array(phase_u, "phase_u")
     v = _as_array(phase_v, "phase_v")
-    if u.size != v.size or u.size == 0:
-        raise InvalidInputError("phase series must have equal nonzero length")
+    if u.size != v.size:
+        raise InvalidInputError("phase series must have equal length")
     return float(np.abs(np.mean(np.exp(1j * (u - v)))))
 
 
@@ -594,8 +579,8 @@ def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistributio
     """
     ph = _as_array(phase, "phase")
     a = _as_array(amp, "amp")
-    if ph.size != a.size or ph.size == 0:
-        raise InvalidInputError("phase and amp must have equal nonzero length")
+    if ph.size != a.size:
+        raise InvalidInputError("phase and amp must have equal length")
     if not (_is_count(n_bins) and 2 <= n_bins <= MAX_KLD_BINS):
         raise InvalidInputError(f"n_bins must be an integer in [2, {MAX_KLD_BINS}]")
     if np.any(a < 0):

@@ -7,9 +7,10 @@ The analytic signal is computed here on scipy.fft (hilbert below), as
 are the filters and the Welch estimates in their modules: the package
 never imports scipy.signal.
 
-A Signal may hold any finite samples. Before the filter bank or a Welch
-estimate reads one, check_amplitude bounds its peak, so that no square
-formed from it overflows.
+One rule (_numbers, _series, _rate) decides what paclab takes as samples
+and rates. Before the filter bank or a Welch estimate reads a Signal,
+check_amplitude bounds its peak, so that no square formed from it
+overflows.
 """
 
 from __future__ import annotations
@@ -42,9 +43,38 @@ from .errors import (
 _SCALE_LIMIT = 1e150
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _numbers(values, name: str, shape: str = "one-dimensional", complex_ok=False) -> np.ndarray:
+    """values as an array, uncast and, if one already, uncopied. Text,
+    object, ragged and (unless complex_ok) complex input is refused, not
+    cast: a cast parses text, or drops an imaginary part with a warning."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        raise InvalidInputError(f"{name} must be {shape}") from None
+    if a.dtype.kind not in ("biufc" if complex_ok else "biuf"):
+        raise InvalidInputError(f"{name} must hold {'' if complex_ok else 'real '}numbers")
+    return a
+
+
+def _series(values, name: str, dtype=float) -> np.ndarray:
+    """values under _numbers as a read-only copy of dtype (float or
+    complex), checked to be a non-empty 1-d series of finite samples."""
+    a = np.array(_numbers(values, name, complex_ok=dtype is complex), dtype=dtype)
+    if a.ndim != 1 or a.size == 0:
+        raise InvalidInputError(f"{name} must be a non-empty 1-d sequence")
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError(f"{name} must all be finite")
     a.setflags(write=False)
     return a
+
+
+def _rate(fs) -> float:
+    """fs as a float: one real number under _numbers, not a bool,
+    positive and finite."""
+    f = _numbers(fs, "fs", "a number")
+    if f.ndim != 0 or f.dtype.kind == "b" or not 0 < f < math.inf:
+        raise InvalidInputError("fs must be a positive finite rate")
+    return float(f)
 
 
 def _is_count(v) -> bool:
@@ -57,23 +87,17 @@ def _is_count(v) -> bool:
 class Signal:
     """Uniformly sampled real-valued time series.
 
-    The time axis is implicit: t_k = k / fs for k = 0..N-1.
+    The time axis is implicit: t_k = k / fs for k = 0..N-1. samples, a
+    non-empty 1-d sequence of finite bool, integer or float numbers, are
+    kept as a read-only float copy; fs is a positive finite real number.
     """
 
     samples: np.ndarray
     fs: float
 
     def __post_init__(self):
-        a = np.array(self.samples, dtype=float, copy=True)
-        if a.ndim != 1 or a.size == 0:
-            raise InvalidInputError("samples must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(a)):
-            raise InvalidInputError("samples must all be finite")
-        fs = float(self.fs)
-        if not (fs > 0 and np.isfinite(fs)):
-            raise InvalidInputError("fs must be a positive finite rate")
-        object.__setattr__(self, "samples", _readonly(a))
-        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "samples", _series(self.samples, "samples"))
+        object.__setattr__(self, "fs", _rate(self.fs))
 
     def __len__(self) -> int:
         return self.samples.size
@@ -89,22 +113,14 @@ class Signal:
 
 @dataclass(frozen=True)
 class ComplexSeries:
-    """Complex-valued series on the same uniform time base as Signal."""
+    """Complex-valued series on the same uniform time base and rules as Signal."""
 
     values: np.ndarray
     fs: float
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=complex, copy=True)
-        if v.ndim != 1 or v.size == 0:
-            raise InvalidInputError("values must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(v)):
-            raise InvalidInputError("values must all be finite")
-        fs = float(self.fs)
-        if not (fs > 0 and np.isfinite(fs)):
-            raise InvalidInputError("fs must be a positive finite rate")
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "fs", fs)
+        object.__setattr__(self, "values", _series(self.values, "values", complex))
+        object.__setattr__(self, "fs", _rate(self.fs))
 
     def __len__(self) -> int:
         return self.values.size

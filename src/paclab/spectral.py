@@ -27,7 +27,7 @@ from .errors import (
     SignalTooShortError,
     UnreliableEstimateError,
 )
-from .signal_core import Signal, _is_count, check_amplitude
+from .signal_core import Signal, _is_count, _numbers, check_amplitude
 
 
 # The taper of every Welch segment.
@@ -59,8 +59,8 @@ class Spectrum:
     kind: str  # "psd" or "coherence"
 
     def __post_init__(self):
-        f = np.asarray(self.freqs, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        f = np.asarray(_numbers(self.freqs, "freqs"), dtype=float)
+        v = np.asarray(_numbers(self.values, "values"), dtype=float)
         if f.shape != v.shape or f.ndim != 1:
             raise InvalidInputError("freqs and values must be matching 1-d arrays")
         if np.any(np.diff(f) <= 0):

@@ -101,8 +101,8 @@ def pink_noise(n_samples: int, fs: float, target_power: float, seed=None) -> Sig
     """
     if not (_is_count(n_samples) and n_samples >= 2):
         raise InvalidInputError("n_samples must be an integer of at least 2")
-    if target_power < 0:
-        raise InvalidInputError("target_power must be nonnegative")
+    if not (0 <= target_power < math.inf):
+        raise InvalidInputError("target_power must be nonnegative and finite")
     rng = np.random.default_rng(seed)
     n_freq = n_samples // 2 + 1
     amp = np.zeros(n_freq)

@@ -319,6 +319,14 @@ class TestPac:
                    "-o", str(tmp_path / "out.csv"), "--grid", "m=1-50"])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("grid", ["m=1:5,n=6:9,m=3:4,q=7", "m=1:5,n=6:9,m=3:4"])
+    def test_unknown_or_repeated_grid_key_is_usage_error(self, tmp_path, grid):
+        sig = synth_file(tmp_path)
+        out = tmp_path / "out.csv"
+        rc = main(["pac", "--method", "mvl", "-i", str(sig), "-o", str(out), "--grid", grid])
+        assert rc == EXIT_USAGE
+        assert not out.exists()
+
     def test_unknown_method_is_usage_error(self, tmp_path):
         rc = main(["pac", "--method", "magic", "-i", "x", "-o", "y"])
         assert rc == EXIT_USAGE

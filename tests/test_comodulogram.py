@@ -250,16 +250,16 @@ class TestBankHoldsWhatIsRead:
                     spectra.append((samples is x.samples, n_taps))
                 super().__init__(samples, n_taps)
 
-        real_bandpass = paclab.filters.bandpass
+        real_gabor_band = paclab.filters._gabor_band
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             with lock:
                 fills.append(1)
-            return real_bandpass(*args, **kwargs)
+            return real_gabor_band(*args)
 
         monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
         monkeypatch.setattr(paclab.filters, "ReflectedSpectrum", RecordingSpectrum)
-        monkeypatch.setattr(paclab.filters, "bandpass", counting)
+        monkeypatch.setattr(paclab.filters, "_gabor_band", counting)
         mat = compute_matrix(x, "mca", GridSpec(1, 12, 30, 50), jobs=jobs)
         (bank,) = banks
         # a 2 * bw band is held only while a thread reduces it to its power
@@ -403,7 +403,7 @@ class TestColumnProtocol:
         # step, so both miss the same slow bands at the same moment
         calls = []
         lock = threading.Lock()
-        for name in ("bandpass", "morlet_bandpass"):
+        for name in ("_gabor_band", "morlet_bandpass"):
             real = getattr(paclab.filters, name)
 
             def counting(*args, _real=real, **kwargs):
@@ -460,20 +460,20 @@ def _record_fills(monkeypatch):
     """Counter of the bank keys filled through paclab.filters from now on."""
     fills = collections.Counter()
     lock = threading.Lock()
-    real_bandpass = paclab.filters.bandpass
+    real_gabor_band = paclab.filters._gabor_band
     real_morlet = paclab.filters.morlet_bandpass
 
-    def bandpass(x, spec, **kwargs):
+    def gabor_band(padded, spec, fs):
         with lock:
             fills[paclab.filters._gabor_key(spec.center, spec.bw_hz)] += 1
-        return real_bandpass(x, spec, **kwargs)
+        return real_gabor_band(padded, spec, fs)
 
     def morlet_bandpass(x, center, cycles):
         with lock:
             fills[paclab.filters._morlet_key(center, cycles)] += 1
         return real_morlet(x, center, cycles)
 
-    monkeypatch.setattr(paclab.filters, "bandpass", bandpass)
+    monkeypatch.setattr(paclab.filters, "_gabor_band", gabor_band)
     monkeypatch.setattr(paclab.filters, "morlet_bandpass", morlet_bandpass)
     return fills
 

@@ -164,20 +164,7 @@ class TestReflectedSpectrum:
         kernel = FilterBank(x).gabor_spectrum(center, bw, padded.nfft)
         assert np.array_equal(padded.filter(kernel), want)
         # a fill from the shared signal spectrum, as the bank makes it
-        assert np.array_equal(bandpass(x, spec, padded=padded).samples, want)
         assert np.array_equal(FilterBank(x).gabor(center, bw), want)
-
-    def test_mismatched_spectrum_is_refused(self):
-        x = Signal(np.random.default_rng(5).standard_normal(9000), FS)
-        spec = FilterSpec(center=45.0, bw_hz=1.0)
-        n_taps = 2 * gabor_half_length(1.0, FS) + 1
-        other_taps = 2 * gabor_half_length(2.0, FS) + 1
-        other_length = ReflectedSpectrum(x.samples[:-1], n_taps)
-        for padded in (ReflectedSpectrum(x.samples, other_taps), other_length):
-            with pytest.raises(InvalidInputError):
-                bandpass(x, spec, padded=padded)
-        good = ReflectedSpectrum(x.samples, n_taps)
-        assert np.array_equal(bandpass(x, spec, padded=good).samples, bandpass(x, spec).samples)
 
     def test_one_spectrum_serves_every_center(self):
         x = Signal(np.random.default_rng(4).standard_normal(9000), FS)

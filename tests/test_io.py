@@ -29,6 +29,7 @@ from paclab import (
     write_pgm,
     write_signal_csv,
 )
+from paclab.io import parse_grid
 
 
 def small_matrix():
@@ -198,6 +199,13 @@ class TestMatrixCsv:
         assert back.grid == GridSpec(1, 2, 1, 2)
         assert back.cell(1, 2) == 0.5
 
+    def test_grid_header_with_a_repeated_key_is_refused(self, tmp_path):
+        p = tmp_path / "mat.csv"
+        # the last m= fits the rows: a reader keeping it would accept the file
+        p.write_text("# grid: m=1:2,n=2:4,m=1:3\n0,0,0\n0,0,0\n0,0,0\n")
+        with pytest.raises(InvalidInputError, match="bad grid descriptor"):
+            read_matrix_csv(p)
+
     def test_memory_error_is_not_a_malformed_matrix(self, tmp_path, monkeypatch):
         # PacMatrix refuses parsed rows only with InvalidInputError; anything
         # else it raises is not about the file and must not read as exit 3
@@ -209,6 +217,19 @@ class TestMatrixCsv:
         monkeypatch.setattr(paclab.io, "PacMatrix", no_memory)
         with pytest.raises(MemoryError):
             read_matrix_csv(p)
+
+
+class TestParseGrid:
+    def test_keys_in_either_order(self):
+        assert parse_grid("m=1:5,n=6:9") == parse_grid("n=6:9,m=1:5") == GridSpec(1, 5, 6, 9)
+
+    @pytest.mark.parametrize("text", [
+        "m=1:5,n=6:9,m=3:4", "m=1:5,n=6:9,n=6:9", "m=1:5,n=6:9,q=7",
+        "m=1:5,n=6:9,m=3:4,q=7", "m=1:5,q=6:9", "M=1:5,n=6:9", "m=1:5",
+    ])
+    def test_keys_are_m_and_n_once_each(self, text):
+        with pytest.raises(InvalidInputError, match="bad grid descriptor"):
+            parse_grid(text)
 
 
 class TestPgm:

@@ -120,6 +120,27 @@ class TestPlv:
             assert 0.0 <= plv(u, v) <= 1.0
 
 
+# plain lists, integer and bool arrays: real numbers the helpers cast to float
+REAL_INPUTS = [
+    pytest.param(lambda a: a.tolist(), id="list"),
+    pytest.param(lambda a: a.astype(np.int64), id="int"),
+    pytest.param(lambda a: a.astype(bool), id="bool"),
+]
+
+
+@pytest.mark.parametrize("given", REAL_INPUTS)
+def test_helpers_cast_lists_int_and_bool_arrays(given):
+    phase = given(np.array([-3, -1, 0, 1, 2, 3, 2, 0]))
+    amp = given(np.array([1, 0, 2, 1, 3, 1, 4, 2]))
+    phase_f, amp_f = np.array(phase, dtype=float), np.array(amp, dtype=float)
+    assert plv(phase, amp) == plv(phase_f, amp_f)
+    assert vector_length(phase, amp) == vector_length(phase_f, amp_f)
+    dist = bin_amplitude_by_phase(phase, amp, 4)
+    want = bin_amplitude_by_phase(phase_f, amp_f, 4)
+    assert np.array_equal(dist.bin_means, want.bin_means)
+    assert np.array_equal(dist.bin_counts, want.bin_counts)
+
+
 class TestEnvelopePhase:
     def test_tracks_modulation_phase(self):
         t = np.arange(10000) / FS

@@ -15,18 +15,24 @@ from paclab import (
     DegeneratePhaseError,
     EmptyResultError,
     InvalidInputError,
+    PacAnalyzer,
+    PacMatrix,
     Signal,
+    Spectrum,
     amplitude,
     analytic,
     benchmark_spec,
+    bin_amplitude_by_phase,
     coherence,
     compute_matrix,
     instantaneous_frequency,
     normalize,
     phase,
+    plv,
     power,
     synth_pac,
     trim,
+    vector_length,
     welch_psd,
 )
 from paclab.signal_core import hilbert
@@ -75,6 +81,66 @@ class TestSignal:
             Signal(np.zeros((2, 2)), FS)
         with pytest.raises(InvalidInputError):
             Signal(np.zeros(0), FS)
+
+
+# samples that are not real numbers, or not a sequence of them
+BAD_SAMPLES = {
+    "complex": np.array([1 + 1j, 2.0]),
+    "complex-real-valued": np.array([1.0, 2.0 + 0j]),
+    "text": ["a", "b"],
+    "numeral-text": ["1", "2"],
+    "object": np.array([1.0, 2.0], dtype=object),
+    "ragged": [[1.0, 2.0], [3.0]],
+}
+
+# every public constructor and helper that takes samples, given bad ones
+TAKERS = {
+    "Signal": lambda bad: Signal(bad, FS),
+    "ComplexSeries": lambda bad: ComplexSeries(bad, FS),
+    "PacMatrix": lambda bad: PacMatrix([bad, bad], "mca", False, GridSpec(1, 2, 3, 4)),
+    "Spectrum": lambda bad: Spectrum([1.0, 2.0], bad, "psd"),
+    "plv": lambda bad: plv(bad, [0.0, 1.0]),
+    "vector_length": lambda bad: vector_length([0.0, 1.0], bad),
+    "bin_amplitude_by_phase": lambda bad: bin_amplitude_by_phase(bad, [1.0, 1.0], 4),
+    "PacAnalyzer.fit": lambda bad: PacAnalyzer(fs=FS).fit(bad),
+}
+
+REFUSALS = [
+    pytest.param(lambda taker=taker, bad=bad: TAKERS[taker](bad), id=f"{taker}-{kind}")
+    for taker in TAKERS for kind, bad in BAD_SAMPLES.items()
+    # complex values are what a ComplexSeries holds
+    if not (taker == "ComplexSeries" and kind.startswith("complex"))
+] + [
+    pytest.param(lambda series=series, fs=fs: series([1.0, 2.0], fs), id=f"{series.__name__}-{name}")
+    for series in (Signal, ComplexSeries)
+    for name, fs in (("bool-fs", True), ("text-fs", "1000"))
+]
+
+
+class TestSampleRule:
+    """One rule for what paclab takes as samples, in signal_core."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", REFUSALS)
+    def test_refused_without_warning(self, call):
+        with pytest.raises(InvalidInputError):
+            call()
+
+    @pytest.mark.parametrize("given", [
+        [1, 0, 3], np.array([1, 0, 3], dtype=np.int16), np.array([1, 0, 1], dtype=bool),
+        [True, False, 2.5], np.array([1, 0, 3], dtype=np.float32),
+    ])
+    def test_real_numbers_are_cast_to_float(self, given):
+        want = np.array(given, dtype=float)
+        x = Signal(given, FS)
+        assert x.samples.dtype == float and np.array_equal(x.samples, want)
+        z = ComplexSeries(given, FS)
+        assert z.values.dtype == complex and np.array_equal(z.values, want)
+
+    @pytest.mark.parametrize("fs", [1000, np.int64(1000), np.float32(1000.0), np.array(1000.0)])
+    def test_any_real_rate_is_a_float(self, fs):
+        x = Signal([0.0, 1.0], fs)
+        assert type(x.fs) is float and x.fs == 1000.0
 
 
 class TestAnalytic:

@@ -154,6 +154,11 @@ class TestPinkNoise:
         with pytest.raises(InvalidInputError):
             pink_noise(n_samples, 1000.0, 1.0, seed=0)
 
+    @pytest.mark.parametrize("target_power", [math.nan, math.inf, -1.0])
+    def test_target_power_must_be_nonnegative_and_finite(self, target_power):
+        with pytest.raises(InvalidInputError, match="target_power"):
+            pink_noise(100, 1000.0, target_power, seed=0)
+
     def test_zero_mean_construction(self):
         x = pink_noise(10000, 1000.0, 5.0, seed=2)
         # DC bin is zeroed, so the sample mean vanishes to rounding
