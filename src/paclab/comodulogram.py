@@ -44,30 +44,32 @@ class _Measure(NamedTuple):
     # reads(n, m_values, cfg) returns (bands read directly, bands read
     # only to be reduced)
     reads: Callable
-    # fewest samples at which jobs=None pools the columns; inf for never.
+    # fewest samples at which jobs=None pools the columns.
     # mca and eps cells run signal-length FFTs (two hilbert transforms and
     # an envelope band-pass; a band-pass and a hilbert transform), and
     # pocketfft releases the GIL, so their columns gain from every core at
-    # any length. mvl and kld cells reduce forms the bank keeps, so their
-    # columns gain only once the Morlet fills at signal length dominate.
+    # any length. mvl, cv and kld columns work on forms the bank keeps or
+    # on one coherence per column, so they gain only once the Morlet fills
+    # at signal length dominate.
     # jobs=2 over jobs=1 wall time, default grid, 2-vCPU VM, mvl/cv/kld:
     # 0.90-0.95/1.00-1.08/1.22-1.32 at 10,000 samples, 0.64/0.80/1.11 at
     # 16,384, 0.65/0.74/0.87 at 20,000, 0.63/0.84/0.75 at 32,768 and
-    # 0.60/0.57/0.61 at 80,000. cv stays serial though it gains too: it
-    # keeps no per-m forms, so a second column's Morlet fill and coherence
-    # (about 25 MB at 300,000 samples) weigh most on it. Pooled on that
-    # default grid, max RSS read cv +24%, kld +12% and mvl +3%
-    pool_from: float
+    # 0.60/0.57/0.61 at 80,000. A cv column keeps no per-m forms, so a
+    # second column's Morlet fill and coherence weigh most on it; its
+    # coherence reads the column's trimmed signal and |zn| in place to
+    # keep that small. Pooled at 300,000 samples on the default grid, max
+    # RSS read cv +21%, kld +11% and mvl +7%
+    pool_from: int
 
 
-# 2**15, the smallest power of two at which mvl and kld both gained
+# 2**15, the smallest power of two at which mvl, cv and kld all gained
 _LONG = 1 << 15
 
 _MEASURES = {
     "mca": _Measure(measures._mca_cells, measures._mca_reads, 0),
     "eps": _Measure(measures._eps_cells, measures._morlet_reads, 0),
     "mvl": _Measure(measures._mvl_cells, measures._morlet_reads, _LONG),
-    "cv": _Measure(measures._cv_cells, measures._cv_reads, math.inf),
+    "cv": _Measure(measures._cv_cells, measures._cv_reads, _LONG),
     "kld": _Measure(measures._kld_cells, measures._morlet_reads, _LONG),
 }
 METHODS = tuple(_MEASURES)
@@ -110,7 +112,11 @@ class GridSpec:
         # stored as int, so 6.0 is written and read back as 6
         for name in ("m_start", "m_stop", "n_start", "n_stop"):
             v = getattr(self, name)
-            if isinstance(v, bool) or int(v) != v or v < 1:
+            try:
+                ok = not isinstance(v, bool) and int(v) == v and v >= 1
+            except (OverflowError, ValueError, TypeError):  # int() of inf, nan, None
+                ok = False
+            if not ok:
                 raise InvalidInputError("grid bounds must be integers >= 1")
             object.__setattr__(self, name, int(v))
         if self.m_stop < self.m_start or self.n_stop < self.n_start:
@@ -186,9 +192,8 @@ def compute_matrix(
     jobs - 1, the only thread pool paclab builds. jobs=None picks the
     count per method and signal length: the usable CPUs capped by
     MAX_JOBS and the column count, for mca and eps at any length and for
-    mvl and kld from 2**15 samples on, where the pool measured a gain;
-    else 1. cv always gets 1: its pooled columns cost the most memory.
-    jobs=1 runs serially on the calling thread.
+    mvl, cv and kld from 2**15 samples on, where the pool measured a gain;
+    else 1. jobs=1 runs serially on the calling thread.
     Results are identical for every jobs because every column is a pure
     function. Columns are handed out in ascending order, and each is
     written out by the thread that ran it as soon as it returns, which

@@ -314,7 +314,7 @@ class FilterBank:
     """
 
     def __init__(self, x: Signal):
-        check_amplitude(x)
+        check_amplitude(x.samples, x.fs)
         self.x = x
         self._cache = _Memo()
         self._derived = _Memo()

@@ -56,7 +56,10 @@ from .filters import (
     morlet_half_length,
 )
 from .signal_core import Signal, _is_count, _series, hilbert
-from .spectral import WelchSpec, coherence
+from .spectral import WelchSpec
+# cv's coherence on arrays, read in place; named coherence here, where the
+# benchmark's traced run wraps it (perfbench/spans.py)
+from .spectral import _coherence as coherence
 
 # Degeneracy thresholds, relative to the reference level of each check.
 # A filtered band whose energy sits at the kernel's stopband floor carries
@@ -552,10 +555,11 @@ def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float
 
 def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # without a slow band the trim depends on n alone, so one coherence
-    # spectrum (or its DegeneratePhaseError) serves the whole column
+    # spectrum (or its DegeneratePhaseError) serves the whole column; the
+    # trimmed signal and |zn| go to it as views, not copied into Signals
     inputs = _morlet_inputs(x, n, cfg, bank)
     spectrum = _once(lambda amp_n, tr: coherence(
-        Signal(_trimmed(x.samples, tr), x.fs), Signal(_trimmed(amp_n, tr), x.fs), cfg.welch))
+        _trimmed(x.samples, tr), _trimmed(amp_n, tr), x.fs, cfg.welch))
 
     def cell(m):
         _, amp_n, tr = inputs(m)

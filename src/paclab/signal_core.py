@@ -126,20 +126,19 @@ class ComplexSeries:
         return self.values.size
 
 
-def check_amplitude(x: Signal) -> None:
-    """Refuse, with InvalidInputError, a signal whose largest |sample| A,
-    over N samples at fs Hz, has A² · max(N, N/fs) above 1e150: past
+def check_amplitude(a: np.ndarray, fs: float) -> None:
+    """Refuse, with InvalidInputError, samples `a` at fs Hz whose largest
+    |sample| A, over N samples, has A² · max(N, N/fs) above 1e150: past
     that bound the squares the measures and the Welch estimates form can
-    overflow. The filter bank and the Welch estimates check every signal
+    overflow. The filter bank and the Welch estimates check every series
     they read."""
-    a = x.samples
     peak = max(float(a.max()), -float(a.min()))
     n = a.size
-    bound = math.sqrt(_SCALE_LIMIT / max(n, n / x.fs))
+    bound = math.sqrt(_SCALE_LIMIT / max(n, n / fs))
     if peak > bound:
         raise InvalidInputError(
             f"peak amplitude {peak:.3g} exceeds {bound:.3g}, the bound for "
-            f"{n} samples at {x.fs:g} Hz"
+            f"{n} samples at {fs:g} Hz"
         )
 
 

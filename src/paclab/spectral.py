@@ -102,16 +102,20 @@ def _density_window(m: int, fs: float) -> np.ndarray:
     return w
 
 
-def _stft(x: Signal, win: int, hop: int) -> np.ndarray:
-    """One-sided STFT of x, frequency × segment and C-contiguous: segments
-    of win samples every hop samples, each mean removed and then tapered.
-    The copy matters: a mean over segments along contiguous memory sums
-    in the order of scipy's, a mean over a transposed view does not."""
-    check_amplitude(x)
-    segs = sliding_window_view(x.samples, win)[::hop]
+def _stft(a: np.ndarray, fs: float, win: int, hop: int) -> np.ndarray:
+    """One-sided STFT of samples `a` at fs Hz, frequency × segment and
+    C-contiguous: segments of win samples every hop samples, each mean
+    removed and then tapered. The copy matters: a mean over segments along
+    contiguous memory sums in the order of scipy's, a mean over a
+    transposed view does not. The tapered segments go before that copy,
+    so the two are never held at once."""
+    check_amplitude(a, fs)
+    segs = sliding_window_view(a, win)[::hop]
     segs = segs - segs.mean(axis=-1, keepdims=True)
-    segs *= _density_window(win, x.fs)
-    return np.ascontiguousarray(rfft(segs, axis=-1).T)
+    segs *= _density_window(win, fs)
+    s = rfft(segs, axis=-1)
+    del segs
+    return np.ascontiguousarray(s.T)
 
 
 def _average(p: np.ndarray, win: int) -> np.ndarray:
@@ -138,7 +142,7 @@ def welch_psd(x: Signal, spec: WelchSpec | None = None) -> Spectrum:
             f"window of {spec.window_len} clipped to signal length {win}",
             stacklevel=2,
         )
-    s = _stft(x, win, hop)
+    s = _stft(x.samples, x.fs, win, hop)
     psd = _average(s.real**2 + s.imag**2, win)
     return Spectrum(rfftfreq(win, 1 / x.fs), psd, "psd")
 
@@ -158,14 +162,20 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     spec = spec or WelchSpec()
     if len(x) != len(y) or x.fs != y.fs:
         raise InvalidInputError("coherence needs equal-length, equal-rate signals")
-    n = len(x)
-    win, hop, segs = _effective_segments(n, spec.window_len, spec.overlap)
+    return _coherence(x.samples, y.samples, x.fs, spec)
+
+
+def _coherence(a: np.ndarray, b: np.ndarray, fs: float, spec: WelchSpec) -> Spectrum:
+    """coherence of the equal-length samples a and b at fs Hz, read in
+    place: cv hands its column's trimmed views here without copying them.
+    Each is refused past check_amplitude's bound as in coherence."""
+    win, hop, segs = _effective_segments(a.size, spec.window_len, spec.overlap)
     if segs < 2:
         raise UnreliableEstimateError(
             f"only {segs} segment(s) of {win} samples; need at least 2"
         )
-    sx = _stft(x, win, hop)
-    sy = _stft(y, win, hop)
+    sx = _stft(a, fs, win, hop)
+    sy = _stft(b, fs, win, hop)
     # scipy.signal.coherence's own steps, so that a spectrum without power
     # raises instead of dividing 0 by 0
     pxx = _average(sx.real**2 + sx.imag**2, win)
@@ -184,4 +194,4 @@ def coherence(x: Signal, y: Signal, spec: WelchSpec | None = None) -> Spectrum:
     pxy = _average(sy * sx.conj(), win)
     coh = np.abs(pxy) ** 2 / pxx / pyy
     coh = np.clip(coh, 0.0, 1.0)
-    return Spectrum(rfftfreq(win, 1 / x.fs), coh, "coherence")
+    return Spectrum(rfftfreq(win, 1 / fs), coh, "coherence")

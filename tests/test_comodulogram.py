@@ -97,6 +97,16 @@ class TestGridSpec:
         with pytest.raises(InvalidInputError):
             GridSpec(1, 3, True, 4)
 
+    @pytest.mark.parametrize("bound", [math.inf, -math.inf, math.nan, np.float64(math.nan),
+                                       None, 1 + 0j])
+    @pytest.mark.parametrize("field", ["m_start", "m_stop", "n_start", "n_stop"])
+    def test_rejects_non_finite_and_non_real_bounds(self, field, bound):
+        # int() raises OverflowError for inf, ValueError for nan and
+        # TypeError for None or a complex; each is a bad bound, refused
+        # like any other
+        with pytest.raises(InvalidInputError, match="grid bounds must be integers >= 1"):
+            GridSpec(**{field: bound})
+
     def test_stores_integral_bounds_as_int(self):
         g = GridSpec(6.0, np.int64(8), 44.0, 46)
         assert g == GridSpec(6, 8, 44, 46)
@@ -805,8 +815,8 @@ class TestPooledColumnOrder:
 
 class TestDefaultJobs:
     """jobs=None runs mca and eps on every usable CPU, the calling thread
-    among them, and mvl and kld too on signals of 2**15 samples or more;
-    cv, and mvl and kld on shorter signals, run on the calling thread
+    among them, and mvl, cv and kld too on signals of 2**15 samples or
+    more; on shorter signals mvl, cv and kld run on the calling thread
     alone."""
 
     @staticmethod
@@ -841,7 +851,7 @@ class TestDefaultJobs:
         pools = self._pools(monkeypatch, 4)
         mat = compute_matrix(x, method, SMALL)
         # the calling thread is the fourth worker
-        pooled = method in ("mca", "eps") or (method != "cv" and n_samples >= 1 << 15)
+        pooled = method in ("mca", "eps") or n_samples >= 1 << 15
         assert pools == ([[3, 3, 3]] if pooled else [])
         assert np.array_equal(mat.values, serial.values)
         assert mat.meta == serial.meta
@@ -862,7 +872,7 @@ class TestDefaultJobs:
     def test_columns_pool_from_their_pool_from_samples(self, monkeypatch, method):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
         measure = paclab.comodulogram._MEASURES[method]
-        pool_from = {"mca": 0, "eps": 0, "mvl": 1 << 15, "cv": math.inf, "kld": 1 << 15}[method]
+        pool_from = {"mca": 0, "eps": 0, "mvl": 1 << 15, "cv": 1 << 15, "kld": 1 << 15}[method]
         assert measure.pool_from == pool_from
         for n_samples in (0, (1 << 15) - 1, 1 << 15, 10**9):
             want = 4 if n_samples >= pool_from else 1
@@ -882,6 +892,23 @@ class TestDefaultJobs:
         for method, measure in paclab.comodulogram._MEASURES.items():
             got = paclab.comodulogram._default_jobs(measure, 50, 10_000)
             assert got == (want if method in ("mca", "eps") else 1)
+
+
+def test_serial_cv_matrix_copies_nothing_it_holds():
+    # a cv column hands its trimmed signal and |zn| to coherence as
+    # views, and the STFT lets its segments go before the transposed
+    # copy: a serial cv matrix traced 83 bytes per sample while it
+    # copied both, 58 since
+    n_samples = 1 << 17
+    spec = dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=n_samples / FS)
+    x = synth_pac(spec).composite
+    tracemalloc.start()
+    try:
+        compute_matrix(x, "cv", GridSpec(1, 12, 30, 50), jobs=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * n_samples
 
 
 class TestNormalize:

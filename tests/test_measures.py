@@ -37,6 +37,7 @@ from paclab import (
     synth_pac,
     vector_length,
 )
+import paclab.spectral
 from paclab.filters import bandpass, gabor_half_length, gabor_kernel, morlet_half_length, triplet
 from paclab.measures import (
     _ZERO_CELL_ERRORS,
@@ -45,6 +46,7 @@ from paclab.measures import (
     _analytic_envelope,
     _Envelope,
 )
+from paclab.signal_core import check_amplitude
 
 FS = 1000.0
 PAIR = (8, 45)
@@ -560,6 +562,23 @@ class TestReferenceMeasures:
         x = coupled_signal(noise=6250.0, seed=3)
         y = Signal(3.7 * x.samples, FS)
         assert abs(cv(y, 8, 45) - cv(x, 8, 45)) < 1e-6
+
+    def test_cv_bounds_both_series_it_reads_in_place(self, monkeypatch):
+        # the column's coherence reads the trimmed signal and the trimmed
+        # |zn| without copying them, and check_amplitude still bounds both
+        x = coupled_signal(noise=6250.0, seed=3)
+        seen = []
+
+        def check(a, fs):
+            seen.append(a)
+            check_amplitude(a, fs)
+
+        monkeypatch.setattr(paclab.spectral, "check_amplitude", check)
+        cv(x, 8, 45)
+        tr = morlet_half_length(45, MeasureConfig().morlet_cycles, FS)
+        assert [a.size for a in seen] == [len(x) - 2 * tr] * 2
+        assert np.shares_memory(seen[0], x.samples)
+        assert np.array_equal(seen[0], x.samples[tr:-tr])
 
     def test_kld_modulated_vs_flat(self):
         coupled = kld(coupled_signal(), 8, 45)

@@ -5,9 +5,8 @@
 Synthesizes one recording with the parent tree's CLI (benchmark pair 1,
 seed 51, DUR seconds at 1 kHz), then runs `pac-lab pac --method M` on it
 for each of METHODS, default grid and jobs, from each tree's `src`, every
-run a fresh interpreter. METHODS are mvl and kld, whose columns the
-default jobs pools on a recording of 2**15 samples or more, cv, which it
-keeps serial there because pooled it held the most memory, and eps, the
+run a fresh interpreter. METHODS are mvl, cv and kld, whose columns the
+default jobs pools on a recording of 2**15 samples or more, and eps, the
 largest of the five. Each method gets PAIRS pairs of
 runs, and the tree that goes first alternates from pair to pair. Prints
 each run's max RSS (ru_maxrss from os.wait4) and, per method and tree,

@@ -9,7 +9,11 @@ kld_bins=18 with morlet_cycles=6, and a Welch segmentation that is not
 the default, an odd window of 999 samples at overlap 0.5 (cv reads it,
 the other methods must not); and eight ways of running: jobs None, 1
 and 2 on the default grid, jobs None, 1, 2 and 8 on GridSpec(1, 12, 30,
-50), and use_cache=False on GridSpec(1, 20, 1, 50). jobs None picks a
+50), and use_cache=False on GridSpec(1, 20, 1, 50). Both stock signals
+have 10,000 samples, below the 2**15 from which jobs=None pools mvl, cv
+and kld, so a third signal, 40 s of benchmark_spec((8, 45)) with seed 0
+(40,000 samples), runs all five methods in the default config at jobs
+None and 1 on GridSpec(1, 12, 30, 50). jobs None picks a
 thread count per method and machine, so jobs 1 keeps the serial path
 compared on every machine. On the default grid nearly every band is read
 until the sweep ends; on the narrow one the filter bank drops bands while
@@ -35,7 +39,7 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 672 of them, and, for
+The script prints the count of equal results, 682 of them, and, for
 each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -54,7 +58,7 @@ import numpy as np
 
 # runs inside each tree's interpreter: argv[1] is the pickle to write
 _CHILD = r"""
-import itertools, pickle, sys
+import dataclasses, itertools, pickle, sys
 import paclab
 import numpy as np
 from paclab import (GridSpec, MeasureConfig, WelchSpec, benchmark_spec, compute_matrix,
@@ -78,6 +82,11 @@ RUNS = {
     "narrow,jobs=8": dict(jobs=8, grid=GridSpec(1, 12, 30, 50)),
     "use_cache=False": dict(use_cache=False, grid=GridSpec(1, 20, 1, 50)),
 }
+# on a signal of 2**15 samples or more, where jobs=None pools every method
+LONG_RUNS = {
+    "long,narrow,jobs=None": dict(jobs=None, grid=GridSpec(1, 12, 30, 50)),
+    "long,narrow,jobs=1": dict(jobs=1, grid=GridSpec(1, 12, 30, 50)),
+}
 CELL_FNS = (mca_pac, eps, mvl, cv, kld)
 # (m, n): in band, then m > n, m below 1 Hz, n + m past and n at Nyquist
 CELLS = ((8, 45), (12, 40), (3, 30), (20, 21), (8, 5), (0.5, 20), (8, 495), (8, 500))
@@ -99,6 +108,14 @@ for seed in SEEDS:
             out[key] = ("ok", np.array(fn(x, m, n, MeasureConfig(**cfg))), None)
         except Exception as e:
             out[key] = ("raised", type(e).__name__, str(e))
+x = synth_pac(dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=40.0)).composite
+for method, (rname, kw) in itertools.product(METHODS, LONG_RUNS.items()):
+    key = ("40 s", method, "default", rname)
+    try:
+        mat = compute_matrix(x, method, **kw)
+        out[key] = ("ok", mat.values, mat.meta["cached_filterings"])
+    except Exception as e:
+        out[key] = ("raised", type(e).__name__, str(e))
 with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
