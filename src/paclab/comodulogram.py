@@ -10,6 +10,7 @@ import math
 import os
 import statistics
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
@@ -20,7 +21,7 @@ from . import measures
 from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
 from .measures import MeasureConfig
-from .signal_core import Signal, _is_count, _numbers
+from .signal_core import Signal, _instance, _is_count, _numbers
 from .synthesis import (
     BENCHMARK_AMI,
     BENCHMARK_CLEAN_POWER,
@@ -35,21 +36,23 @@ from .synthesis import (
 
 
 class _Measure(NamedTuple):
-    """One method: its cell factory, the bands its columns read, and the
-    signal length from which its columns gain from the column pool."""
+    """One method: its cell factory, the bands its columns read, the
+    signal length from which its cells gain from the pool, and whether
+    its cells only read what their column's prologue made."""
 
-    # cells(x, n, cfg, bank) returns the measure on the column at n as a
-    # function of m, and measures._column scores a column
+    # cells(x, n, cfg, bank) does the column's n-only work and returns the
+    # measure on the column at n as a function of m; compute_matrix builds
+    # it once per column and calls it once per cell
     cells: Callable
     # reads(n, m_values, cfg) returns (bands read directly, bands read
     # only to be reduced)
     reads: Callable
-    # fewest samples at which jobs=None pools the columns.
+    # fewest samples at which jobs=None pools the cells.
     # mca and eps cells run signal-length FFTs (two hilbert transforms and
     # an envelope band-pass; a band-pass and a hilbert transform), and
-    # pocketfft releases the GIL, so their columns gain from every core at
-    # any length. mvl, cv and kld columns work on forms the bank keeps or
-    # on one coherence per column, so they gain only once the Morlet fills
+    # pocketfft releases the GIL, so they gain from every core at any
+    # length. mvl, cv and kld work on forms the bank keeps or on one
+    # coherence per column, so they gain only once the Morlet fills
     # at signal length dominate.
     # jobs=2 over jobs=1 wall time, default grid, 2-vCPU VM, mvl/cv/kld:
     # 0.90-0.95/1.00-1.08/1.22-1.32 at 10,000 samples, 0.64/0.80/1.11 at
@@ -60,6 +63,11 @@ class _Measure(NamedTuple):
     # keep that small. Pooled at 300,000 samples on the default grid, max
     # RSS read cv +21%, kld +11% and mvl +7%
     pool_from: int
+    # cv's cells only read its prologue's coherence: its reads of the bank
+    # end with the prologue, and pooled, its prologues run one column
+    # further ahead, so a thread done early starts the next one instead of
+    # waiting (3% of long_recording cv.matrix_s, 3 columns on 2 threads)
+    reads_prologue: bool = False
 
 
 # 2**15, the smallest power of two at which mvl, cv and kld all gained
@@ -69,7 +77,7 @@ _MEASURES = {
     "mca": _Measure(measures._mca_cells, measures._mca_reads, 0),
     "eps": _Measure(measures._eps_cells, measures._morlet_reads, 0),
     "mvl": _Measure(measures._mvl_cells, measures._morlet_reads, _LONG),
-    "cv": _Measure(measures._cv_cells, measures._cv_reads, _LONG),
+    "cv": _Measure(measures._cv_cells, measures._cv_reads, _LONG, reads_prologue=True),
     "kld": _Measure(measures._kld_cells, measures._morlet_reads, _LONG),
 }
 METHODS = tuple(_MEASURES)
@@ -86,9 +94,9 @@ MAX_SEEDS = 10_000
 
 # Most worker threads compute_matrix and run_comparison accept, and the
 # cap on the default worker count. The calling thread and up to jobs - 1
-# pool threads each work on one of a grid's columns at a time; past the
-# cores of any machine this runs on, more threads only hold more columns'
-# temporaries at once.
+# pool threads each work on one of a grid's cells, or one column's n-only
+# work, at a time; past the cores of any machine this runs on, more
+# threads only hold more temporaries at once.
 MAX_JOBS = 256
 
 # Most runs (pairs x seeds x methods) a comparison accepts: MAX_SEEDS
@@ -181,34 +189,38 @@ def compute_matrix(
     """Evaluate one measure at every cell with m < n.
 
     Cells outside the measure's valid band and degenerate cells score 0,
-    so the result is always a complete triangular matrix. The measure runs
-    one n column at a time, so work that depends on n alone is done once
-    per column (and for mca, eps, mvl and kld, work that depends on m
-    alone once per matrix, kept in the shared filter bank). By a read plan
-    made from the grid, the bank holds a band only until its last planned
-    read is over, and fills no band twice.
+    so the result is always a complete triangular matrix. Work that
+    depends on n alone is done once per column, as its cell factory is
+    built (and for mca, eps, mvl and kld, work that depends on m alone
+    once per matrix, kept in the shared filter bank). By a read plan made
+    from the grid, the bank holds a band only until its last planned read
+    is over, and fills no band twice.
 
-    Columns run on `jobs` threads: the calling thread and a pool of
+    Cells run on `jobs` threads: the calling thread and a pool of
     jobs - 1, the only thread pool paclab builds. jobs=None picks the
     count per method and signal length: the usable CPUs capped by
-    MAX_JOBS and the column count, for mca and eps at any length and for
+    MAX_JOBS and the cell count, for mca and eps at any length and for
     mvl, cv and kld from 2**15 samples on, where the pool measured a gain;
     else 1. jobs=1 runs serially on the calling thread.
-    Results are identical for every jobs because every column is a pure
-    function. Columns are handed out in ascending order, and each is
-    written out by the thread that ran it as soon as it returns, which
-    ends its reads of the bank. Pooled columns start at staggered m and
-    wrap around, and a pooled column that raises raises the error of
-    serial order. A worker thread that cannot start raises MemoryError.
-    With use_cache=False every cell is a one-cell column on a fresh bank,
-    planned for that cell. A grid reaching Nyquist, in m or in n, or
-    holding more than MAX_GRID_CELLS cells, and jobs other than None or
-    an integer in [1, MAX_JOBS] are refused before any work.
+    Results are identical for every jobs because every cell is a pure
+    function. The cells go out in serial order (n, then m ascending),
+    each column's prologue, which builds its factory, jobs - 1 columns
+    ahead of them (jobs for cv). The thread that finishes a column's last
+    cell drops its factory and ends its reads of the bank. Nothing goes
+    out after a failing cell, and prologues never raise, so a pooled
+    matrix raises the error of serial order. A worker thread that cannot
+    start raises MemoryError.
+    With use_cache=False every cell runs on a fresh bank, planned for
+    that cell. An x, grid or cfg that is not a Signal, GridSpec or
+    MeasureConfig, a grid reaching Nyquist, in m or in n, or holding more
+    than MAX_GRID_CELLS cells, and jobs other than None or an integer in
+    [1, MAX_JOBS] are refused before any work.
     """
     if method not in _MEASURES:
         raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
-    grid = grid or GridSpec()
-    cfg = cfg or MeasureConfig()
+    _instance(x, Signal, "x")
+    grid = GridSpec() if grid is None else _instance(grid, GridSpec, "grid")
+    cfg = MeasureConfig() if cfg is None else _instance(cfg, MeasureConfig, "cfg")
     # checked before any grid array is built. Once n is below Nyquist, the
     # columns at m >= Nyquist hold only cells with m > n, zero by contract
     top = max(grid.m_stop, grid.n_stop)
@@ -232,30 +244,53 @@ def compute_matrix(
         for i, n in enumerate(n_vals)
         if m_vals[0] < n
     ]
+    cells = [(k, j) for k, (_, _, ms) in enumerate(columns) for j in range(len(ms))]
     if jobs is None:
-        jobs = _default_jobs(measure, len(columns), len(x))
+        jobs = _default_jobs(measure, len(cells), len(x))
 
     if bank is not None:
         measures._plan(bank, measure.reads, columns, cfg)
+        ahead = jobs if jobs > 1 and measure.reads_prologue else jobs - 1
+        units = _with_prologues(cells, len(columns), ahead)
+    else:
+        units = cells
 
-    def one(col):
-        i, n, ms = col
-        if bank is not None:
-            # pooled columns start at staggered m, so concurrent columns
-            # fill different per-m bank entries instead of waiting on one
-            start = (i % jobs) * len(ms) // jobs
-            return measures._column(measure.cells, x, n, ms, cfg, bank, start)
-        return [measures._column(measure.cells, x, n, [m], cfg,
-                                 measures._cell_bank(x, measure.reads, m, n, cfg))[0]
-                for m in ms]
+    # column k's cell function, built by one thread under locks[k]: None
+    # before, False once its last cell is done
+    made = [None] * len(columns)
+    locks = [threading.Lock() for _ in columns]
+    # a token per cell not done yet; deque.pop is thread-safe
+    left = [deque(range(len(ms))) for _, _, ms in columns]
 
-    def finish(k, values):
-        i = columns[k][0]
-        out[i, :len(values)] = values
-        if bank is not None:
-            bank.done(i)
+    def build(k):
+        with locks[k]:
+            if made[k] is None:
+                made[k] = measure.cells(x, columns[k][1], cfg, bank)
+        return made[k]
 
-    _sweep(columns, jobs, one, finish)
+    def run(unit):
+        k, j = unit
+        i, n, ms = columns[k]
+        if j is None:  # the column's prologue
+            build(k)
+            if measure.reads_prologue:
+                bank.done(i)
+            return
+        if bank is None:
+            cell = measure.cells(x, n, cfg, measures._cell_bank(x, measure.reads, ms[j], n, cfg))
+        else:
+            cell = made[k] or build(k)
+        try:
+            out[i, j] = cell(ms[j])
+        except measures._ZERO_CELL_ERRORS:
+            pass
+        # the cell that pops a column's last token, 0, is its last to finish
+        if bank is not None and not left[k].pop():
+            made[k] = False  # lets go of the column's n-only forms
+            if not measure.reads_prologue:
+                bank.done(i)
+
+    _sweep(units, jobs, run)
 
     meta = {
         "fs": x.fs,
@@ -266,36 +301,51 @@ def compute_matrix(
     return PacMatrix(out, method, False, grid, meta)
 
 
-def _default_jobs(measure: _Measure, n_columns: int, n_samples: int) -> int:
+def _with_prologues(cells: list, n_columns: int, ahead: int) -> list:
+    """cells (k, j), in serial order, with the prologue (k, None) of each
+    column k just before the cells of column k - ahead."""
+    units = [(k, None) for k in range(min(ahead, n_columns))]
+    for unit in cells:
+        k, j = unit
+        if j == 0 and k + ahead < n_columns:
+            units.append((k + ahead, None))
+        units.append(unit)
+    return units
+
+
+def _default_jobs(measure: _Measure, n_cells: int, n_samples: int) -> int:
     """Threads for compute_matrix(jobs=None): 1 below the measure's
     pool_from samples, else the usable CPUs capped by MAX_JOBS and
-    n_columns."""
+    n_cells."""
     if n_samples < measure.pool_from:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call (macOS, Windows)
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_JOBS, n_columns))
+    return max(1, min(cpus, MAX_JOBS, n_cells))
 
 
-def _sweep(columns: list, jobs: int, run, finish) -> None:
-    """finish(k, run(column k)) for every column k, on the calling thread
-    and a pool of jobs - 1 threads: the thread that ran a column finishes
-    it as soon as it returns.
+def _sweep(units: list, jobs: int, run) -> None:
+    """run(unit) for every unit, on the calling thread and a pool of
+    jobs - 1 threads; jobs=1 runs them in a plain loop.
 
-    Columns are handed out in ascending order and none after a failed
-    one, so every column below the smallest failing one has run, and its
-    error, the one of serial order, is raised once the threads stop. The
-    caller works too: under glibc each allocating thread gets a malloc
-    arena of its own, and on the stock matrix benchmark jobs pool threads
-    beside an idle caller raised peak RSS 12-13%. A pool thread that
-    cannot start raises MemoryError.
+    Units are handed out in list order and none after a failed one, so
+    every unit before the first failing one has run, and its error, the
+    one of serial order, is raised once the threads stop. The caller
+    works too: under glibc each allocating thread gets a malloc arena of
+    its own, and on the stock matrix benchmark jobs pool threads beside
+    an idle caller raised peak RSS 12-13%. A pool thread that cannot
+    start raises MemoryError.
     """
+    if jobs == 1:
+        for unit in units:
+            run(unit)
+        return
     lock = threading.Lock()
     errors = {}
     taken = 0
-    stop = len(columns)  # no column from this index on is handed out
+    stop = len(units)  # no unit from this index on is handed out
 
     def work():
         nonlocal taken, stop
@@ -306,31 +356,29 @@ def _sweep(columns: list, jobs: int, run, finish) -> None:
                 k = taken
                 taken += 1
             try:
-                finish(k, run(columns[k]))
+                run(units[k])
             except Exception as e:  # raised on the calling thread below
                 with lock:
                     errors[k] = e
                     stop = min(stop, k)
                 return
 
-    pool = ThreadPoolExecutor(max_workers=jobs - 1) if jobs > 1 else None
+    pool = ThreadPoolExecutor(max_workers=jobs - 1)
     workers = []
     try:
-        if pool is not None:
-            # submit starts a thread, so this is where one fails to start
-            try:
-                workers = [pool.submit(work) for _ in range(jobs - 1)]
-            except RuntimeError as e:
-                raise MemoryError(f"cannot start a worker thread: {e}") from e
+        # submit starts a thread, so this is where one fails to start
+        try:
+            workers = [pool.submit(work) for _ in range(jobs - 1)]
+        except RuntimeError as e:
+            raise MemoryError(f"cannot start a worker thread: {e}") from e
         work()
         for w in workers:
             w.result()
     finally:
-        if pool is not None:
-            # an error hands out no more columns; the running ones finish
-            with lock:
-                stop = 0
-            pool.shutdown()
+        # an error hands out no more units; the running ones finish
+        with lock:
+            stop = 0
+        pool.shutdown()
     if errors:
         raise errors[min(errors)]
 
@@ -338,6 +386,7 @@ def _sweep(columns: list, jobs: int, run, finish) -> None:
 def normalize(mat: PacMatrix) -> PacMatrix:
     """Scale so the largest cell is exactly 1; an all-zero matrix only
     gets its flag set. Applying twice changes nothing."""
+    _instance(mat, PacMatrix, "mat")
     mx = float(mat.values.max()) if mat.values.size else 0.0
     vals = mat.values if mx <= 0 else mat.values / mx
     return PacMatrix(vals, mat.method, True, mat.grid, dict(mat.meta))
@@ -346,6 +395,7 @@ def normalize(mat: PacMatrix) -> PacMatrix:
 def argmax(mat: PacMatrix):
     """Largest cell as (m, n, value); ties go to the smallest n, then the
     smallest m. Returns None when every cell is zero."""
+    _instance(mat, PacMatrix, "mat")
     # rows follow n and columns m, so the first maximum in C order is the
     # one with the smallest n, then the smallest m
     i, j = np.unravel_index(np.argmax(mat.values), mat.values.shape)
@@ -497,14 +547,15 @@ def run_comparison(
     matrix_sink, when given, receives (matrix, pair, method, seed) for each
     normalized matrix, in the order pair, seed, method, as it is made; an
     error stops the comparison there. Results are deterministic for a
-    fixed base_seed regardless of jobs.
+    fixed base_seed regardless of jobs. A grid or cfg of another type
+    than GridSpec or MeasureConfig is refused before any work.
     """
     methods = list(methods)
     seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,
                                    noise_power, clean_power)
     _check_jobs(jobs)
-    grid = grid or GridSpec()
-    cfg = cfg or MeasureConfig()
+    grid = GridSpec() if grid is None else _instance(grid, GridSpec, "grid")
+    cfg = MeasureConfig() if cfg is None else _instance(cfg, MeasureConfig, "cfg")
 
     runs = []
     for pair, spec in specs.items():

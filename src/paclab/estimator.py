@@ -63,6 +63,10 @@ class PacAnalyzer:
         return Signal(X, self.fs)
 
     def _matrix(self, x: Signal) -> PacMatrix:
+        # any truthy value would otherwise count as True
+        if not isinstance(self.normalize, (bool, np.bool_)):
+            raise InvalidInputError(
+                f"normalize must be a bool, not {type(self.normalize).__name__}")
         mat = compute_matrix(
             x,
             method=self.method,

@@ -5,25 +5,27 @@ Five estimators share this module: the narrowband-triplet measure
 phase-locking value and phase-binning support they build on.
 
 Each measure is written once, as a cell factory: _<name>_cells(x, n,
-cfg, bank) returns the measure on the column at n as a function of m.
-Next to the factories, a reads function (_mca_reads, _morlet_reads for
-eps, mvl and kld, _cv_reads) names the filter-bank bands a column reads
-directly and those it reads only to reduce, from which compute_matrix
-plans how long the bank holds each band. Work that depends on n alone is
-done once per column. Work that depends on m alone is kept in the filter
-bank for as long as the bank lives: each measure reduces its slow band
-at m, through FilterBank.reduce, to one form, mca's slow-band weight and
-unit phasor, eps's unit phasor z_m/|z_m|, mvl's unit phasor and kld's
+cfg, bank) does the column's n-only work at once (the Morlet fill at n
+and |z_n|, eps's padded envelope spectrum, cv's coherence) and returns
+the measure on the column at n as a function of m, which raises an error
+of that work where it reads the value. Next to the factories, a reads
+function (_mca_reads, _morlet_reads for eps, mvl and kld, _cv_reads)
+names the filter-bank bands a column reads directly and those it reads
+only to reduce, from which compute_matrix plans how long the bank holds
+each band. Work that depends on m alone is kept in the filter bank for
+as long as the bank lives: each measure reduces its slow band at m,
+through FilterBank.reduce, to one form, mca's slow-band weight and unit
+phasor, eps's unit phasor z_m/|z_m|, mvl's unit phasor and kld's
 phase-bin index (with its bin counts per trim). No reduction returns a
 band, and no cell reads a slow band, only its form. mca and eps score
 the PLV through one kernel, |mean(slow * conj(z_env/|z_env|))|, with no
 angle and no complex exp.
-compute_matrix scores a column through _column, where a cell with
-nothing to score is 0; the public per-cell function evaluates one cell
-on a one-cell bank, planned by the same reads function, through _cell
-and raises instead. The public helpers plv, vector_length and
-bin_amplitude_by_phase check their arguments, finite samples included;
-the last two run the same private kernels as the cells.
+compute_matrix builds each column's factory once and scores each cell
+from it, a cell with nothing to score as 0; the public per-cell function
+evaluates one cell on a one-cell bank, planned by the same reads
+function, through _cell and raises instead. The public helpers plv,
+vector_length and bin_amplitude_by_phase check their arguments, finite
+samples included; the last two run the same private kernels as the cells.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .errors import (
     DegeneratePhaseError,
     InvalidInputError,
     OutOfBandError,
-    PacError,
     SignalTooShortError,
 )
 from .filters import (
@@ -55,7 +56,7 @@ from .filters import (
     gabor_half_length,
     morlet_half_length,
 )
-from .signal_core import Signal, _is_count, _series, hilbert
+from .signal_core import Signal, _instance, _is_count, _series, hilbert
 from .spectral import WelchSpec
 # cv's coherence on arrays, read in place; named coherence here, where the
 # benchmark's traced run wraps it (perfbench/spans.py)
@@ -178,18 +179,20 @@ class _Envelope:
     """An amplitude envelope prepared for band-passing at many m.
 
     `samples` share the rate of the bank's signal. The reflection-padded
-    envelope's spectrum is taken once per kernel length and each kernel's
-    spectrum comes from the bank, so a band-pass is one product and one
-    irfft, bit for bit filters.bandpass. The reference RMS of the envelope
-    is worked out once.
+    envelope's spectrum is taken once per kernel length, at once for width
+    `bw` when given, and each kernel's spectrum comes from the bank, so a
+    band-pass is one product and one irfft, bit for bit filters.bandpass.
+    The reference RMS of the envelope is worked out once.
     """
 
-    def __init__(self, samples: np.ndarray, bank: FilterBank):
+    def __init__(self, samples: np.ndarray, bank: FilterBank, bw: float | None = None):
         self.samples = samples
         self.fs = bank.x.fs
         self.bank = bank
         self.ref = _rms(samples)
         self._padded = None
+        if bw is not None:
+            self._padded = ReflectedSpectrum(samples, 2 * gabor_half_length(bw, self.fs) + 1)
 
     def bandpass(self, m: float, bw: float) -> np.ndarray:
         n_taps = 2 * _gabor_half(FilterSpec(center=m, bw_hz=bw), self.fs, len(self.samples)) + 1
@@ -230,31 +233,11 @@ def _phase_locking(slow: np.ndarray, z_env: np.ndarray) -> float:
     return float(np.abs(np.mean(env)))
 
 
-def _column(cells, x: Signal, n: float, m_values, cfg: MeasureConfig,
-            bank: FilterBank, start: int = 0) -> np.ndarray:
-    """cells(x, n, cfg, bank)(m) for each m of a column; a cell with
-    nothing to score is 0. Cells are evaluated from index `start` on,
-    wrapping around, and each value lands at its own index. A column
-    that raises from a later start is evaluated again from 0, so it
-    raises the error of its first failing m, as in ascending order."""
-    cell = cells(x, n, cfg, bank)
-    out = np.zeros(len(m_values))
-    for j in [*range(start, len(m_values)), *range(start)]:
-        try:
-            out[j] = cell(m_values[j])
-        except _ZERO_CELL_ERRORS:
-            pass
-        except PacError:
-            if start == 0:
-                raise
-            return _column(cells, x, n, m_values, cfg, bank)
-    return out
-
-
 def _cell(cells, reads, x: Signal, m: float, n: float, cfg: MeasureConfig | None) -> float:
     """One cell of a measure, on a one-cell bank; raises where a column
     would score 0."""
-    cfg = cfg or MeasureConfig()
+    _instance(x, Signal, "x")
+    cfg = MeasureConfig() if cfg is None else _instance(cfg, MeasureConfig, "cfg")
     return cells(x, n, cfg, _cell_bank(x, reads, m, n, cfg))(m)
 
 
@@ -277,18 +260,16 @@ def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
 
 
 def _once(compute):
-    """compute(*args) on the first call only: later calls return its value,
-    or raise its PacError, again. A column's work that depends on n alone
-    goes through one of these."""
-    memo = []
+    """compute() at once, as a function that returns its value, or raises
+    its error, on every call. A column's n-only work goes through one of
+    these, so building the column's cells never raises: each cell raises
+    any error of the work where it reads the value, as if it did the work."""
+    try:
+        value, error = compute(), None
+    except Exception as e:
+        value, error = None, e
 
-    def get(*args):
-        if not memo:
-            try:
-                memo.append((compute(*args), None))
-            except PacError as e:
-                memo.append((None, e))
-        value, error = memo[0]
+    def get():
         if error is not None:
             raise error
         return value
@@ -431,11 +412,11 @@ def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
                    slow: tuple | None = None, envelope_filter: bool = False):
     """Per-cell inputs of one Morlet-measure column at n.
 
-    Returns inputs(m) -> (slow form at m, None without `slow`; |zn|,
-    worked out once per column; per-edge trim). `slow` is (key, fn): the
-    Morlet band at m is reduced to fn(band), kept in the bank under
-    key + (m,), once per m. The default trim is the widest kernel in use,
-    counting the envelope band-pass when `envelope_filter`.
+    Returns (amp, inputs): amp() -> |zn|, worked out at once; inputs(m)
+    -> (slow form at m, None without `slow`; |zn|; per-edge trim). `slow`
+    is (key, fn): the Morlet band at m is reduced to fn(band), kept in the
+    bank under key + (m,), once per m. The default trim is the widest
+    kernel in use, counting the envelope band-pass when `envelope_filter`.
     """
     cycles = cfg.morlet_cycles
     amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
@@ -455,7 +436,7 @@ def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
         _check_trim(len(x), tr)
         return form, amp_n, tr
 
-    return inputs
+    return amp, inputs
 
 
 def _morlet_reads(n: float, m_values, cfg: MeasureConfig):
@@ -477,17 +458,17 @@ def eps(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 
 def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    # |zn| depends on n alone, so its spectrum serves every cell of the
-    # column; the bank keeps the envelope kernels' spectra and the slow
-    # phasors z_m/|z_m|
+    # |zn| depends on n alone, so its padded spectrum, taken with |zn|,
+    # serves every cell of the column; the bank keeps the envelope
+    # kernels' spectra and the slow phasors z_m/|z_m|
     slow = (("eps_phasor", float(cfg.morlet_cycles)), _unit)
-    inputs = _morlet_inputs(x, n, cfg, bank, slow, envelope_filter=True)
-    envelope = _once(lambda amp_n: _Envelope(amp_n, bank))
+    amp, inputs = _morlet_inputs(x, n, cfg, bank, slow, envelope_filter=True)
+    envelope = _once(lambda: _Envelope(amp(), bank, cfg.mca_bw))
 
     def cell(m):
-        phasor, amp_n, tr = inputs(m)
+        phasor, _, tr = inputs(m)
         try:
-            z_env = _analytic_envelope(envelope(amp_n), m, cfg.mca_bw)
+            z_env = _analytic_envelope(envelope(), m, cfg.mca_bw)
         except DegeneratePhaseError:
             return 0.0
         return _phase_locking(_trimmed(phasor, tr), _trimmed(z_env, tr))
@@ -535,7 +516,7 @@ def mvl(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> floa
 
 def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     slow = (("mvl_phasor", float(cfg.morlet_cycles)), _unit_phasor)
-    inputs = _morlet_inputs(x, n, cfg, bank, slow)
+    _, inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
         phasor, amp_n, tr = inputs(m)
@@ -554,16 +535,23 @@ def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float
 
 
 def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
-    # without a slow band the trim depends on n alone, so one coherence
-    # spectrum (or its DegeneratePhaseError) serves the whole column; the
-    # trimmed signal and |zn| go to it as views, not copied into Signals
-    inputs = _morlet_inputs(x, n, cfg, bank)
-    spectrum = _once(lambda amp_n, tr: coherence(
-        _trimmed(x.samples, tr), _trimmed(amp_n, tr), x.fs, cfg.welch))
+    # without a slow band the trim depends on n alone, so the whole column
+    # is n-only work: one coherence spectrum (or its error) serves every
+    # cell. The trimmed signal and |zn| go to it as views, not Signals
+    def column():
+        cycles = cfg.morlet_cycles
+        amp_n = np.abs(bank.morlet(n, cycles))
+        tr = cfg.edge_trim
+        if tr is None:
+            tr = morlet_half_length(n, cycles, x.fs)
+        _check_trim(len(x), tr)
+        return coherence(_trimmed(x.samples, tr), _trimmed(amp_n, tr), x.fs, cfg.welch)
+
+    spectrum = _once(column)
 
     def cell(m):
-        _, amp_n, tr = inputs(m)
-        return spectrum(amp_n, tr).value_at(m)
+        _check_band(m, n, x.fs)
+        return spectrum().value_at(m)
 
     return cell
 
@@ -640,7 +628,7 @@ def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # bin indices are kept in the narrowest unsigned type that holds them
     slow = (("kld_bins", cycles, n_bins),
             lambda zm: _phase_bins(np.angle(zm), n_bins).astype(np.min_scalar_type(n_bins - 1)))
-    inputs = _morlet_inputs(x, n, cfg, bank, slow)
+    _, inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
         idx, amp_n, tr = inputs(m)

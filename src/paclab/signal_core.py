@@ -77,6 +77,13 @@ def _rate(fs) -> float:
     return float(f)
 
 
+def _instance(value, cls, name: str):
+    """value if it is a cls, else InvalidInputError naming cls."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, not {type(value).__name__}")
+    return value
+
+
 def _is_count(v) -> bool:
     """True for an integer that is not a bool: True is an Integral, but
     it counts nothing. The one rule for every count paclab takes."""

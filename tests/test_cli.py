@@ -400,10 +400,15 @@ class TestOutOfMemory:
         assert sorted(tmp_path.iterdir()) == before
 
     def test_a_column_runtime_error_is_not_a_thread_error(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise RuntimeError("column")
+        def broken_cells(*args):
+            def cell(m):
+                raise RuntimeError("column")
 
-        monkeypatch.setattr(paclab.measures, "_column", broken)
+            return cell
+
+        measure = paclab.comodulogram._MEASURES["mca"]
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, "mca",
+                            measure._replace(cells=broken_cells))
         x = synth_pac(benchmark_spec((8, 45), seed=0)).composite
         with pytest.raises(RuntimeError, match="^column$"):
             compute_matrix(x, "mca", GridSpec(6, 10, 42, 48), jobs=2)

@@ -357,11 +357,19 @@ def _low_rate_signal():
     return synth_pac(spec).composite
 
 
+def _long_signal():
+    # 2**15 samples, from which jobs=None pools every method
+    spec = dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=(1 << 15) / FS)
+    return synth_pac(spec).composite
+
+
 # the stock grid has rows with no cell, rows with some cells (m < n) and
-# the true cell (8, 45)
+# the true cell (8, 45); the zoom grid is the benchmark's 3x3 block around
+# it, fewer columns than cells per worker
 COLUMN_CASES = {
     "stock": (lambda: coupled(seed=0), GridSpec(7, 9, 6, 46)),
     "nyquist": (_low_rate_signal, GridSpec(4, 12, 110, 120)),
+    "zoom": (_long_signal, GridSpec(7, 9, 44, 46)),
 }
 
 
@@ -673,8 +681,8 @@ class TestBandLiveness:
     @pytest.mark.parametrize("method", METHODS)
     def test_a_returned_column_frees_its_bands_before_earlier_columns_return(
             self, monkeypatch, method):
-        # column 0 waits until the later columns have returned: their bands
-        # that column 0 does not read must be gone by then
+        # column 0's last cell waits until the later columns have returned:
+        # their bands that column 0 does not read must be gone by then
         x = coupled(seed=0)
         grid = GridSpec(7, 8, 44, 47)
         measure = paclab.comodulogram._MEASURES[method]
@@ -684,15 +692,22 @@ class TestBandLiveness:
         returned = set()
 
         def blocking_cells(x, n, cfg, bank):
-            if n == grid.n_start:
-                released.wait(10)
-            return measure.cells(x, n, cfg, bank)
+            cell = measure.cells(x, n, cfg, bank)
+
+            def blocking(m):
+                if n == grid.n_start and m == grid.m_stop:
+                    released.wait(10)
+                return cell(m)
+
+            return blocking
 
         class RecordingBank(FilterBank):
             def done(self, column):
                 super().done(column)
                 returned.add(column)
-                if returned == set(range(1, later + 1)):
+                # a cv column's reads end with its prologue, so column 0 may
+                # be among them
+                if returned >= set(range(1, later + 1)) and not released.is_set():
                     held.append(set(self._cache.values))
                     released.set()
 
@@ -743,13 +758,15 @@ class TestBandLiveness:
 
 
 class TestPooledColumnOrder:
-    """Pooled columns start at staggered m, so the first wave fills
-    different per-m entries; serial columns walk m in ascending order."""
+    """The pool hands out cells in serial order, n then m ascending, each
+    column's n-only work ahead of its cells, and raises the error of that
+    order."""
 
     @staticmethod
     def _cell_order(monkeypatch, method, x, grid, jobs):
-        """The m values each column evaluated, in order, by n."""
-        order = collections.defaultdict(list)
+        """The (n, m) of each cell evaluated, in the order the cells
+        started."""
+        order = []
         lock = threading.Lock()
         measure = paclab.comodulogram._MEASURES[method]
 
@@ -758,7 +775,7 @@ class TestPooledColumnOrder:
 
             def logged(m):
                 with lock:
-                    order[n].append(m)
+                    order.append((n, m))
                 return cell(m)
 
             return logged
@@ -769,19 +786,59 @@ class TestPooledColumnOrder:
         return order
 
     @pytest.mark.parametrize("method", ["mca", "eps"])
-    def test_pooled_columns_start_at_staggered_m(self, monkeypatch, method):
+    def test_cells_run_in_serial_order_once_each(self, monkeypatch, method):
         grid = GridSpec(1, 8, 30, 35)
-        ms = [int(m) for m in grid.m_values]
         x = coupled(seed=0)
+        cells = [(n, m) for n in grid.n_values for m in grid.m_values if m < n]
         serial = self._cell_order(monkeypatch, method, x, grid, 1)
-        assert all(serial[n] == ms for n in grid.n_values)
-        pooled = self._cell_order(monkeypatch, method, x, grid, 2)
-        first, second = (pooled[n] for n in grid.n_values[:2])
-        assert first[0] != second[0]
-        # each column is a rotation of m ascending: every cell once
-        for n in grid.n_values:
-            s = ms.index(pooled[n][0])
-            assert pooled[n] == ms[s:] + ms[:s]
+        assert serial == cells
+        for jobs in (2, 8):
+            assert sorted(self._cell_order(monkeypatch, method, x, grid, jobs)) == cells
+
+    def test_prologues_run_ahead_of_their_cells(self):
+        # three columns of two cells; (k, None) is column k's prologue
+        cells = [(k, j) for k in range(3) for j in range(2)]
+        with_prologues = paclab.comodulogram._with_prologues
+        assert with_prologues(cells, 3, 0) == [
+            (0, None), (0, 0), (0, 1), (1, None), (1, 0), (1, 1), (2, None), (2, 0), (2, 1)]
+        assert with_prologues(cells, 3, 1) == [
+            (0, None), (1, None), (0, 0), (0, 1), (2, None), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert with_prologues(cells, 3, 2) == [
+            (0, None), (1, None), (2, None), (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        assert with_prologues(cells, 3, 7) == with_prologues(cells, 3, 2)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_column_runs_on_more_than_one_thread(self, monkeypatch, method):
+        # the first cell to start waits for a cell on another thread
+        grid = GridSpec(1, 12, 30, 30)
+        measure = paclab.comodulogram._MEASURES[method]
+        threads = []  # the thread of each cell, in the order they started
+        lock = threading.Lock()
+        two = threading.Event()
+
+        def waiting_cells(x, n, cfg, bank):
+            cell = measure.cells(x, n, cfg, bank)
+
+            def waiting(m):
+                me = threading.get_ident()
+                with lock:
+                    threads.append(me)
+                    first = len(threads) == 1
+                if first:
+                    two.wait(5)
+                elif me != threads[0]:
+                    two.set()
+                return cell(m)
+
+            return waiting
+
+        x = coupled(seed=0)
+        want = compute_matrix(x, method, grid, jobs=1)
+        monkeypatch.setitem(paclab.comodulogram._MEASURES, method,
+                            measure._replace(cells=waiting_cells))
+        got = compute_matrix(x, method, grid, jobs=2)
+        assert len(set(threads)) == 2
+        assert np.array_equal(got.values, want.values)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_pooled_errors_are_the_serial_errors(self, method):
@@ -797,19 +854,18 @@ class TestPooledColumnOrder:
 
     @pytest.mark.parametrize("method", ["eps", "mvl", "kld"])
     def test_a_column_raises_its_first_failing_m(self, method):
-        # a column started at m = 2 still reports the kernel of m = 1, not
-        # that of m = 2, which does not fit either
+        # a column whose cells run on several threads still reports the
+        # kernel of m = 1, not that of m = 2, which does not fit either
         x = pink_noise(1500, 1000.0, 1.0, seed=0)
-        cells = paclab.comodulogram._MEASURES[method][0]
-        cfg = MeasureConfig()
-        ms = list(range(1, 13))
+        column = GridSpec(1, 12, 20, 20)
         with pytest.raises(paclab.SignalTooShortError) as ascending:
-            paclab.measures._column(cells, x, 20, ms, cfg, FilterBank(x))
-        with pytest.raises(paclab.SignalTooShortError) as rotated:
-            paclab.measures._column(cells, x, 20, ms, cfg, FilterBank(x), start=1)
-        assert str(rotated.value) == str(ascending.value)
+            compute_matrix(x, method, column, jobs=1)
+        for jobs in (2, 8):
+            with pytest.raises(paclab.SignalTooShortError) as pooled:
+                compute_matrix(x, method, column, jobs=jobs)
+            assert str(pooled.value) == str(ascending.value)
         with pytest.raises(paclab.SignalTooShortError) as from_two:
-            paclab.measures._column(cells, x, 20, ms[1:], cfg, FilterBank(x))
+            compute_matrix(x, method, GridSpec(2, 12, 20, 20), jobs=1)
         assert str(from_two.value) != str(ascending.value)
 
 
@@ -863,10 +919,11 @@ class TestDefaultJobs:
         assert pools == []
 
     @pytest.mark.parametrize("method", ["mca", "eps"])
-    def test_workers_are_capped_by_the_columns(self, monkeypatch, method):
+    def test_workers_are_capped_by_the_cells(self, monkeypatch, method):
+        # one column of two cells: the calling thread and one pool thread
         pools = self._pools(monkeypatch, 4)
-        compute_matrix(coupled(seed=0), method, GridSpec(6, 10, 44, 45))
-        assert sum(len(submits) for submits in pools) <= 1
+        compute_matrix(coupled(seed=0), method, GridSpec(6, 7, 44, 44))
+        assert pools == [[1]]
 
     @pytest.mark.parametrize("method", METHODS)
     def test_columns_pool_from_their_pool_from_samples(self, monkeypatch, method):
@@ -892,6 +949,31 @@ class TestDefaultJobs:
         for method, measure in paclab.comodulogram._MEASURES.items():
             got = paclab.comodulogram._default_jobs(measure, 50, 10_000)
             assert got == (want if method in ("mca", "eps") else 1)
+
+
+_X = Signal(np.sin(np.arange(10000) / 7.0), FS)
+_GRID = GridSpec(6, 8, 44, 45)
+
+
+@pytest.mark.parametrize("call, expected", [
+    pytest.param(lambda: compute_matrix(_X.samples, "mvl"), "Signal", id="matrix-samples"),
+    pytest.param(lambda: compute_matrix(_X, "mvl", (6, 8, 44, 45)), "GridSpec",
+                 id="matrix-grid-tuple"),
+    pytest.param(lambda: compute_matrix(_X, "mvl", _GRID, cfg={"kld_bins": 3}),
+                 "MeasureConfig", id="matrix-cfg-dict"),
+    pytest.param(lambda: run_comparison([(8, 45)], ["mvl"], 1, grid=(6, 8, 44, 45)),
+                 "GridSpec", id="comparison-grid-tuple"),
+    pytest.param(lambda: mca_pac(_X.samples, 8, 45), "Signal", id="cell-samples"),
+    pytest.param(lambda: mvl(_X, 8, 45, {"kld_bins": 3}), "MeasureConfig", id="cell-cfg-dict"),
+    pytest.param(lambda: normalize(np.zeros((2, 2))), "PacMatrix", id="normalize-array"),
+    pytest.param(lambda: argmax(np.zeros((2, 2))), "PacMatrix", id="argmax-array"),
+    pytest.param(lambda: PacAnalyzer(normalize="no", grid=_GRID).fit(_X), "bool",
+                 id="analyzer-normalize-text"),
+])
+def test_wrong_object_arguments_are_refused(call, expected):
+    # each raised a bare AttributeError, or took "no" for True
+    with pytest.raises(InvalidInputError, match=f"must be a {expected}, not "):
+        call()
 
 
 def test_serial_cv_matrix_copies_nothing_it_holds():

@@ -13,12 +13,18 @@ and 2 on the default grid, jobs None, 1, 2 and 8 on GridSpec(1, 12, 30,
 have 10,000 samples, below the 2**15 from which jobs=None pools mvl, cv
 and kld, so a third signal, 40 s of benchmark_spec((8, 45)) with seed 0
 (40,000 samples), runs all five methods in the default config at jobs
-None and 1 on GridSpec(1, 12, 30, 50). jobs None picks a
+None and 1 on GridSpec(1, 12, 30, 50), and at jobs None, 2 and 3 on the
+zoom grid GridSpec(7, 9, 44, 46), three columns of three cells, where the
+pool splits columns between threads. jobs None picks a
 thread count per method and machine, so jobs 1 keeps the serial path
 compared on every machine. On the default grid nearly every band is read
 until the sweep ends; on the narrow one the filter bank drops bands while
 columns are still pending, and at jobs 8, more threads than cores, the
-columns return far out of ascending order. The same interpreter calls
+columns return far out of ascending order. A fourth signal, 1.5 s of
+pink_noise(1500, 1000.0, 1.0, seed=0), is too short for the Morlet
+kernels of the low m, so all five methods raise on GridSpec(1, 12, 20,
+40) at jobs 1, 2 and 8, and each error must be the same. The same
+interpreter calls
 each public per-cell function (mca_pac, eps, mvl, cv, kld) on both
 signals in each config at the cells of CELLS, some of them out of band
 or below 1 Hz: a matrix scores such a cell 0, and so does the
@@ -39,7 +45,7 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 682 of them, and, for
+The script prints the count of equal results, 712 of them, and, for
 each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -62,7 +68,7 @@ import dataclasses, itertools, pickle, sys
 import paclab
 import numpy as np
 from paclab import (GridSpec, MeasureConfig, WelchSpec, benchmark_spec, compute_matrix,
-                    cv, eps, kld, mca_pac, mvl, synth_pac)
+                    cv, eps, kld, mca_pac, mvl, pink_noise, synth_pac)
 
 SEEDS = (0, 7)
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
@@ -86,7 +92,13 @@ RUNS = {
 LONG_RUNS = {
     "long,narrow,jobs=None": dict(jobs=None, grid=GridSpec(1, 12, 30, 50)),
     "long,narrow,jobs=1": dict(jobs=1, grid=GridSpec(1, 12, 30, 50)),
+    "long,zoom,jobs=None": dict(jobs=None, grid=GridSpec(7, 9, 44, 46)),
+    "long,zoom,jobs=2": dict(jobs=2, grid=GridSpec(7, 9, 44, 46)),
+    "long,zoom,jobs=3": dict(jobs=3, grid=GridSpec(7, 9, 44, 46)),
 }
+# on a signal too short for the low m's Morlet kernels: every run raises
+SHORT_RUNS = {f"short,jobs={jobs}": dict(jobs=jobs, grid=GridSpec(1, 12, 20, 40))
+              for jobs in (1, 2, 8)}
 CELL_FNS = (mca_pac, eps, mvl, cv, kld)
 # (m, n): in band, then m > n, m below 1 Hz, n + m past and n at Nyquist
 CELLS = ((8, 45), (12, 40), (3, 30), (20, 21), (8, 5), (0.5, 20), (8, 495), (8, 500))
@@ -108,14 +120,17 @@ for seed in SEEDS:
             out[key] = ("ok", np.array(fn(x, m, n, MeasureConfig(**cfg))), None)
         except Exception as e:
             out[key] = ("raised", type(e).__name__, str(e))
-x = synth_pac(dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=40.0)).composite
-for method, (rname, kw) in itertools.product(METHODS, LONG_RUNS.items()):
-    key = ("40 s", method, "default", rname)
-    try:
-        mat = compute_matrix(x, method, **kw)
-        out[key] = ("ok", mat.values, mat.meta["cached_filterings"])
-    except Exception as e:
-        out[key] = ("raised", type(e).__name__, str(e))
+long = synth_pac(dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=40.0)).composite
+short = pink_noise(1500, 1000.0, 1.0, seed=0)
+for (label, x, runs), method in itertools.product(
+        (("40 s", long, LONG_RUNS), ("1.5 s", short, SHORT_RUNS)), METHODS):
+    for rname, kw in runs.items():
+        key = (label, method, "default", rname)
+        try:
+            mat = compute_matrix(x, method, **kw)
+            out[key] = ("ok", mat.values, mat.meta["cached_filterings"])
+        except Exception as e:
+            out[key] = ("raised", type(e).__name__, str(e))
 with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
