@@ -168,9 +168,7 @@ def cmd_synth(args) -> _Plan:
              if getattr(args, k) is not None}
     # unset flags keep the preset's value, or else SynthesisSpec's default
     if args.paper_pair is not None:
-        if not (1 <= args.paper_pair <= len(BENCHMARK_PAIRS)):
-            raise _UsageError(f"--paper-pair must be 1..{len(BENCHMARK_PAIRS)}")
-        preset = benchmark_spec(args.paper_pair)
+        preset = benchmark_spec(args.paper_pair)  # refuses an index off BENCHMARK_PAIRS
         clean = BENCHMARK_CLEAN_POWER if args.clean_power is None else args.clean_power
     elif args.m is None or args.n is None:
         raise _UsageError("need --m and --n (or --paper-pair)")
@@ -315,8 +313,8 @@ def _add_matrix_flags(p):
                    help=f"Welch window overlap fraction (default {cfg.welch.overlap:g})")
     p.add_argument("--jobs", type=int, default=None,
                    help=f"threads per matrix, the calling one included, 1 to {MAX_JOBS} "
-                        "(default: the usable CPUs for mca and eps, and for mvl and kld on "
-                        "signals of 2^15 samples or more; else 1)")
+                        "(default: the usable CPUs for mca and eps, and for mvl, cv and kld "
+                        "on signals of 2^15 samples or more; else 1)")
 
 
 def _add_common(p):

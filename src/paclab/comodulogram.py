@@ -21,7 +21,7 @@ from . import measures
 from .errors import InvalidInputError, InvalidMethodError
 from .filters import FilterBank
 from .measures import MeasureConfig
-from .signal_core import Signal, _instance, _is_count, _numbers
+from .signal_core import Signal, _instance, _is_count, _numbers, _real
 from .synthesis import (
     BENCHMARK_AMI,
     BENCHMARK_CLEAN_POWER,
@@ -119,14 +119,9 @@ class GridSpec:
     def __post_init__(self):
         # stored as int, so 6.0 is written and read back as 6
         for name in ("m_start", "m_stop", "n_start", "n_stop"):
-            v = getattr(self, name)
-            try:
-                ok = not isinstance(v, bool) and int(v) == v and v >= 1
-            except (OverflowError, ValueError, TypeError):  # int() of inf, nan, None
-                ok = False
-            if not ok:
-                raise InvalidInputError("grid bounds must be integers >= 1")
-            object.__setattr__(self, name, int(v))
+            _real(getattr(self, name), f"{name}: grid bounds", "integers >= 1",
+                  lambda v: v >= 1 and v.is_integer())
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.m_stop < self.m_start or self.n_stop < self.n_start:
             raise InvalidInputError("grid ranges must be nondecreasing")
 
@@ -216,8 +211,7 @@ def compute_matrix(
     than MAX_GRID_CELLS cells, and jobs other than None or an integer in
     [1, MAX_JOBS] are refused before any work.
     """
-    if method not in _MEASURES:
-        raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
+    measure = _measure(method)
     _instance(x, Signal, "x")
     grid = GridSpec() if grid is None else _instance(grid, GridSpec, "grid")
     cfg = MeasureConfig() if cfg is None else _instance(cfg, MeasureConfig, "cfg")
@@ -232,7 +226,6 @@ def compute_matrix(
             f"grid of {rows}x{cols} cells exceeds the limit of {MAX_GRID_CELLS} cells"
         )
     _check_jobs(jobs)
-    measure = _MEASURES[method]
     bank = FilterBank(x) if use_cache else None
     n_vals = grid.n_values
     m_vals = grid.m_values
@@ -474,6 +467,13 @@ def _aggregate(errors: list) -> dict:
     return agg
 
 
+def _measure(method) -> _Measure:
+    """The method named `method`; InvalidMethodError for anything else."""
+    if not (isinstance(method, str) and method in _MEASURES):
+        raise InvalidMethodError(f"unknown method {method!r}; pick one of {METHODS}")
+    return _MEASURES[method]
+
+
 def _check_jobs(jobs: Optional[int]) -> None:
     """Refuse jobs unless it is None (compute_matrix's default)
     or an integer in [1, MAX_JOBS]; a bool is not a count."""
@@ -502,8 +502,7 @@ def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
     if len(set(pairs)) < len(pairs):
         raise InvalidInputError("each (m, n) pair may be given only once")
     for meth in methods:
-        if meth not in _MEASURES:
-            raise InvalidMethodError(f"unknown method {meth!r}; pick from {METHODS}")
+        _measure(meth)
     if not methods:
         raise InvalidInputError("need at least one method")
     if len(set(methods)) < len(methods):

@@ -21,7 +21,7 @@ class PacAnalyzer:
     in fit. Fitted state lives in trailing-underscore attributes. `jobs`
     is compute_matrix's: None (the default) picks the thread count per
     method and signal length, the usable CPUs for mca and eps and for
-    mvl and kld from 2**15 samples on, else 1; N runs the columns on N
+    mvl, cv and kld from 2**15 samples on, else 1; N runs the cells on N
     threads, the calling thread among them.
     """
 

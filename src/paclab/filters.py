@@ -24,7 +24,7 @@ import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .errors import AliasingError, InvalidInputError, OutOfBandError, SignalTooShortError
-from .signal_core import ComplexSeries, Signal, check_amplitude
+from .signal_core import ComplexSeries, Signal, _real, check_amplitude
 
 # Envelope extent of every Gabor kernel, in Gaussian standard deviations.
 # 4 leaves ~7e-6 stopband ripple at 8 Hz detune for a 1 Hz band; 5 gets
@@ -44,13 +44,10 @@ class FilterSpec:
     bw_hz: float = 1.0
 
     def __post_init__(self):
-        if not (self.center > 0):
-            raise InvalidInputError("center frequency must be positive")
-        if not (self.bw_hz > 0):
-            raise InvalidInputError("bw_hz must be positive")
-        if not math.isfinite(gabor_beta(self.bw_hz)):
-            # an infinite beta times the kernel's t = 0 makes a NaN tap
-            raise InvalidInputError(f"bw_hz of {self.bw_hz:g} Hz has no finite Gabor kernel")
+        _real(self.center, "center", "positive and finite", lambda v: v > 0)
+        # an infinite beta times the kernel's t = 0 makes a NaN tap
+        _real(self.bw_hz, "bw_hz", "positive, with a finite Gabor kernel",
+              lambda v: v > 0 and math.isfinite(gabor_beta(v)))
 
 
 def _center_gain(taps: np.ndarray, t: np.ndarray, center: float) -> complex:

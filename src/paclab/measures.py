@@ -56,7 +56,7 @@ from .filters import (
     gabor_half_length,
     morlet_half_length,
 )
-from .signal_core import Signal, _instance, _is_count, _series, hilbert
+from .signal_core import Signal, _instance, _is_count, _real, _series, hilbert
 from .spectral import WelchSpec
 # cv's coherence on arrays, read in place; named coherence here, where the
 # benchmark's traced run wraps it (perfbench/spans.py)
@@ -99,20 +99,16 @@ class MeasureConfig:
     welch: WelchSpec = WelchSpec()
 
     def __post_init__(self):
-        if not (self.mca_bw > 0):
-            raise InvalidInputError("mca_bw must be positive")
         # mca's capture weight reads a band twice as wide, which must be
         # a valid FilterSpec too
-        if not math.isfinite(gabor_beta(2.0 * self.mca_bw)):
-            raise InvalidInputError(f"mca_bw of {self.mca_bw:g} Hz is too wide for a Gabor band")
-        if not (1 <= self.morlet_cycles < math.inf):
-            raise InvalidInputError("morlet_cycles must be finite and at least 1")
-        k = self.kld_bins
-        if not _is_count(k) or not 2 <= k <= MAX_KLD_BINS:
+        _real(self.mca_bw, "mca_bw", "positive, with a finite Gabor kernel at twice its width",
+              lambda v: v > 0 and math.isfinite(gabor_beta(2.0 * v)))
+        _real(self.morlet_cycles, "morlet_cycles", "finite and at least 1", lambda v: v >= 1)
+        if not (_is_count(self.kld_bins) and 2 <= self.kld_bins <= MAX_KLD_BINS):
             raise InvalidInputError(f"kld_bins must be an integer in [2, {MAX_KLD_BINS}]")
-        tr = self.edge_trim
-        if tr is not None and (not _is_count(tr) or tr < 0):
+        if self.edge_trim is not None and not (_is_count(self.edge_trim) and self.edge_trim >= 0):
             raise InvalidInputError("edge_trim must be an integer >= 0 (or None)")
+        _instance(self.welch, WelchSpec, "welch")
 
     def as_dict(self) -> dict:
         """Flat settings, as recorded in matrix meta and manifests."""
@@ -237,6 +233,8 @@ def _cell(cells, reads, x: Signal, m: float, n: float, cfg: MeasureConfig | None
     """One cell of a measure, on a one-cell bank; raises where a column
     would score 0."""
     _instance(x, Signal, "x")
+    _real(m, "m")
+    _real(n, "n")
     cfg = MeasureConfig() if cfg is None else _instance(cfg, MeasureConfig, "cfg")
     return cells(x, n, cfg, _cell_bank(x, reads, m, n, cfg))(m)
 

@@ -8,9 +8,9 @@ are the filters and the Welch estimates in their modules: the package
 never imports scipy.signal.
 
 One rule (_numbers, _series, _rate) decides what paclab takes as samples
-and rates. Before the filter bank or a Welch estimate reads a Signal,
-check_amplitude bounds its peak, so that no square formed from it
-overflows.
+and rates, one (_real, _is_count) what it takes as settings. Before the
+filter bank or a Welch estimate reads a Signal, check_amplitude bounds
+its peak, so that no square formed from it overflows.
 """
 
 from __future__ import annotations
@@ -68,13 +68,24 @@ def _series(values, name: str, dtype=float) -> np.ndarray:
     return a
 
 
+def _real(value, name: str, must: str = "a finite real number", ok=None) -> float:
+    """value as a float if it is one finite int or float (NumPy scalars and
+    0-d arrays too) and ok, when given, holds of that float; else, for a
+    bool, text, complex, None, a sequence, a non-finite or out-of-range
+    value, InvalidInputError(f"{name} must be {must}"), and no warning."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # a ragged nest of sequences
+        a = None
+    if (a is None or a.ndim != 0 or a.dtype.kind not in "iuf" or not math.isfinite(a)
+            or ok is not None and not ok(float(a))):
+        raise InvalidInputError(f"{name} must be {must}")
+    return float(a)
+
+
 def _rate(fs) -> float:
-    """fs as a float: one real number under _numbers, not a bool,
-    positive and finite."""
-    f = _numbers(fs, "fs", "a number")
-    if f.ndim != 0 or f.dtype.kind == "b" or not 0 < f < math.inf:
-        raise InvalidInputError("fs must be a positive finite rate")
-    return float(f)
+    """fs as a float: _real, and positive."""
+    return _real(fs, "fs", "a positive finite rate", lambda f: f > 0)
 
 
 def _instance(value, cls, name: str):

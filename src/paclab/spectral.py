@@ -27,7 +27,7 @@ from .errors import (
     SignalTooShortError,
     UnreliableEstimateError,
 )
-from .signal_core import Signal, _is_count, _numbers, check_amplitude
+from .signal_core import Signal, _is_count, _numbers, _real, check_amplitude
 
 
 # The taper of every Welch segment.
@@ -46,8 +46,7 @@ class WelchSpec:
     def __post_init__(self):
         if not (_is_count(self.window_len) and self.window_len >= 8):
             raise InvalidInputError("window_len must be an integer of at least 8")
-        if not (0.0 <= self.overlap < 1.0):
-            raise InvalidInputError("overlap must be in [0, 1)")
+        _real(self.overlap, "overlap", "in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
 @dataclass(frozen=True)

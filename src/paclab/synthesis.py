@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidInputError
-from .signal_core import Signal, _is_count, power
+from .signal_core import Signal, _is_count, _real, power
 
 #: The four stock benchmark pairs (modulating m, modulated n) in Hz.
 BENCHMARK_PAIRS = ((8, 45), (12, 45), (20, 45), (30, 45))
@@ -43,16 +43,14 @@ class SynthesisSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if not (0 <= self.ami < math.inf):
-            raise InvalidInputError("ami must be nonnegative and finite")
+        for name in ("m", "n", "duration", "fs", "clean_scale"):
+            _real(getattr(self, name), name)
+        _real(self.ami, "ami", "nonnegative and finite", lambda v: v >= 0)
+        _real(self.noise_power, "noise_power", "nonnegative and finite", lambda v: v >= 0)
         if not (0 < self.m < self.n < self.fs / 2):
             raise InvalidInputError("need 0 < m < n < fs/2")
-        if not (math.isfinite(self.duration) and math.isfinite(self.fs)):
-            raise InvalidInputError("duration and fs must be finite")
         if self.duration * self.fs < 2:
             raise InvalidInputError("need at least 2 samples")
-        if not (0 <= self.noise_power < math.inf):
-            raise InvalidInputError("noise_power must be nonnegative and finite")
         # pink_noise divides the power by its unscaled draw's mean square,
         # which is at least 1/n_samples**2 (its lowest bin has amplitude 1)
         if self.noise_power > sys.float_info.max / self.n_samples / self.n_samples:
@@ -85,10 +83,10 @@ def clean_power_unit(ami: float) -> float:
 
 def clean_scale_for(clean_power: Optional[float], ami: float) -> float:
     """Factor that rescales the deterministic part to clean_power; None keeps 1."""
+    _real(ami, "ami")
     if clean_power is None:
         return 1.0
-    if not (0 <= clean_power < math.inf):
-        raise InvalidInputError("clean_power must be nonnegative and finite")
+    _real(clean_power, "clean_power", "nonnegative and finite", lambda v: v >= 0)
     return math.sqrt(clean_power / clean_power_unit(ami))
 
 
@@ -101,8 +99,7 @@ def pink_noise(n_samples: int, fs: float, target_power: float, seed=None) -> Sig
     """
     if not (_is_count(n_samples) and n_samples >= 2):
         raise InvalidInputError("n_samples must be an integer of at least 2")
-    if not (0 <= target_power < math.inf):
-        raise InvalidInputError("target_power must be nonnegative and finite")
+    _real(target_power, "target_power", "nonnegative and finite", lambda v: v >= 0)
     rng = np.random.default_rng(seed)
     n_freq = n_samples // 2 + 1
     amp = np.zeros(n_freq)

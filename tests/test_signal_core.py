@@ -1,5 +1,6 @@
 """Analytic-signal containers and operations."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,31 +12,44 @@ from hypothesis import strategies as st
 from paclab import (
     METHODS,
     ComplexSeries,
+    FilterSpec,
     GridSpec,
     DegeneratePhaseError,
     EmptyResultError,
     InvalidInputError,
+    InvalidMethodError,
+    MeasureConfig,
     PacAnalyzer,
     PacMatrix,
     Signal,
     Spectrum,
+    SynthesisSpec,
+    WelchSpec,
     amplitude,
     analytic,
     benchmark_spec,
     bin_amplitude_by_phase,
     coherence,
     compute_matrix,
+    cv,
+    eps,
     instantaneous_frequency,
+    kld,
+    mca_pac,
+    mvl,
     normalize,
     phase,
+    pink_noise,
     plv,
     power,
+    run_comparison,
     synth_pac,
     trim,
     vector_length,
     welch_psd,
 )
 from paclab.signal_core import hilbert
+from paclab.synthesis import clean_scale_for
 
 FS = 1000.0
 
@@ -141,6 +155,91 @@ class TestSampleRule:
     def test_any_real_rate_is_a_float(self, fs):
         x = Signal([0.0, 1.0], fs)
         assert type(x.fs) is float and x.fs == 1000.0
+
+
+# the five settings classes, each with the fields it needs besides the
+# one under test
+SETTINGS = {
+    SynthesisSpec: {"m": 8, "n": 45},
+    MeasureConfig: {},
+    FilterSpec: {"center": 5.0},
+    WelchSpec: {},
+    GridSpec: {},
+}
+# the fields that hold a count or a WelchSpec, not a real number
+NOT_REAL = {"kld_bins", "edge_trim", "window_len", "seed", "welch"}
+# values no numeric setting takes
+BAD_SETTINGS = {
+    "bool": True, "numpy-bool": np.True_, "text": "1", "complex": 1j, "None": None,
+    "nan": math.nan, "inf": math.inf,
+}
+SHORT = Signal(np.zeros(64), FS)
+# each public function's numeric setting: (function, setting) -> call of bad
+SETTING_TAKERS = {
+    ("clean_scale_for", "clean_power"): lambda bad: clean_scale_for(bad, 0.25),
+    ("clean_scale_for", "ami"): lambda bad: clean_scale_for(630.0, bad),
+    ("pink_noise", "target_power"): lambda bad: pink_noise(100, FS, bad, seed=0),
+} | {
+    (fn.__name__, arg): lambda bad, fn=fn, arg=arg: fn(SHORT, **{"m": 8, "n": 45, arg: bad})
+    for fn in (mca_pac, eps, mvl, cv, kld) for arg in ("m", "n")
+}
+
+
+def _setting(cls, name, value):
+    return cls(**{**SETTINGS[cls], name: value})
+
+
+SETTING_REFUSALS = [
+    pytest.param(f.name, lambda cls=cls, name=f.name, bad=bad: _setting(cls, name, bad),
+                 id=f"{cls.__name__}.{f.name}-{kind}")
+    for cls in SETTINGS for f in dataclasses.fields(cls)
+    for kind, bad in BAD_SETTINGS.items()
+    if not (bad is None and f.default is None)  # None is these fields' default
+] + [
+    pytest.param(name, lambda call=call, bad=bad: call(bad), id=f"{fn}.{name}-{kind}")
+    for (fn, name), call in SETTING_TAKERS.items()
+    for kind, bad in BAD_SETTINGS.items()
+    if not (bad is None and name == "clean_power")  # None keeps the unit scale
+]
+
+REAL_SETTINGS = [
+    pytest.param(cls, f.name, SETTINGS[cls].get(f.name, f.default), id=f"{cls.__name__}.{f.name}")
+    for cls in SETTINGS for f in dataclasses.fields(cls) if f.name not in NOT_REAL
+]
+
+
+class TestSettingRule:
+    """One rule for what paclab takes as a numeric setting, in signal_core."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("name, call", SETTING_REFUSALS)
+    def test_refused_by_name_without_warning(self, name, call):
+        with pytest.raises(InvalidInputError, match=rf"^{name}\b"):
+            call()
+
+    @pytest.mark.parametrize("cls, name, default", REAL_SETTINGS)
+    @pytest.mark.parametrize("kind", [np.float64, np.array])
+    def test_numpy_numbers_are_taken_as_given(self, cls, name, default, kind):
+        value = kind(default)
+        made = _setting(cls, name, value)
+        assert made == cls(**SETTINGS[cls])
+        # a grid bound is stored as an int; every other setting as given,
+        # so a manifest records the number it was given
+        if cls is GridSpec:
+            assert type(getattr(made, name)) is int
+        else:
+            assert getattr(made, name) is value
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("call", [
+        lambda: compute_matrix(SHORT, ["mca"]),
+        lambda: PacAnalyzer(method=["mca"]).fit(SHORT),
+        lambda: run_comparison([(8, 45)], [["mca"]], 1),
+        lambda: compute_matrix(SHORT, 1),
+    ], ids=["compute_matrix", "PacAnalyzer.fit", "run_comparison", "compute_matrix-int"])
+    def test_a_method_is_a_name(self, call):
+        with pytest.raises(InvalidMethodError):
+            call()
 
 
 class TestAnalytic:

@@ -40,7 +40,9 @@ unset, at 1 and at 2, and `psd` with the default window and with `--window 999
 --methods mca,kld --seeds 2 --grid m=6:10,n=42:48 --mca-bw 2 --kld-bins 10
 --jobs 2 --matrix-dir mats`. Every exit code and output file, the report
 and each matrix file under mats included, must be the same byte for
-byte, and every manifest the same apart from its duration_s. This covers
+byte, and every manifest the same JSON text apart from its duration_s,
+its keys in the same order and each value of the same type, so 8 and
+8.0, or true and 1, differ. This covers
 the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
@@ -53,6 +55,7 @@ minutes per tree on two cores.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import subprocess
@@ -163,9 +166,11 @@ for name, argv in RUNS.items():
     out[("cli", name, "exit code")] = ("exit", cli.main(argv))
 for f in sorted(p for p in Path(".").rglob("*") if p.is_file()):
     if f.name.endswith(".manifest.json"):
+        # compared as text, key order and value types kept: 8 == 8.0 and
+        # True == 1 as parsed numbers, not as JSON
         doc = json.loads(f.read_text())
         doc.pop("duration_s", None)
-        out[("cli", f.as_posix())] = ("manifest", doc)
+        out[("cli", f.as_posix())] = ("manifest", json.dumps(doc, indent=1))
     else:
         out[("cli", f.as_posix())] = ("file", f.read_bytes())
 with open(sys.argv[1], "wb") as f:
@@ -210,8 +215,10 @@ def _same(a, b) -> bool:
 def _moved(a, b) -> str:
     """How result b differs from result a, for a line of the report."""
     if a[0] == b[0] == "manifest":
-        keys = sorted(k for k in a[1].keys() | b[1].keys() if a[1].get(k) != b[1].get(k))
-        return f"manifest keys {keys} differ"
+        docs = [json.loads(r[1]) for r in (a, b)]
+        keys = sorted(k for k in docs[0].keys() | docs[1].keys()
+                      if json.dumps(docs[0].get(k)) != json.dumps(docs[1].get(k)))
+        return f"manifest keys {keys} differ" if keys else "manifest key order differs"
     if a[0] == b[0] == "file":
         at = next((i for i, (p, q) in enumerate(zip(a[1], b[1])) if p != q),
                   min(len(a[1]), len(b[1])))
