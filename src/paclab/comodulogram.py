@@ -481,6 +481,14 @@ def _check_jobs(jobs: Optional[int]) -> None:
         raise InvalidInputError(f"jobs must be an integer in [1, {MAX_JOBS}] (or None)")
 
 
+def _listed(items, name: str) -> list:
+    """items as a list; InvalidInputError when they are not iterable."""
+    try:
+        return list(items)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be iterable") from None
+
+
 def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
                     duration: float, fs: float, noise_power: float,
                     clean_power: Optional[float]) -> tuple[range, dict]:
@@ -488,19 +496,22 @@ def comparison_plan(pairs, methods, n_seeds: int, base_seed: int, ami: float,
     pair, in the order of pairs; each run sets its seed.
 
     Everything is checked before any work or any list sized by it: pairs
-    (each two frequencies) and methods must be non-empty and free of
-    repeats, and methods known; n_seeds must be an integer in
+    (each two finite real frequencies) and methods must be non-empty
+    iterables free of repeats, and methods known; n_seeds must be an integer in
     [1, MAX_SEEDS] and base_seed one >= 0; pairs x seeds x methods must
     not exceed MAX_RUNS; and each pair's signal settings must make a
     valid SynthesisSpec.
     """
-    pairs = [tuple(p) for p in pairs]
+    pairs = [tuple(_listed(p, "each pair")) for p in _listed(pairs, "pairs")]
     if not pairs:
         raise InvalidInputError("need at least one (m, n) pair")
     if any(len(p) != 2 for p in pairs):
         raise InvalidInputError("each pair must be two frequencies (m, n)")
+    for f in (f for p in pairs for f in p):
+        _real(f, "each pair's m and n")
     if len(set(pairs)) < len(pairs):
         raise InvalidInputError("each (m, n) pair may be given only once")
+    methods = _listed(methods, "methods")
     for meth in methods:
         _measure(meth)
     if not methods:
@@ -549,7 +560,7 @@ def run_comparison(
     fixed base_seed regardless of jobs. A grid or cfg of another type
     than GridSpec or MeasureConfig is refused before any work.
     """
-    methods = list(methods)
+    methods = _listed(methods, "methods")
     seeds, specs = comparison_plan(pairs, methods, n_seeds, base_seed, ami, duration, fs,
                                    noise_power, clean_power)
     _check_jobs(jobs)

@@ -16,6 +16,7 @@ past signal_core.check_amplitude's bound before it fills any band."""
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from collections import Counter
 from dataclasses import dataclass
@@ -114,12 +115,13 @@ def _morlet_half(center: float, cycles: float, fs: float, n_samples: int | None)
     """Half-length of the Morlet kernel, after morlet_kernel's checks of
     the centre and the cycle count and then, given n_samples, a check
     that the kernel fits that many samples, as _gabor_half."""
+    _real(center, "center", "positive and finite", lambda v: v > 0)
     _check_nyquist(center, fs)
-    if not (center > 0):
-        raise InvalidInputError("center frequency must be positive")
-    sigma_t = cycles / (2.0 * math.pi * center)
     # inf passes, to be refused as a kernel that fits no signal; a count so
     # small that morlet_kernel's variance underflows would make a NaN tap
+    if not (isinstance(cycles, numbers.Real) and cycles == math.inf):
+        _real(cycles, "cycles")
+    sigma_t = cycles / (2.0 * math.pi * center)
     if not (cycles > 0 and 2.0 * sigma_t * sigma_t > 0):
         raise InvalidInputError(f"cycles of {cycles} has no finite Morlet kernel")
     half = morlet_half_length(center, cycles, fs)
@@ -391,6 +393,7 @@ class FilterBank:
         return self.gabor(n - m, bw) + 2.0 * self.gabor(n, bw) + self.gabor(n + m, bw)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
+        _morlet_half(center, cycles, self.x.fs, len(self.x))  # checked before the key is made
         return self._cache.get(_morlet_key(center, cycles),
                                lambda: morlet_bandpass(self.x, center, cycles).values)
 

@@ -51,7 +51,6 @@ from .filters import (
     _gabor_half,
     _gabor_key,
     _morlet_key,
-    conv_size,
     gabor_beta,
     gabor_half_length,
     morlet_half_length,
@@ -149,11 +148,19 @@ def _as_array(series, name: str) -> np.ndarray:
     return series.samples if isinstance(series, Signal) else _series(series, name)
 
 
-def _check_trim(n_total: int, tr: int) -> None:
-    if n_total - 2 * tr < 8:
+def _trim(cfg: MeasureConfig, x: Signal, morlet=(), gabor=()) -> int:
+    """Samples a cell trims at each edge of x: cfg.edge_trim, or else the
+    half-length of the widest kernel it reads, the Morlet kernels at the
+    centers `morlet` and the Gabor kernels of the widths `gabor`;
+    SignalTooShortError when fewer than 8 samples are left."""
+    tr = cfg.edge_trim
+    if tr is None:
+        tr = max([morlet_half_length(c, cfg.morlet_cycles, x.fs) for c in morlet]
+                 + [gabor_half_length(bw, x.fs) for bw in gabor])
+    if len(x) - 2 * tr < 8:
         raise SignalTooShortError(
-            f"signal of {n_total} samples leaves nothing after trimming {tr} per edge"
-        )
+            f"signal of {len(x)} samples leaves nothing after trimming {tr} per edge")
+    return tr
 
 
 def _trimmed(a: np.ndarray, tr: int) -> np.ndarray:
@@ -172,39 +179,28 @@ def plv(phase_u, phase_v) -> float:
 
 
 class _Envelope:
-    """An amplitude envelope prepared for band-passing at many m.
+    """An amplitude envelope prepared for band-passing at width bw at many m.
 
     `samples` share the rate of the bank's signal. The reflection-padded
-    envelope's spectrum is taken once per kernel length, at once for width
-    `bw` when given, and each kernel's spectrum comes from the bank, so a
-    band-pass is one product and one irfft, bit for bit filters.bandpass.
-    The reference RMS of the envelope is worked out once.
+    envelope's spectrum is taken once, for the Gabor kernels of width bw,
+    and each kernel's spectrum comes from the bank, so a band-pass is one
+    product and one irfft, bit for bit filters.bandpass. The reference RMS
+    of the envelope is worked out once.
     """
 
-    def __init__(self, samples: np.ndarray, bank: FilterBank, bw: float | None = None):
-        self.samples = samples
-        self.fs = bank.x.fs
+    def __init__(self, samples: np.ndarray, bank: FilterBank, bw: float):
         self.bank = bank
+        self.bw = bw
         self.ref = _rms(samples)
-        self._padded = None
-        if bw is not None:
-            self._padded = ReflectedSpectrum(samples, 2 * gabor_half_length(bw, self.fs) + 1)
+        self.padded = ReflectedSpectrum(samples, 2 * gabor_half_length(bw, bank.x.fs) + 1)
 
-    def bandpass(self, m: float, bw: float) -> np.ndarray:
-        n_taps = 2 * _gabor_half(FilterSpec(center=m, bw_hz=bw), self.fs, len(self.samples)) + 1
-        kernel = self.bank.gabor_spectrum(m, bw, conv_size(len(self.samples), n_taps))
-        if self._padded is None or self._padded.n_taps != n_taps:
-            self._padded = ReflectedSpectrum(self.samples, n_taps)
-        return self._padded.filter(kernel)
-
-
-def _analytic_envelope(env: _Envelope, m: float, bw: float) -> np.ndarray:
-    """Analytic signal of the envelope's band at m Hz; DegeneratePhaseError
-    when that band sits at the kernel's floor."""
-    filtered = env.bandpass(m, bw)
-    if _rms(filtered) <= ENVELOPE_FLOOR_REL * max(env.ref, 1e-300):
-        raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
-    return hilbert(filtered)
+    def analytic(self, m: float) -> np.ndarray:
+        """Analytic signal of the envelope's band at m Hz; DegeneratePhaseError
+        when that band sits at the kernel's floor."""
+        filtered = self.padded.filter(self.bank.gabor_spectrum(m, self.bw, self.padded.nfft))
+        if _rms(filtered) <= ENVELOPE_FLOOR_REL * max(self.ref, 1e-300):
+            raise DegeneratePhaseError(f"envelope has no component at {m} Hz")
+        return hilbert(filtered)
 
 
 def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
@@ -215,7 +211,9 @@ def envelope_phase(env: Signal, m: float, bw: float = 1.0) -> Signal:
     isolates the oscillation whose phase matters. Raises when the envelope
     has no usable m Hz content.
     """
-    p = np.angle(_analytic_envelope(_Envelope(env.samples, FilterBank(env)), m, bw))
+    bank = FilterBank(env)
+    _gabor_half(FilterSpec(center=m, bw_hz=bw), env.fs, len(env))  # bandpass's checks
+    p = np.angle(_Envelope(env.samples, bank, bw).analytic(m))
     p = np.where(p == np.pi, -np.pi, p)
     return Signal(p, env.fs)
 
@@ -304,31 +302,24 @@ def mca_pac(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> 
 
 
 def _slow_band(xm, bank, m: float, bw: float, tr: int, x_ref: float):
-    """(weight, unit phasor) of mca_pac's slow band xm at m: (None, None)
-    when the band is empty or all noise (the cell scores 0), so the
-    phasor is worked out only for a band that can score."""
-    weight = _slow_weight(xm, bank, m, bw, tr, x_ref)
-    if weight is None:
-        return None, None
-    return weight, _unit(hilbert(xm))
-
-
-def _slow_weight(xm, bank, m: float, bw: float, tr: int, x_ref: float):
-    """Slow-band credibility of mca_pac at m, or None when the band xm is
-    empty or all noise."""
+    """(weight, unit phasor) of mca_pac's slow band xm at m, the weight its
+    credibility: (None, None) when the band is empty or all noise (the cell
+    scores 0), so the phasor is worked out only for a band that can score."""
     xm_t = _trimmed(xm, tr)
     if _rms(xm_t) <= SLOW_BAND_FLOOR_REL * x_ref:
-        return None
+        return None, None
     p1 = float(np.mean(xm_t * xm_t))
     p2 = bank.gabor_power(m, 2.0 * bw, tr)
     s_est = 2.0 * p1 - p2
     if s_est <= 0.0:
-        return None
+        return None, None
     n_est = p2 - p1
     if n_est <= 0.0 or s_est >= n_est:
-        return 1.0
-    ratio = s_est / n_est
-    return ratio / (1.0 + ratio)
+        weight = 1.0
+    else:
+        ratio = s_est / n_est
+        weight = ratio / (1.0 + ratio)
+    return weight, _unit(hilbert(xm))
 
 
 def _band_rms(bank, center: float, bw: float, tr: int) -> float:
@@ -348,14 +339,12 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     only for their trimmed power, which the bank keeps in place of the
     band. Each cell keeps its own triplet envelope.
     """
-    fs = x.fs
     bw = cfg.mca_bw
-    tr = cfg.edge_trim if cfg.edge_trim is not None else gabor_half_length(bw, fs)
     x_ref = _rms(x.samples)
 
     def cell(m):
-        _check_triplet(m, n, fs)
-        _check_trim(len(x), tr)
+        _check_triplet(m, n, x.fs)
+        tr = _trim(cfg, x, gabor=(bw,))
         slow_weight, slow = bank.reduce(
             ("mca_slow", float(m), float(bw), tr, x_ref), _gabor_key(m, bw),
             lambda xm: _slow_band(xm, bank, m, bw, tr, x_ref))
@@ -374,7 +363,7 @@ def _mca_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
             return 0.0
         env = np.abs(hilbert(bank.triplet(m, n, bw)))
         try:
-            z_env = _analytic_envelope(_Envelope(env, bank), m, bw)
+            z_env = _Envelope(env, bank, bw).analytic(m)
         except DegeneratePhaseError:
             return 0.0
         value = _phase_locking(_trimmed(slow, tr), _trimmed(z_env, tr))
@@ -406,33 +395,20 @@ def _check_band(m: float, n: float, fs: float) -> None:
         raise OutOfBandError(f"modulated frequency {n} Hz reaches Nyquist")
 
 
-def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank,
-                   slow: tuple | None = None, envelope_filter: bool = False):
+def _morlet_inputs(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank, slow: tuple):
     """Per-cell inputs of one Morlet-measure column at n.
 
     Returns (amp, inputs): amp() -> |zn|, worked out at once; inputs(m)
-    -> (slow form at m, None without `slow`; |zn|; per-edge trim). `slow`
-    is (key, fn): the Morlet band at m is reduced to fn(band), kept in the
-    bank under key + (m,), once per m. The default trim is the widest
-    kernel in use, counting the envelope band-pass when `envelope_filter`.
+    -> (slow form at m, |zn|). `slow` is (key, fn): the Morlet band at m
+    is reduced to fn(band), kept in the bank under key + (m,), once per m.
     """
     cycles = cfg.morlet_cycles
     amp = _once(lambda: np.abs(bank.morlet(n, cycles)))
 
     def inputs(m):
         _check_band(m, n, x.fs)
-        form = None if slow is None else bank.reduce(
-            slow[0] + (float(m),), _morlet_key(m, cycles), slow[1])
-        amp_n = amp()
-        tr = cfg.edge_trim
-        if tr is None:
-            tr = morlet_half_length(n, cycles, x.fs)
-            if slow is not None:
-                tr = max(tr, morlet_half_length(m, cycles, x.fs))
-            if envelope_filter:
-                tr = max(tr, gabor_half_length(cfg.mca_bw, x.fs))
-        _check_trim(len(x), tr)
-        return form, amp_n, tr
+        form = bank.reduce(slow[0] + (float(m),), _morlet_key(m, cycles), slow[1])
+        return form, amp()
 
     return amp, inputs
 
@@ -460,13 +436,14 @@ def _eps_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # serves every cell of the column; the bank keeps the envelope
     # kernels' spectra and the slow phasors z_m/|z_m|
     slow = (("eps_phasor", float(cfg.morlet_cycles)), _unit)
-    amp, inputs = _morlet_inputs(x, n, cfg, bank, slow, envelope_filter=True)
+    amp, inputs = _morlet_inputs(x, n, cfg, bank, slow)
     envelope = _once(lambda: _Envelope(amp(), bank, cfg.mca_bw))
 
     def cell(m):
-        phasor, _, tr = inputs(m)
+        phasor, _ = inputs(m)
+        tr = _trim(cfg, x, morlet=(n, m), gabor=(cfg.mca_bw,))
         try:
-            z_env = _analytic_envelope(envelope(), m, cfg.mca_bw)
+            z_env = envelope().analytic(m)
         except DegeneratePhaseError:
             return 0.0
         return _phase_locking(_trimmed(phasor, tr), _trimmed(z_env, tr))
@@ -517,7 +494,8 @@ def _mvl_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     _, inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
-        phasor, amp_n, tr = inputs(m)
+        phasor, amp_n = inputs(m)
+        tr = _trim(cfg, x, morlet=(n, m))
         return _vector_length(_trimmed(phasor, tr), _trimmed(amp_n, tr))
 
     return cell
@@ -537,12 +515,8 @@ def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # is n-only work: one coherence spectrum (or its error) serves every
     # cell. The trimmed signal and |zn| go to it as views, not Signals
     def column():
-        cycles = cfg.morlet_cycles
-        amp_n = np.abs(bank.morlet(n, cycles))
-        tr = cfg.edge_trim
-        if tr is None:
-            tr = morlet_half_length(n, cycles, x.fs)
-        _check_trim(len(x), tr)
+        amp_n = np.abs(bank.morlet(n, cfg.morlet_cycles))
+        tr = _trim(cfg, x, morlet=(n,))
         return coherence(_trimmed(x.samples, tr), _trimmed(amp_n, tr), x.fs, cfg.welch)
 
     spectrum = _once(column)
@@ -629,7 +603,8 @@ def _kld_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     _, inputs = _morlet_inputs(x, n, cfg, bank, slow)
 
     def cell(m):
-        idx, amp_n, tr = inputs(m)
+        idx, amp_n = inputs(m)
+        tr = _trim(cfg, x, morlet=(n, m))
         idx = _trimmed(idx, tr)
         counts = bank.derived(("kld_counts", float(m), cycles, n_bins, tr),
                               lambda: np.bincount(idx, minlength=n_bins))

@@ -49,8 +49,8 @@ class SynthesisSpec:
         _real(self.noise_power, "noise_power", "nonnegative and finite", lambda v: v >= 0)
         if not (0 < self.m < self.n < self.fs / 2):
             raise InvalidInputError("need 0 < m < n < fs/2")
-        if self.duration * self.fs < 2:
-            raise InvalidInputError("need at least 2 samples")
+        if not 2 <= self.duration * self.fs < math.inf:
+            raise InvalidInputError("need at least 2 samples, and finitely many")
         # pink_noise divides the power by its unscaled draw's mean square,
         # which is at least 1/n_samples**2 (its lowest bin has amplitude 1)
         if self.noise_power > sys.float_info.max / self.n_samples / self.n_samples:

@@ -386,7 +386,58 @@ def cell_by_cell(x, method, grid, cfg):
     return out
 
 
+# configs and signals under which cells raise, with the methods whose
+# every cell raises: a Gabor kernel (mca's, eps's envelope kernel) or a
+# Morlet kernel whose half-length leaves no samples, a trim that leaves
+# fewer than 8, and a signal shorter than the kernels
+RAISING_CASES = {
+    "mca_bw=1e-306": (lambda: coupled(seed=0), MeasureConfig(mca_bw=1e-306), {"mca", "eps"}),
+    "morlet_cycles=1e300": (lambda: coupled(seed=0), MeasureConfig(morlet_cycles=1e300),
+                            {"eps", "mvl", "cv", "kld"}),
+    "edge_trim=4997": (lambda: coupled(seed=0), MeasureConfig(edge_trim=4997), set(METHODS)),
+    "short": (lambda: pink_noise(100, FS, 1.0, seed=0), MeasureConfig(), set(METHODS)),
+}
+
+
+def outcome(call):
+    try:
+        return ("value", call())
+    except Exception as e:
+        return (type(e), str(e))
+
+
 class TestColumnProtocol:
+    @pytest.mark.parametrize("case", sorted(RAISING_CASES))
+    @pytest.mark.parametrize("method", sorted(CELL_FNS))
+    def test_building_a_column_never_raises(self, method, case):
+        # compute_matrix builds each column's factory in a prologue, which
+        # must not raise: each cell raises in its place, what the public
+        # per-cell function raises
+        make, cfg, raising = RAISING_CASES[case]
+        x = make()
+        measure = paclab.comodulogram._MEASURES[method]
+        n, ms = 45, [2, 8, 12]
+        bank = FilterBank(x)
+        paclab.measures._plan(bank, measure.reads, [(0, n, ms)], cfg)
+        cell = measure.cells(x, n, cfg, bank)
+        raised = 0
+        for m in ms:
+            got = outcome(lambda: cell(m))
+            assert got == outcome(lambda: CELL_FNS[method](x, m, n, cfg))
+            raised += got[0] != "value"
+        assert raised == (len(ms) if method in raising else 0)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mca_grid_out_of_band_everywhere_scores_zeros(self, jobs):
+        # the half-length of a 1e-306 Hz Gabor kernel overflows, but no cell
+        # reads it: every n + m reaches Nyquist
+        x = pink_noise(3000, FS, 1.0, seed=0)
+        cfg = MeasureConfig(mca_bw=1e-306)
+        got = compute_matrix(x, "mca", GridSpec(150, 151, 400, 401), cfg, jobs=jobs)
+        assert got.values.shape == (2, 2) and not got.values.any()
+        with pytest.raises(paclab.OutOfBandError):
+            mca_pac(x, 150, 400, cfg)
+
     @pytest.mark.parametrize("case", sorted(COLUMN_CASES))
     @pytest.mark.parametrize("method", sorted(CELL_FNS))
     @pytest.mark.parametrize("edge_trim", [None, 0], ids=["default", "no-trim"])
@@ -1174,11 +1225,19 @@ class TestRunComparison:
         ([(8, 45, 0), (8, 45, 1)], ("kld",)),
         ([(8, 45), (12, 45)], ("kld", "mvl", "kld")),
         ([(8, 45)], ()),
+        ([([8], 45)], ("mca",)),
+        ([("8", 45)], ("mca",)),
+        ([8], ("mca",)),
+        (8, ("mca",)),
+        ([(8, 45)], 5),
+        ([(8, 45)], None),
     ], ids=["pair-twice", "pair-twice-as-list", "pair-twice-padded", "method-twice",
-            "no-method"])
+            "no-method", "pair-holding-a-list", "pair-holding-text", "pair-not-a-pair",
+            "pairs-not-iterable", "methods-not-iterable", "methods-none"])
     def test_rejects_repeats_and_empty_methods_before_any_work(self, pairs, methods, monkeypatch):
         # a repeated pair or method would run twice and count twice in
-        # its aggregate, and write one --matrix-dir file twice
+        # its aggregate, and write one --matrix-dir file twice; a malformed
+        # pair or a non-iterable pairs or methods is refused, not a TypeError
         def no_synthesis(spec):
             raise AssertionError("synthesized before the plan was checked")
 

@@ -318,8 +318,10 @@ class TestMorlet:
             morlet_bandpass(tone(10), 500, 4)
 
     @pytest.mark.filterwarnings("error")
-    # 1e-300 is positive, but the kernel's envelope variance underflows
-    @pytest.mark.parametrize("cycles", [-1.0, 0.0, -0.0, np.nan, -np.inf, 1e-300])
+    # 1e-300 is positive, but the kernel's envelope variance underflows;
+    # a bool, text, None or a complex is no cycle count
+    @pytest.mark.parametrize("cycles", [-1.0, 0.0, -0.0, np.nan, -np.inf, 1e-300,
+                                        True, False, "4", None, 4 + 0j, complex(np.inf)])
     def test_cycles_must_be_positive(self, cycles):
         x = tone(45, dur=1.0)
         for make in (lambda: morlet_bandpass(x, 45, cycles),
@@ -327,6 +329,21 @@ class TestMorlet:
                      lambda: FilterBank(x).morlet(45, cycles)):
             with pytest.raises(InvalidInputError, match="cycles"):
                 make()
+
+    @pytest.mark.filterwarnings("error")
+    # FilterSpec's rule for a centre: a bool, text, None, a complex or a
+    # non-finite number is refused before the Nyquist check
+    @pytest.mark.parametrize("center", [True, "45", None, 45 + 0j, np.inf, np.nan,
+                                        -45.0, 0.0, 0])
+    def test_center_must_be_positive_and_finite(self, center):
+        x = tone(45, dur=1.0)
+        for make in (lambda: morlet_bandpass(x, center, 4.0),
+                     lambda: morlet_kernel(center, 4.0, FS),
+                     lambda: FilterBank(x).morlet(center, 4.0)):
+            with pytest.raises(InvalidInputError, match="center"):
+                make()
+        with pytest.raises(InvalidInputError, match="center"):
+            FilterSpec(center=center)
 
     @pytest.mark.filterwarnings("error")
     def test_tiny_cycles_are_one_tap_without_a_warning(self):

@@ -43,7 +43,6 @@ from paclab.measures import (
     _ZERO_CELL_ERRORS,
     ENVELOPE_FLOOR_REL,
     MAX_KLD_BINS,
-    _analytic_envelope,
     _Envelope,
 )
 from paclab.signal_core import check_amplitude
@@ -222,10 +221,10 @@ class TestEnvelopeFromSpectra:
         assert np.array_equal(got, want)
         # one prepared envelope, several kernels, a kernel spectrum reused:
         # the analytic band the measures read
-        prepared = _Envelope(env.samples, FilterBank(env))
+        prepared = _Envelope(env.samples, FilterBank(env), bw)
         for center in (m, 1.0, m):
             want = phase_or_error(reference_analytic_envelope, env, center, bw)
-            got = phase_or_error(_analytic_envelope, prepared, center, bw)
+            got = phase_or_error(prepared.analytic, center)
             assert type(got) is type(want)
             assert np.array_equal(got, want)
 
@@ -235,7 +234,7 @@ class TestEnvelopeFromSpectra:
         with pytest.raises(SignalTooShortError):
             envelope_phase(env, 8.0)
         with pytest.raises(SignalTooShortError):
-            _analytic_envelope(_Envelope(env.samples, FilterBank(env)), 8.0, 1.0)
+            _Envelope(env.samples, FilterBank(env), 1.0)
 
     def test_center_at_nyquist_is_aliasing(self):
         env = Signal(np.full(3000, 2.0), FS)
@@ -731,16 +730,16 @@ class TestMcaPhasorPlv:
     def test_exact_zeros_of_the_analytic_envelope(self, monkeypatch):
         import paclab.measures
 
-        real = paclab.measures._analytic_envelope
+        real = paclab.measures._Envelope.analytic
         zeroed = []
 
-        def with_zeros(env, m, bw):
-            z = real(env, m, bw)
+        def with_zeros(env, m):
+            z = real(env, m)
             z[::7] = 0.0
             zeroed.append(z)
             return z
 
-        monkeypatch.setattr(paclab.measures, "_analytic_envelope", with_zeros)
+        monkeypatch.setattr(paclab.measures._Envelope, "analytic", with_zeros)
         x = coupled_signal(noise=6250.0, seed=3)
         got = mca_pac(x, 8, 45)
         assert len(zeroed) == 1 and not zeroed[0][::7].any()

@@ -60,6 +60,12 @@ class TestSynthesisSpec:
         with pytest.raises(InvalidInputError):
             SynthesisSpec(**base)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_sample_count_is_refused(self):
+        # duration * fs is inf, which n_samples cannot round to an integer
+        with pytest.raises(InvalidInputError, match="samples"):
+            SynthesisSpec(m=8, n=45, duration=1e300, fs=1e300)
+
     # 1e308 is finite, but pink_noise's scale factor for it is not
     @pytest.mark.parametrize("kw", [dict(ami=math.inf), dict(noise_power=math.inf),
                                     dict(noise_power=1e308)],

@@ -23,15 +23,20 @@ columns are still pending, and at jobs 8, more threads than cores, the
 columns return far out of ascending order. A fourth signal, 1.5 s of
 pink_noise(1500, 1000.0, 1.0, seed=0), is too short for the Morlet
 kernels of the low m, so all five methods raise on GridSpec(1, 12, 20,
-40) at jobs 1, 2 and 8, and each error must be the same. The same
+40) at jobs 1, 2 and 8, in the default config and with edge_trim=747,
+which leaves 6 of its samples, and each error must be the same. The same
 interpreter calls
 each public per-cell function (mca_pac, eps, mvl, cv, kld) on both
 signals in each config at the cells of CELLS, some of them out of band
 or below 1 Hz: a matrix scores such a cell 0, and so does the
 use_cache=False run, so only these calls see the errors the cells raise.
-Every matrix and its meta["cached_filterings"], and every cell value,
-must be np.array_equal between the trees, or both trees must raise the
-same error.
+It also calls envelope_phase at the (m, bw) of ENVELOPE_CALLS, m at
+Nyquist and a negative bw among them, on two envelopes: the stock seed-0
+signal's triplet envelope at (8, 45), and 1 + |pink noise| of the 1.5 s
+signal, shorter than the 0.5 Hz kernel.
+Every matrix and its meta["cached_filterings"], every cell value and
+every envelope phase must be np.array_equal between the trees, or both
+trees must raise the same error.
 
 A second fresh interpreter per tree runs the CLI in an empty directory:
 `synth --paper-pair 1 --dur 30`, then `pac --method mca` with --jobs
@@ -47,7 +52,7 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 712 of them, and, for
+The script prints the count of equal results, 739 of them, and, for
 each result that differs, how far it moved: the largest absolute cell difference and
 the parent matrix's maximum. It exits 1 on any difference. It takes a few
 minutes per tree on two cores.
@@ -70,8 +75,9 @@ _CHILD = r"""
 import dataclasses, itertools, pickle, sys
 import paclab
 import numpy as np
-from paclab import (GridSpec, MeasureConfig, WelchSpec, benchmark_spec, compute_matrix,
-                    cv, eps, kld, mca_pac, mvl, pink_noise, synth_pac)
+from paclab import (GridSpec, MeasureConfig, Signal, WelchSpec, analytic, benchmark_spec,
+                    compute_matrix, cv, envelope_phase, eps, kld, mca_pac, mvl, pink_noise,
+                    synth_pac, triplet)
 
 SEEDS = (0, 7)
 METHODS = ("mca", "eps", "mvl", "cv", "kld")
@@ -102,6 +108,12 @@ LONG_RUNS = {
 # on a signal too short for the low m's Morlet kernels: every run raises
 SHORT_RUNS = {f"short,jobs={jobs}": dict(jobs=jobs, grid=GridSpec(1, 12, 20, 40))
               for jobs in (1, 2, 8)}
+# the short signal's configs: the default, and a trim that leaves 6 of its
+# 1,500 samples
+SHORT_CONFIGS = {"default": {}, "edge_trim=747": {"edge_trim": 747}}
+# envelope_phase's (m, bw): in band at three widths, a fractional m, m at
+# Nyquist and a negative width
+ENVELOPE_CALLS = ((8, 1.0), (12, 0.5), (20, 2.0), (3.5, 1.0), (500, 1.0), (8, -1.0))
 CELL_FNS = (mca_pac, eps, mvl, cv, kld)
 # (m, n): in band, then m > n, m below 1 Hz, n + m past and n at Nyquist
 CELLS = ((8, 45), (12, 40), (3, 30), (20, 21), (8, 5), (0.5, 20), (8, 495), (8, 500))
@@ -125,15 +137,27 @@ for seed in SEEDS:
             out[key] = ("raised", type(e).__name__, str(e))
 long = synth_pac(dataclasses.replace(benchmark_spec((8, 45), seed=0), duration=40.0)).composite
 short = pink_noise(1500, 1000.0, 1.0, seed=0)
-for (label, x, runs), method in itertools.product(
-        (("40 s", long, LONG_RUNS), ("1.5 s", short, SHORT_RUNS)), METHODS):
-    for rname, kw in runs.items():
-        key = (label, method, "default", rname)
+for (label, x, runs, configs), method in itertools.product(
+        (("40 s", long, LONG_RUNS, {"default": {}}),
+         ("1.5 s", short, SHORT_RUNS, SHORT_CONFIGS)), METHODS):
+    for (cname, cfg), (rname, kw) in itertools.product(configs.items(), runs.items()):
+        key = (label, method, cname, rname)
         try:
-            mat = compute_matrix(x, method, **kw)
+            mat = compute_matrix(x, method, cfg=MeasureConfig(**cfg), **kw)
             out[key] = ("ok", mat.values, mat.meta["cached_filterings"])
         except Exception as e:
             out[key] = ("raised", type(e).__name__, str(e))
+# envelopes: the stock triplet's at (8, 45), and one of the short signal,
+# shorter than the 0.5 Hz kernel
+stock = synth_pac(benchmark_spec((8, 45), seed=0)).composite
+envelopes = {"stock": Signal(abs(analytic(triplet(stock, 8, 45)).values), stock.fs),
+             "short": Signal(1.0 + abs(short.samples), short.fs)}
+for (ename, env), (m, bw) in itertools.product(envelopes.items(), ENVELOPE_CALLS):
+    key = ("envelope_phase", ename, f"m={m},bw={bw}")
+    try:
+        out[key] = ("ok", envelope_phase(env, m, bw).samples, None)
+    except Exception as e:
+        out[key] = ("raised", type(e).__name__, str(e))
 with open(sys.argv[1], "wb") as f:
     pickle.dump(out, f)
 """
