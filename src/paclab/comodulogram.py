@@ -45,7 +45,7 @@ class _Measure(NamedTuple):
     # it once per column and calls it once per cell
     cells: Callable
     # reads(n, m_values, cfg) returns (bands read directly, bands read
-    # only to be reduced)
+    # once: reduced, or released by their one reader)
     reads: Callable
     # fewest samples at which jobs=None pools the cells.
     # mca and eps cells run signal-length FFTs (two hilbert transforms and
@@ -63,8 +63,8 @@ class _Measure(NamedTuple):
     # keep that small. Pooled at 300,000 samples on the default grid, max
     # RSS read cv +21%, kld +11% and mvl +7%
     pool_from: int
-    # cv's cells only read its prologue's coherence: its reads of the bank
-    # end with the prologue, and pooled, its prologues run one column
+    # cv's cells only read its prologue's coherence: its read of the bank
+    # ends within the prologue, and pooled, its prologues run one column
     # further ahead, so a thread done early starts the next one instead of
     # waiting (3% of long_recording cv.matrix_s, 3 columns on 2 threads)
     reads_prologue: bool = False
@@ -266,8 +266,6 @@ def compute_matrix(
         i, n, ms = columns[k]
         if j is None:  # the column's prologue
             build(k)
-            if measure.reads_prologue:
-                bank.done(i)
             return
         if bank is None:
             cell = measure.cells(x, n, cfg, measures._cell_bank(x, measure.reads, ms[j], n, cfg))
@@ -280,8 +278,7 @@ def compute_matrix(
         # the cell that pops a column's last token, 0, is its last to finish
         if bank is not None and not left[k].pop():
             made[k] = False  # lets go of the column's n-only forms
-            if not measure.reads_prologue:
-                bank.done(i)
+            bank.done(i)
 
     _sweep(units, jobs, run)
 

@@ -5,13 +5,20 @@ filter bank every coupling measure reads its bands from.
 A kernel is applied by FFT convolution of the reflection-padded signal
 on scipy.fft: rfft/irfft for the real Gabor taps, fft/ifft for the
 complex Morlet taps, at the transform lengths and slices of
-scipy.signal.fftconvolve(..., "valid"), so each band is bitwise what
-fftconvolve gives; like the rest of the package, this module does not
-import scipy.signal. A kernel's length is checked against the signal
-before any tap is built. The padded signal's rfft depends on the
-kernel's length alone, so the filter bank takes it once per Gabor
-kernel length and shares it across its bands. A bank refuses a signal
-past signal_core.check_amplitude's bound before it fills any band."""
+scipy.signal.fftconvolve(..., "valid"), so the public functions give
+bitwise what fftconvolve gives; like the rest of the package, this
+module does not import scipy.signal. A kernel's length is checked
+against the signal before any tap is built. The padded signal's rfft
+depends on the kernel's length alone, so the filter bank takes it once
+per Gabor kernel length and shares it across its bands. A bank fills a
+Morlet band the same way when the signal is long next to the 1 Hz
+Morlet kernel (_spectrum_taps): from one rfft of the signal padded for
+that kernel, with two transforms per band where morlet_bandpass runs
+three. Such a band is the same convolution at a wider padding and a
+longer transform, so it differs from morlet_bandpass's by rounding only,
+about 1e-15 of its maximum; on a shorter signal a bank's Morlet band is
+bitwise morlet_bandpass's. A bank refuses a signal past
+signal_core.check_amplitude's bound before it fills any band."""
 
 from __future__ import annotations
 
@@ -185,6 +192,43 @@ def _gabor_band(padded: ReflectedSpectrum, spec: FilterSpec, fs: float) -> Signa
     return Signal(padded.filter(_kernel_spectrum(spec, fs, padded.nfft)), fs)
 
 
+def _morlet_band(padded: ReflectedSpectrum, center: float, cycles: float, fs: float) -> np.ndarray:
+    """The Morlet band at center (doubled, as morlet_bandpass's) of the
+    series whose padded spectrum is `padded`, for a kernel no longer than
+    padded.n_taps: fftconvolve's complex path from two transforms, the
+    taps' and the inverse. The padded series is real, so its full
+    spectrum is the rfft half `padded` keeps and that half's conjugate
+    mirror; the product is formed in the taps' spectrum and inverted in
+    place."""
+    taps = morlet_kernel(center, cycles, fs)
+    nfft, half = padded.nfft, padded.values
+    product = fft(taps, nfft)
+    k = len(half)
+    product[:k] *= half
+    product[k:] *= half[nfft - k:0:-1].conj()
+    full = ifft(product, overwrite_x=True)
+    # sample i of the series is sample i + (n_taps - 1) // 2 of the padded
+    # one, and the kernel's centre tap lies (len(taps) - 1) // 2 further on
+    start = (padded.n_taps - 1) // 2 + (len(taps) - 1) // 2
+    return 2.0 * full[start:start + padded.n_samples]
+
+
+def _spectrum_taps(n_samples: int, cycles: float, fs: float) -> int | None:
+    """Taps of the 1 Hz Morlet kernel of `cycles` cycles at fs when a
+    bank fills Morlet bands of an n_samples signal from the signal's
+    padded spectrum for that kernel, else None.
+
+    1 Hz is the lowest centre a grid asks for, so that kernel is the
+    widest of a matrix; a wider one, at a centre below 1 Hz, is filled
+    by morlet_bandpass. With h1 its half-length, a band from the shared
+    spectrum costs two complex transforms of about N + 4·h1 samples, and
+    morlet_bandpass three of about N: they break even at N = 8·h1, so
+    the spectrum is shared from N > 8·h1 on.
+    """
+    h1 = morlet_half_length(1.0, cycles, fs)
+    return 2 * h1 + 1 if n_samples > 8 * h1 else None
+
+
 def bandpass(x: Signal, spec: FilterSpec) -> Signal:
     """Zero-phase narrow-band filtering with reflection-padded edges.
 
@@ -222,6 +266,8 @@ def triplet(x: Signal, m: float, n: float, bw: float = 1.0) -> Signal:
     modulation at full depth while everything outside the three bands is
     rejected.
     """
+    _real(m, "m")
+    _real(n, "n")
     _check_triplet(m, n, x.fs)
     return Signal(FilterBank(x).triplet(m, n, bw), x.fs)
 
@@ -297,7 +343,12 @@ class FilterBank:
     without one uses a fresh bank, planned for its one cell, for that
     call only.
     Every Gabor band is filled from one ReflectedSpectrum of the signal
-    per kernel length, taken on the first fill of that length.
+    per kernel length, taken on the first fill of that length, and so is
+    every Morlet band of a kernel no wider than the 1 Hz one on a signal
+    of more than 8 of its half-lengths (_spectrum_taps), from the one
+    spectrum for that kernel; other Morlet bands are filled by
+    morlet_bandpass. A planned bank drops the Morlet spectrum after the
+    last Morlet fill its plan names.
     A measure that needs only a compact form of a band (a slow band's
     phasor or phase-bin index, a band's power) keeps it through `reduce`,
     which lets the band go; `derived` keeps other values (a band's
@@ -306,9 +357,10 @@ class FilterBank:
     A bank holds a band while planned reads of it are left. Without a
     plan that is the bank's lifetime. Given a read plan (`plan`), a band
     has one read for each column that reads it directly, over when that
-    column is done (`done`), and one for its reduction, over once reduced;
+    column is done (`done`), and one read by its reduction or by a single
+    reader that releases it (`release`), over once reduced or released;
     it is dropped when its last read is over, and a band the plan does not
-    name goes once reduced. No band is filled twice.
+    name goes once reduced or released. No band is filled twice.
     `n_filterings` counts fills, kept or not.
     """
 
@@ -320,15 +372,17 @@ class FilterBank:
         self._lock = threading.Lock()
         self._reads = None  # column -> the bands it reads directly, until done
         self._left = Counter()  # band key -> its planned reads not over yet
+        self._unfilled = None  # the planned Morlet bands not filled yet
 
-    def plan(self, reads: dict, reduced) -> None:
+    def plan(self, reads: dict, once) -> None:
         """Read plan of a sweep: reads[column] holds the bands that column
-        reads directly, and `reduced` the bands the columns read only
-        through `reduce`."""
+        reads directly, and `once` the bands read one time: through
+        `reduce`, or by the one reader that releases the band."""
         with self._lock:
             self._reads = {column: set(keys) for column, keys in reads.items()}
             self._left = Counter(key for keys in self._reads.values() for key in keys)
-            self._left.update(set(reduced))
+            self._left.update(set(once))
+            self._unfilled = {key for key in self._left if key[0] == "morlet"}
 
     def done(self, column: int) -> None:
         """The planned column has returned: its direct reads are over."""
@@ -351,16 +405,23 @@ class FilterBank:
         """
         return self._derived.get(key, compute)
 
+    def release(self, band_key: tuple) -> None:
+        """One planned read of the band under band_key is over, outside
+        `done`: a reduction's, or that of the one reader of a band the
+        plan names among those read once. A bank without a plan keeps
+        the band."""
+        with self._lock:
+            if self._reads is not None:
+                self._read_over(band_key)
+
     def reduce(self, key: tuple, band_key: tuple, fn):
         """fn(band) of the band under band_key (a _gabor_key or a
         _morlet_key), worked out once and kept in `derived` under key.
-        Each reduction is one read of the band; a bank without a plan
-        keeps it. fn returns a form of the band, never the band itself."""
+        Each reduction is one read of the band, released once fn returns.
+        fn returns a form of the band, never the band itself."""
         def compute():
             out = fn(self._band(band_key))
-            with self._lock:
-                if self._reads is not None:
-                    self._read_over(band_key)
+            self.release(band_key)
             return out
 
         return self.derived(key, compute)
@@ -371,13 +432,18 @@ class FilterBank:
         kind, *args = band_key
         return {"gabor": self.gabor, "morlet": self.morlet}[kind](*args)
 
+    def _signal_spectrum(self, n_taps: int) -> ReflectedSpectrum:
+        """The signal's ReflectedSpectrum for kernels of n_taps, kept in
+        `derived`."""
+        return self.derived(("signal_spectrum", n_taps),
+                            lambda: ReflectedSpectrum(self.x.samples, n_taps))
+
     def gabor(self, center: float, bw: float) -> np.ndarray:
+        spec = FilterSpec(center=center, bw_hz=bw)  # checked before the key is made
+
         def fill():
-            spec = FilterSpec(center=center, bw_hz=bw)
             n_taps = 2 * _gabor_half(spec, self.x.fs, len(self.x)) + 1
-            padded = self.derived(("signal_spectrum", n_taps),
-                                  lambda: ReflectedSpectrum(self.x.samples, n_taps))
-            return _gabor_band(padded, spec, self.x.fs).samples
+            return _gabor_band(self._signal_spectrum(n_taps), spec, self.x.fs).samples
 
         return self._cache.get(_gabor_key(center, bw), fill)
 
@@ -393,9 +459,25 @@ class FilterBank:
         return self.gabor(n - m, bw) + 2.0 * self.gabor(n, bw) + self.gabor(n + m, bw)
 
     def morlet(self, center: float, cycles: float) -> np.ndarray:
-        _morlet_half(center, cycles, self.x.fs, len(self.x))  # checked before the key is made
-        return self._cache.get(_morlet_key(center, cycles),
-                               lambda: morlet_bandpass(self.x, center, cycles).values)
+        # checked before the key is made
+        half = _morlet_half(center, cycles, self.x.fs, len(self.x))
+        key = _morlet_key(center, cycles)
+
+        def fill():
+            x = self.x
+            n_taps = _spectrum_taps(len(x), cycles, x.fs)
+            if n_taps is None or 2 * half + 1 > n_taps:
+                band = morlet_bandpass(x, center, cycles).values
+            else:
+                band = _morlet_band(self._signal_spectrum(n_taps), center, cycles, x.fs)
+            with self._lock:
+                if self._unfilled is not None:
+                    self._unfilled.discard(key)
+                    if not self._unfilled:
+                        self._derived.drop(("signal_spectrum", n_taps))
+            return band
+
+        return self._cache.get(key, fill)
 
     def gabor_spectrum(self, center: float, bw: float, nfft: int) -> np.ndarray:
         """rfft at nfft of the Gabor kernel at center, kept in `derived`:

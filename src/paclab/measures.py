@@ -10,10 +10,11 @@ and |z_n|, eps's padded envelope spectrum, cv's coherence) and returns
 the measure on the column at n as a function of m, which raises an error
 of that work where it reads the value. Next to the factories, a reads
 function (_mca_reads, _morlet_reads for eps, mvl and kld, _cv_reads)
-names the filter-bank bands a column reads directly and those it reads
-only to reduce, from which compute_matrix plans how long the bank holds
-each band. Work that depends on m alone is kept in the filter bank for
-as long as the bank lives: each measure reduces its slow band at m,
+names the filter-bank bands a column reads directly and those read once,
+to reduce or (cv's band at n) to take |z_n| and release the band, from
+which compute_matrix plans how long the bank holds each band. Work that
+depends on m alone is kept in the filter bank for as long as the bank
+lives: each measure reduces its slow band at m,
 through FilterBank.reduce, to one form, mca's slow-band weight and unit
 phasor, eps's unit phasor z_m/|z_m|, mvl's unit phasor and kld's
 phase-bin index (with its bin counts per trim). No reduction returns a
@@ -247,12 +248,12 @@ def _cell_bank(x: Signal, reads, m: float, n: float, cfg: MeasureConfig) -> Filt
 
 def _plan(bank: FilterBank, reads, columns, cfg: MeasureConfig) -> None:
     """Give the bank the read plan of columns (i, n, m_values): the bands
-    each column i reads directly, and the bands read only to be reduced."""
-    direct, reduced = {}, set()
+    each column i reads directly, and the bands read once."""
+    direct, once = {}, set()
     for i, n, ms in columns:
-        direct[i], to_reduce = reads(n, ms, cfg)
-        reduced.update(to_reduce)
-    bank.plan(direct, reduced)
+        direct[i], read_once = reads(n, ms, cfg)
+        once.update(read_once)
+    bank.plan(direct, once)
 
 
 def _once(compute):
@@ -513,9 +514,11 @@ def cv(x: Signal, m: float, n: float, cfg: MeasureConfig | None = None) -> float
 def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
     # without a slow band the trim depends on n alone, so the whole column
     # is n-only work: one coherence spectrum (or its error) serves every
-    # cell. The trimmed signal and |zn| go to it as views, not Signals
+    # cell. The band at n is released once |zn| is taken, before the
+    # coherence; the trimmed signal and |zn| go to it as views, not Signals
     def column():
         amp_n = np.abs(bank.morlet(n, cfg.morlet_cycles))
+        bank.release(_morlet_key(n, cfg.morlet_cycles))
         tr = _trim(cfg, x, morlet=(n,))
         return coherence(_trimmed(x.samples, tr), _trimmed(amp_n, tr), x.fs, cfg.welch)
 
@@ -529,9 +532,9 @@ def _cv_cells(x: Signal, n: float, cfg: MeasureConfig, bank: FilterBank):
 
 
 def _cv_reads(n: float, m_values, cfg: MeasureConfig):
-    """Bank bands the cv column at n reads, all of them directly: the
-    Morlet band at n."""
-    return [_morlet_key(n, cfg.morlet_cycles)], ()
+    """Bank bands the cv column at n reads: none directly; once, the
+    Morlet band at n, which no other cv column reads."""
+    return (), [_morlet_key(n, cfg.morlet_cycles)]
 
 
 def bin_amplitude_by_phase(phase, amp, n_bins: int) -> PhaseAmplitudeDistribution:

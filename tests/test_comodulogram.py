@@ -472,7 +472,7 @@ class TestColumnProtocol:
         # step, so both miss the same slow bands at the same moment
         calls = []
         lock = threading.Lock()
-        for name in ("_gabor_band", "morlet_bandpass"):
+        for name in ("_gabor_band", "_morlet_band", "morlet_bandpass"):
             real = getattr(paclab.filters, name)
 
             def counting(*args, _real=real, **kwargs):
@@ -530,6 +530,7 @@ def _record_fills(monkeypatch):
     fills = collections.Counter()
     lock = threading.Lock()
     real_gabor_band = paclab.filters._gabor_band
+    real_morlet_band = paclab.filters._morlet_band
     real_morlet = paclab.filters.morlet_bandpass
 
     def gabor_band(padded, spec, fs):
@@ -537,12 +538,18 @@ def _record_fills(monkeypatch):
             fills[paclab.filters._gabor_key(spec.center, spec.bw_hz)] += 1
         return real_gabor_band(padded, spec, fs)
 
+    def morlet_band(padded, center, cycles, fs):
+        with lock:
+            fills[paclab.filters._morlet_key(center, cycles)] += 1
+        return real_morlet_band(padded, center, cycles, fs)
+
     def morlet_bandpass(x, center, cycles):
         with lock:
             fills[paclab.filters._morlet_key(center, cycles)] += 1
         return real_morlet(x, center, cycles)
 
     monkeypatch.setattr(paclab.filters, "_gabor_band", gabor_band)
+    monkeypatch.setattr(paclab.filters, "_morlet_band", morlet_band)
     monkeypatch.setattr(paclab.filters, "morlet_bandpass", morlet_bandpass)
     return fills
 
@@ -668,6 +675,26 @@ class TestBandLiveness:
         assert all(p.dtype == complex and p.shape == (len(x),) for p in phasors)
         spectra = [v for k, v in derived.items() if k[0] == "gabor_spectrum"]
         assert bank.nbytes == sum(a.nbytes for a in phasors + spectra)
+
+    def test_cv_releases_its_band_before_the_coherence(self, monkeypatch):
+        # |zn| is all a cv column reads of its band, so a serial bank holds
+        # no band while a column's coherence runs
+        banks, held = [], []
+        real = paclab.measures.coherence
+
+        class RecordingBank(FilterBank):
+            def __init__(self, *args):
+                super().__init__(*args)
+                banks.append(self)
+
+        def recording(*args, **kwargs):
+            held.append(set(list(banks[0]._cache.values)))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(paclab.comodulogram, "FilterBank", RecordingBank)
+        monkeypatch.setattr(paclab.measures, "coherence", recording)
+        compute_matrix(coupled(seed=0), "cv", GridSpec(1, 5, 10, 14), jobs=1)
+        assert len(held) == 5 and not any(held)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("case", ["narrow", "mid"])

@@ -27,6 +27,8 @@ from paclab.filters import (
     FilterBank,
     ReflectedSpectrum,
     _Memo,
+    _morlet_key,
+    _spectrum_taps,
     conv_size,
     gabor_half_length,
     gabor_kernel,
@@ -361,6 +363,56 @@ class TestMorlet:
         taps = morlet_kernel(center, cycles, FS)
         want = 2.0 * fftconvolve(np.pad(x.samples, half, mode="reflect"), taps, mode="valid")
         assert np.array_equal(morlet_bandpass(x, center, cycles).values, want)
+
+
+def _noise(n_samples, fs, seed=0):
+    return Signal(np.random.default_rng(seed).standard_normal(n_samples), fs)
+
+
+class TestSharedMorletSpectrum:
+    """A bank fills the Morlet bands of a signal longer than 8 half-lengths
+    of the 1 Hz kernel from one padded spectrum of it: the definition's
+    convolution to rounding. On a signal no longer, every band is
+    morlet_bandpass's, bit for bit."""
+
+    @pytest.mark.parametrize("cycles", [4.0, 7.0])
+    @pytest.mark.parametrize("fs", [250.0, 1000.0, 2000.0])
+    @pytest.mark.parametrize("side", ["at", "past"])
+    def test_bands_equal_the_reflect_padded_convolution(self, side, fs, cycles):
+        threshold = 8 * morlet_half_length(1.0, cycles, fs)
+        n_samples = threshold + (side == "past")
+        x = _noise(n_samples, fs)
+        n_taps = _spectrum_taps(n_samples, cycles, fs)
+        assert (n_taps is not None) == (side == "past")
+        bank = FilterBank(x)
+        for center in (1.0, 2.0, 45.0, np.nextafter(fs / 2, 0.0)):
+            got = bank.morlet(center, cycles)
+            taps = morlet_kernel(center, cycles, fs)
+            padded = np.pad(x.samples, half_length(taps), mode="reflect")
+            want = 2.0 * fftconvolve(padded, taps, mode="valid")
+            if n_taps is None:
+                assert np.array_equal(got, morlet_bandpass(x, center, cycles).values)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_a_kernel_wider_than_the_1_hz_one_is_filled_alone(self):
+        # a centre below 1 Hz, which only a per-cell call reaches
+        x = _noise(8 * morlet_half_length(1.0, 4.0, FS) + 1, FS)
+        assert np.array_equal(FilterBank(x).morlet(0.9, 4.0), morlet_bandpass(x, 0.9, 4.0).values)
+
+    def test_a_planned_bank_drops_the_spectrum_after_its_last_morlet_fill(self):
+        x = _noise(8 * morlet_half_length(1.0, 4.0, 250.0) + 1, 250.0)
+        key = ("signal_spectrum", _spectrum_taps(len(x), 4.0, x.fs))
+        planned = FilterBank(x)
+        planned.plan({0: [_morlet_key(45, 4.0)]}, [_morlet_key(8, 4.0)])
+        planned.morlet(45, 4.0)
+        assert key in planned._derived.values
+        planned.reduce(("phase", 8.0), _morlet_key(8, 4.0), np.angle)
+        assert key not in planned._derived.values
+        # without a plan, the spectrum lives as long as the bank
+        unplanned = FilterBank(x)
+        unplanned.morlet(45, 4.0)
+        unplanned.morlet(8, 4.0)
+        assert key in unplanned._derived.values
 
 
 @pytest.mark.filterwarnings("error")

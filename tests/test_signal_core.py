@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from paclab import (
     METHODS,
     ComplexSeries,
+    FilterBank,
     FilterSpec,
     GridSpec,
     DegeneratePhaseError,
@@ -45,6 +46,7 @@ from paclab import (
     run_comparison,
     synth_pac,
     trim,
+    triplet,
     vector_length,
     welch_psd,
 )
@@ -179,6 +181,12 @@ SETTING_TAKERS = {
     ("clean_scale_for", "clean_power"): lambda bad: clean_scale_for(bad, 0.25),
     ("clean_scale_for", "ami"): lambda bad: clean_scale_for(630.0, bad),
     ("pink_noise", "target_power"): lambda bad: pink_noise(100, FS, bad, seed=0),
+    ("triplet", "m"): lambda bad: triplet(SHORT, bad, 45),
+    ("triplet", "n"): lambda bad: triplet(SHORT, 8, bad),
+    # the width reaches FilterSpec, which names it bw_hz
+    ("triplet", "bw_hz"): lambda bad: triplet(SHORT, 8, 45, bad),
+    ("FilterBank.gabor", "center"): lambda bad: FilterBank(SHORT).gabor(bad, 1.0),
+    ("FilterBank.gabor", "bw_hz"): lambda bad: FilterBank(SHORT).gabor(5.0, bad),
 } | {
     (fn.__name__, arg): lambda bad, fn=fn, arg=arg: fn(SHORT, **{"m": 8, "n": 45, arg: bad})
     for fn in (mca_pac, eps, mvl, cv, kld) for arg in ("m", "n")

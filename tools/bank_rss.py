@@ -11,7 +11,9 @@ largest of the five, and mca. Each method gets PAIRS pairs of
 runs, and the tree that goes first alternates from pair to pair. Prints
 each run's max RSS (ru_maxrss from os.wait4) and wall time (from the
 start of the interpreter to its exit, import included) and, per method
-and tree, the medians of both. Exits 1 if a run fails.
+and tree, the quartiles of both (first, median, third), so a change of
+the medians can be read against each tree's own spread. Exits 1 if a
+run fails.
 Stdlib only; the runs themselves need numpy and scipy.
 """
 
@@ -27,7 +29,7 @@ import time
 from pathlib import Path
 
 METHODS = ("mvl", "cv", "kld", "eps", "mca")
-PAIRS = 5
+PAIRS = 10
 DUR = 300.0
 
 
@@ -44,6 +46,11 @@ def _run(tree: Path, argv: list, cwd: Path) -> tuple[float, float]:
     if proc.returncode != 0:
         raise SystemExit(f"pac-lab {' '.join(argv)} from {tree} exited {proc.returncode}")
     return usage.ru_maxrss / 1024, wall  # ru_maxrss is in KiB on Linux
+
+
+def _quartiles(values: list) -> str:
+    """First quartile, median and third quartile of values."""
+    return "/".join(f"{q:.2f}" for q in statistics.quantiles(values, n=4, method="inclusive"))
 
 
 def main(argv=None) -> int:
@@ -75,12 +82,9 @@ def main(argv=None) -> int:
                 print(f"{method:6} {k:>4} {order[0]:>6} {rss['parent'][-1]:>10.1f} "
                       f"{rss['change'][-1]:>10.1f} {wall['parent'][-1]:>9.2f} "
                       f"{wall['change'][-1]:>9.2f}")
-            print(f"{method:6} median        {statistics.median(rss['parent']):>10.1f} "
-                  f"{statistics.median(rss['change']):>10.1f} "
-                  f"{statistics.median(wall['parent']):>9.2f} "
-                  f"{statistics.median(wall['change']):>9.2f}  (parent ranges "
-                  f"{min(rss['parent']):.1f}-{max(rss['parent']):.1f} MB, "
-                  f"{min(wall['parent']):.2f}-{max(wall['parent']):.2f} s)")
+            for name in trees:
+                print(f"{method:6} {name:6} quartiles: {_quartiles(rss[name])} MB, "
+                      f"{_quartiles(wall[name])} s")
     return 0
 
 

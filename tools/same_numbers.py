@@ -52,9 +52,14 @@ the signal CSV writer and reader, which the matrices above never touch,
 the comparison's column pool and matrix sink, and the measure config that
 the comparison's manifest and report record.
 
-The script prints the count of equal results, 739 of them, and, for
-each result that differs, how far it moved: the largest absolute cell difference and
-the parent matrix's maximum. It exits 1 on any difference. It takes a few
+The script sorts the results, 739 of them, into equal, within 1e-13
+and beyond. A result is within 1e-13 when both trees return arrays of
+one shape, and the same cached_filterings for a matrix, whose largest
+|difference| is at most 1e-13 of the parent array's largest |value|;
+every other unequal result, an error, a file or an exit code among them,
+is beyond. It prints the three counts and, for each result that differs,
+how far it moved: for an array, its largest |difference| over its
+maximum. It exits 1 unless every result is equal. It takes a few
 minutes per tree on two cores.
 """
 
@@ -69,6 +74,10 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+# the largest |difference| over the parent's largest |value| up to which
+# an unequal array counts as within rounding
+WITHIN = 1e-13
 
 # runs inside each tree's interpreter: argv[1] is the pickle to write
 _CHILD = r"""
@@ -236,6 +245,16 @@ def _same(a, b) -> bool:
     return np.array_equal(a[1], b[1]) and a[2] == b[2]
 
 
+def _within(a, b) -> bool:
+    """Whether a and b are array results of one shape, and the same
+    cached_filterings, whose largest |b - a| is at most WITHIN of a's
+    largest |value|."""
+    if not (a[0] == b[0] == "ok" and a[1].shape == b[1].shape and a[2] == b[2]):
+        return False
+    diff = np.max(np.abs(b[1] - a[1]), initial=0.0)
+    return bool(diff <= WITHIN * np.max(np.abs(a[1]), initial=0.0))
+
+
 def _moved(a, b) -> str:
     """How result b differs from result a, for a line of the report."""
     if a[0] == b[0] == "manifest":
@@ -254,8 +273,11 @@ def _moved(a, b) -> str:
         return f"parent {said[0]}; change {said[1]}"
     if a[1].shape != b[1].shape:
         return f"shape {a[1].shape} against {b[1].shape}"
-    moved = f"max |cell difference| {np.max(np.abs(a[1] - b[1])):.3g}, " \
-            f"matrix max {np.max(a[1]):.3g}"
+    diff = np.max(np.abs(b[1] - a[1]), initial=0.0)
+    top = np.max(np.abs(a[1]), initial=0.0)
+    moved = f"max |difference| {diff:.3g} over max |value| {top:.3g}"
+    if top > 0:
+        moved += f" = {diff / top:.3g}"
     if a[2] != b[2]:
         moved += f", cached_filterings {a[2]} against {b[2]}"
     return moved
@@ -282,11 +304,14 @@ def main(argv=None) -> int:
     parent, change = results
     keys = sorted(parent, key=repr)
     differ = [k for k in keys if k not in change or not _same(parent[k], change[k])]
-    raised = sum(1 for k in keys if parent[k][0] == "raised")
-    print(f"{len(keys) - len(differ)} of {len(keys)} results equal "
-          f"({raised} of them the same error in both trees)")
+    within = [k for k in differ if k in change and _within(parent[k], change[k])]
+    raised = sum(1 for k in keys if parent[k][0] == "raised" and k not in differ)
+    print(f"{len(keys)} results: {len(keys) - len(differ)} equal ({raised} of them the same "
+          f"error in both trees), {len(within)} within {WITHIN:g} of their maximum, "
+          f"{len(differ) - len(within)} beyond")
     for k in differ:
-        print("differs:", *k, "|", _moved(parent[k], change[k]) if k in change else "missing")
+        label = "within:" if k in within else "beyond:"
+        print(label, *k, "|", _moved(parent[k], change[k]) if k in change else "missing")
     return 1 if differ or set(change) != set(parent) else 0
 
 
